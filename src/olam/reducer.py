@@ -10,6 +10,7 @@ hole filled from the oracle's rule table against the shared context.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,13 +20,12 @@ from .syntax import (
     DEFAULT_FUEL,
     App,
     Choice,
-    Efq,
     Force,
     Fuel,
-    HoleContext,
     Lam,
     MergeTerm,
-    OracleOccurrence,
+    OracleCall,
+    OracleRef,
     Pair,
     Proj,
     Rational,
@@ -33,7 +33,6 @@ from .syntax import (
     TraceTerm,
     children,
     decompose_oracle_context,
-    oracle_names,
     replace_at,
     subnode_at,
     substitute,
@@ -62,8 +61,6 @@ class TermRedex:
     path: tuple[int, ...]
     kind: str
     oracle: str | None = None
-    context: HoleContext | None = None
-    occurrences: tuple[OracleOccurrence, ...] | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,15 +81,32 @@ class SampleResult:
     trace: tuple[StepOutcome, ...]
 
 
-def _is_plain_redex(node: Term) -> str | None:
-    match node:
-        case App(Lam(), _):
-            return "beta"
-        case Proj(Pair(), _):
-            return "proj"
-        case Force(Choice()):
-            return "choice"
-    return None
+def _walk(t: Term) -> Iterator[TermRedex]:
+    """Fireable positions in one preorder walk, recognised where it stands.
+
+    Each oracle yields once, at its first occurrence; in preorder that
+    occurrence is outermost, so it is also the first hole of the context.
+    """
+    fired: set[str] = set()
+    stack: list[tuple[Term, tuple[int, ...]]] = [(t, ())]
+    while stack:
+        node, path = stack.pop()
+        match node:
+            case TraceTerm() | MergeTerm():
+                continue
+            case App(Lam(), _):
+                yield TermRedex(path, "beta")
+            case Proj(Pair(), _):
+                yield TermRedex(path, "proj")
+            case Force(Choice()):
+                yield TermRedex(path, "choice")
+            case Force(OracleRef(o) | OracleCall(o, _)) if o not in fired:
+                fired.add(o)
+                yield TermRedex(path, "oracle", o)
+        kids = children(node)
+        for i in range(len(kids) - 1, -1, -1):
+            if isinstance(kids[i], Term):
+                stack.append((kids[i], path + (i,)))
 
 
 def find_redexes(t: Term) -> list[TermRedex]:
@@ -102,40 +116,7 @@ def find_redexes(t: Term) -> list[TermRedex]:
     evidence terms are never searched.  All outermost forced occurrences
     of one oracle form a single redex.
     """
-    redexes: list[TermRedex] = []
-
-    def walk(node, path: tuple[int, ...]) -> None:
-        if isinstance(node, (TraceTerm, MergeTerm)):
-            return
-        if isinstance(node, Term):
-            kind = _is_plain_redex(node)
-            if kind is not None:
-                redexes.append(TermRedex(path, kind))
-        if isinstance(node, Lam):
-            walk(node.body, path + (1,))
-            return
-        if isinstance(node, Efq):
-            walk(node.body, path + (0,))
-            return
-        for i, child in enumerate(children(node)):
-            if isinstance(child, Term):
-                walk(child, path + (i,))
-
-    walk(t, ())
-    for name in sorted(oracle_names(t)):
-        context, occurrences = decompose_oracle_context(t, name)
-        if occurrences:
-            redexes.append(
-                TermRedex(
-                    occurrences[0].path,
-                    "oracle",
-                    oracle=name,
-                    context=context,
-                    occurrences=occurrences,
-                )
-            )
-    redexes.sort(key=lambda r: r.path)
-    return redexes
+    return list(_walk(t))
 
 
 def step(
@@ -189,8 +170,7 @@ def _oracle_step(
 def deterministic_strategy(t: Term) -> TermRedex | None:
     """The unique redex fired by runs: first in preorder, or None at a
     normal form."""
-    redexes = find_redexes(t)
-    return redexes[0] if redexes else None
+    return next(_walk(t), None)
 
 
 def run_sample(

@@ -476,12 +476,6 @@ class SourceFile:
     oracle_uses: tuple[tuple[str, int], ...]
     definitions: tuple[Definition, ...]
 
-    def main(self) -> Definition | None:
-        for d in self.definitions:
-            if d.name == "main":
-                return d
-        return None
-
 
 def parse_program(text: str) -> SourceFile:
     atoms: list[AtomDecl] = []

@@ -84,9 +84,10 @@ class Distribution:
         self._entries: dict[str, tuple[Term, Fraction]] = {}
 
     def add(self, term: Term, prob: Rational) -> None:
-        if prob == 0:
-            return
-        key = term_key(term)
+        if prob != 0:
+            self._add_keyed(term_key(term), term, prob)
+
+    def _add_keyed(self, key: str, term: Term, prob: Rational) -> None:
         entry = self._entries.get(key)
         if entry is None:
             self._entries[key] = (term, Fraction(prob))
@@ -592,10 +593,9 @@ def enumerate_distribution(
     for prob, quads in enumerate_paths(env, t, registry, fuel):
         seq = (t,) + tuple(q.after for q in quads)
         saw_oracle = any(q.label == "oracle" for q in quads)
-        dist.add(seq[-1], prob)
-        groups.setdefault(term_key(seq[-1]), []).append(
-            (prob, seq, saw_oracle)
-        )
+        key = term_key(seq[-1])
+        dist._add_keyed(key, seq[-1], prob)
+        groups.setdefault(key, []).append((prob, seq, saw_oracle))
 
     judgments: list[MapstoJudgment] = []
     for key in sorted(groups):

@@ -89,24 +89,25 @@ def _validate_spec(
     spec: TrustSpec,
     subject_type,
     registry: OracleRegistry | None,
-) -> None:
+) -> set[str]:
+    """Reject a malformed spec; return the keys of its listed outcomes."""
     if not 0 < spec.epsilon <= 1:
         raise TrustError(
             "EpsilonRange", f"tolerance {spec.epsilon} outside (0, 1]"
         )
-    seen: list[Term] = []
+    listed: set[str] = set()
     total = Fraction(0)
     for outcome, target in spec.entries:
         if not 0 <= target <= 1:
             raise TrustError(
                 "TargetRange", f"target mass {target} outside [0, 1]"
             )
-        for prev in seen:
-            if alpha_eq(prev, outcome):
-                raise TrustError(
-                    "DuplicateOutcome", f"outcome {outcome} listed twice"
-                )
-        seen.append(outcome)
+        key = term_key(outcome)
+        if key in listed:
+            raise TrustError(
+                "DuplicateOutcome", f"outcome {outcome} listed twice"
+            )
+        listed.add(key)
         total += target
         outcome_type = infer_type(env, outcome, registry)
         if not alpha_eq(outcome_type, subject_type):
@@ -123,6 +124,7 @@ def _validate_spec(
         raise TrustError(
             "TargetNotTotal", f"target masses sum to {total}, not 1"
         )
+    return listed
 
 
 def trust_check(
@@ -141,7 +143,7 @@ def trust_check(
     (strictly); mass on unlisted outcomes must stay below epsilon.
     """
     subject_type = infer_type(env, t, registry)
-    _validate_spec(env, spec, subject_type, registry)
+    listed = _validate_spec(env, spec, subject_type, registry)
     oracle = forced_oracle_form(t)
     if freq_width is not None and oracle is not None:
         if registry is None:
@@ -161,7 +163,6 @@ def trust_check(
         deviation = abs(derived - target)
         passed = deviation < spec.epsilon if target > 0 else True
         rows.append(TrustRow(outcome, target, derived, deviation, passed))
-    listed = {term_key(outcome) for outcome, _ in spec.entries}
     extra = tuple(
         (rep, prob)
         for rep, prob in dist.items()
@@ -293,10 +294,11 @@ def replay_certificate(
 ) -> TrustReport:
     """Recheck a certificate from scratch.
 
-    Every witness is rechecked, witness masses must add up to the claimed
-    distribution, the distribution is re-derived and compared, and all
-    threshold checks and the verdict are recomputed.  Any disagreement
-    raises instead of returning.
+    Every witness is rechecked and witness masses must add up to the
+    claimed distribution.  The distribution is then derived once, by the
+    same trust_check that recomputes the threshold checks and the
+    verdict, and all of it is compared with the certificate.  Any
+    disagreement raises instead of returning.
     """
     _require(cert.get("schema") == 1, f"schema {cert.get('schema')!r}")
     t = surface.parse_term(cert["program"])
@@ -327,11 +329,9 @@ def replay_certificate(
             all(alpha_eq(j.source, t) for j in judgments),
             "witnesses do not start at the program",
         )
-        rederived, _ = enumerate_distribution(env, t, registry, fuel)
+        width = None
     else:
         _require(by_target == claimed.as_key_map(), "witness masses differ")
-        oracle = forced_oracle_form(t)
-        _require(oracle is not None, "frequency certificate for a non-oracle")
         _require(judgments != [], "no witnesses")
         first = judgments[0].witness
         _require(
@@ -339,35 +339,41 @@ def replay_certificate(
             "malformed frequency evidence",
         )
         width = len(pair_spine(first.steps[0]))
-        _require(registry is not None, "oracle frequency needs a registry")
-        name, arg = oracle  # type: ignore[misc]
-        rederived, _ = oracle_frequency(env, name, arg, width, registry)
+
+    rows = cert["threshold_checks"]
+    spec = TrustSpec(
+        tuple(
+            (
+                surface.parse_term(row["outcome"]),
+                surface.parse_rational_text(row["target"]),
+            )
+            for row in rows
+        ),
+        epsilon,
+    )
+    report = trust_check(env, t, spec, registry, fuel, width)
     _require(
-        rederived == claimed,
+        report.mode == mode,
+        f"recomputed mode {report.mode}, certificate says {mode}",
+    )
+    _require(
+        report.distribution == claimed,
         "re-derived distribution differs from the claimed one",
     )
-
-    entries = []
-    for row in cert["threshold_checks"]:
-        outcome = surface.parse_term(row["outcome"])
-        target = surface.parse_rational_text(row["target"])
-        entries.append((outcome, target))
-        derived = claimed.prob_of(outcome)
+    for row, recomputed in zip(rows, report.rows):
+        outcome = recomputed.outcome
         _require(
-            derived == surface.parse_rational_text(row["derived"]),
+            recomputed.derived == surface.parse_rational_text(row["derived"]),
             f"derived mass for {outcome} differs",
         )
-        deviation = abs(derived - target)
         _require(
-            deviation == surface.parse_rational_text(row["deviation"]),
+            recomputed.deviation
+            == surface.parse_rational_text(row["deviation"]),
             f"deviation for {outcome} differs",
         )
-        passed = deviation < epsilon if target > 0 else True
-        _require(passed == row["passed"], f"check for {outcome} differs")
-
-    spec = TrustSpec(tuple(entries), epsilon)
-    freq_width = width if mode == "frequency" else None
-    report = trust_check(env, t, spec, registry, fuel, freq_width)
+        _require(
+            recomputed.passed == row["passed"], f"check for {outcome} differs"
+        )
     _require(
         report.verdict == cert.get("verdict"),
         f"recomputed verdict {report.verdict}, "

@@ -24,6 +24,8 @@ from olam.syntax import (
     Pair,
     TraceTerm,
     Var,
+    decompose_oracle_context,
+    oracle_names,
 )
 
 
@@ -67,7 +69,6 @@ def test_find_redexes_oracle_single_redex():
     assert r.kind == "oracle"
     assert r.oracle == "c"
     assert r.path == (0,)
-    assert len(r.occurrences) == 2
 
 
 def test_find_redexes_two_oracles_two_redexes():
@@ -234,3 +235,19 @@ def test_step_outcome_probabilities_sum_to_one(seed):
         assert {o.label for o in outs} in (
             {"beta"}, {"proj"}, {"oracle"}, {"left", "right"},
         )
+
+
+@given(st.integers(0, 1500))
+@settings(max_examples=60, deadline=None)
+def test_redex_walk_matches_preorder_and_oracle_contexts(seed):
+    t = gen_closed_term(seed)
+    found = find_redexes(t)
+    paths = [r.path for r in found]
+    assert all(a < b for a, b in zip(paths, paths[1:]))
+    oracles = {r.oracle: r.path for r in found if r.kind == "oracle"}
+    assert len(oracles) == sum(r.kind == "oracle" for r in found)
+    for name in oracle_names(t):
+        _, occurrences = decompose_oracle_context(t, name)
+        assert oracles.get(name) == (occurrences[0].path if occurrences else None)
+    first = deterministic_strategy(t)
+    assert first == (found[0] if found else None)

@@ -142,7 +142,6 @@ atom_is_not_hit = a
 """.replace("g a", "a")
     parsed = surface.parse_program(src)
     assert [d.name for d in parsed.definitions] == ["main", "atom_is_not_hit"]
-    assert parsed.main() is not None
 
 
 def test_program_sections_in_order():

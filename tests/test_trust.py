@@ -123,6 +123,18 @@ def test_duplicate_outcome_code():
     with pytest.raises(TrustError) as e:
         trust_check(env, t, spec, reg)
     assert e.value.code == "DuplicateOutcome"
+    # alpha-variants are one outcome
+    identity = surface.parse_term("\\z:A. z")
+    renamed = TrustSpec(
+        (
+            (surface.parse_term("\\x:A. x"), Fraction(1, 2)),
+            (surface.parse_term("\\y:A. y"), Fraction(1, 2)),
+        ),
+        Fraction(1, 100),
+    )
+    with pytest.raises(TrustError) as e:
+        trust_check(env, identity, renamed, reg)
+    assert e.value.code == "DuplicateOutcome"
 
 
 def test_unknown_outcome_wrong_type():
@@ -332,11 +344,16 @@ def test_replay_rejects_epsilon_that_flips_a_check():
 
 
 def test_replay_rejects_mode_swap():
-    env, reg, _, cert = trusted_coin_certificate()
-    cert["mode"] = "frequency"
-    with pytest.raises(TrustError) as e:
-        replay_certificate(env, reg, cert)
-    assert e.value.code == "CertificateMismatch"
+    env, reg, _, coin_cert = trusted_coin_certificate()
+    t = surface.parse_term("#c!")
+    spec = spec_ab(Fraction(2, 3), Fraction(1, 3), Fraction(1, 100))
+    report = trust_check(env, t, spec, reg, freq_width=3)
+    freq_cert = build_certificate(env, t, report)
+    for cert, swapped in ((coin_cert, "frequency"), (freq_cert, "enumerate")):
+        cert["mode"] = swapped
+        with pytest.raises(TrustError) as e:
+            replay_certificate(env, reg, cert)
+        assert e.value.code == "CertificateMismatch"
 
 
 def test_replay_survives_json_round_trip():
