@@ -10,8 +10,10 @@ a width-n simultaneous call.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 from .checker import Environment, infer_type
@@ -32,7 +34,6 @@ from .syntax import (
     alpha_eq,
     decompose_oracle_context,
     make_tuple,
-    oracle_names,
     pair_spine,
     subnode_at,
     tuple_components,
@@ -157,12 +158,19 @@ def not_equiv_nd(
             and q1.label == q2.label
         ):
             continue
-        return (
-            alpha_eq(q1.before, q2.before)
-            and {q1.label, q2.label} == {"left", "right"}
-            and q1.prob + q2.prob == 1
+        r1, r2 = (q1.prob, q1.label), (q2.prob, q2.label)
+        return alpha_eq(q1.before, q2.before) and (
+            _sides_of_one_choice(r1, r2) or _sides_of_one_choice(r2, r1)
         )
     return False
+
+
+def _sides_of_one_choice(
+    left: tuple[Rational, str], right: tuple[Rational, str]
+) -> bool:
+    """Whether two (probability, label) readings take the left and the
+    right side of one choice, with complementary probabilities."""
+    return left[1] == "left" and right[1] == "right" and left[0] + right[0] == 1
 
 
 # ------------------------------------------------------- step candidates
@@ -196,10 +204,11 @@ def _diagnose_failed_step(
     """Tell apart a wrong oracle answer from a step that fits no rule: if
     v has the shape of an oracle rewrite of u, the replay must have
     disagreed on the filled values."""
-    for name in sorted(oracle_names(u)):
-        context, occurrences = decompose_oracle_context(u, name)
-        if not occurrences:
+    for redex in find_redexes(u):
+        name = redex.oracle
+        if name is None:
             continue
+        context, occurrences = decompose_oracle_context(u, name)
         try:
             guess = {
                 occ.index: subnode_at(v, occ.path) for occ in occurrences
@@ -239,99 +248,92 @@ def _merge_sums(
 
     Readings that satisfy the pairwise condition necessarily organize
     into a binary tree: at each step the live branches either all carry
-    the same labeled step, or partition into a left group and a right
-    group with complementary probabilities, and every leaf holds exactly
-    one branch.  The search walks that tree directly instead of crossing
-    whole readings, so shared prefixes are never re-labeled per branch.
+    the same labeled step, or split into a left and a right side, each
+    on one next term, that take the two sides of one choice; every leaf
+    holds exactly one branch.  Branches with alpha-equal term sequences
+    are interchangeable, so the search counts the live branches of each
+    such class instead of naming them, and a merge of k identical
+    branches is searched in time polynomial in k.
     """
-    n = len(sequences)
-    allow_oracle = n == 1
-    cands: list[list[list[tuple[Fraction, str]]]] = []
+    classes: dict[tuple[str, ...], list[tuple[Term, ...]]] = {}
     for seq in sequences:
-        per_step = []
-        for u, v in zip(seq, seq[1:]):
-            found = _step_candidates(u, v, registry)
-            if not allow_oracle:
-                found = [c for c in found if c[1] != "oracle"]
-            per_step.append(found)
-        cands.append(per_step)
+        classes.setdefault(tuple(term_key(t) for t in seq), []).append(seq)
+    keys = list(classes)
+    allow_oracle = len(sequences) == 1
+    # live branches agree on every term up to the next one, so the
+    # readings of any one of them are the readings of all of them
+    readings = [
+        [
+            {c for c in _step_candidates(u, v, registry)
+             if allow_oracle or c[1] != "oracle"}
+            for u, v in zip(seq, seq[1:])
+        ]
+        for seq, *_ in classes.values()
+    ]
+    memo: dict[tuple[tuple[int, ...], int], frozenset[Fraction]] = {}
 
-    memo: dict[tuple[frozenset, int], frozenset] = {}
-
-    def splits(members: tuple[int, ...]):
-        for bits in range(1, 1 << len(members)):
-            if bits == (1 << len(members)) - 1:
-                continue
-            left = tuple(m for k, m in enumerate(members) if bits >> k & 1)
-            right = tuple(m for k, m in enumerate(members) if not bits >> k & 1)
-            yield left, right
-
-    def solve(group: frozenset, depth: int) -> frozenset:
+    def solve(live: tuple[int, ...], depth: int) -> frozenset[Fraction]:
         """Sums of per-branch products over steps from depth on, over
-        every completion in which the group's members pairwise diverge."""
-        key = (group, depth)
-        cached = memo.get(key)
+        every completion in which the live branches pairwise diverge;
+        live[c] counts the live branches of class c."""
+        cached = memo.get((live, depth))
         if cached is not None:
             return cached
-        if len(group) == 1:
-            (i,) = group
-            acc = {Fraction(1)}
-            for step_cands in cands[i][depth:]:
-                probs = {p for p, _ in step_cands}
-                acc = {a * p for a in acc for p in probs}
-            out = frozenset(acc)
-            memo[key] = out
-            return out
+        members = [c for c, n in enumerate(live) if n]
+        out: set[Fraction] = set()
+        if sum(live) == 1:
+            out.add(Fraction(1))
+            for step_readings in readings[members[0]][depth:]:
+                out = {a * p for a in out for p, _ in step_readings}
         # two branches whose readings never diverge are indistinguishable,
-        # so a live group must still have steps ahead
-        if any(depth >= len(cands[i]) for i in group):
-            memo[key] = frozenset()
-            return frozenset()
-        by_class: dict[str, list[int]] = {}
-        for i in sorted(group):
-            key_i = term_key(sequences[i][depth + 1])
-            by_class.setdefault(key_i, []).append(i)
-        out_set: set[Fraction] = set()
-        if len(by_class) == 1:
-            members = tuple(sorted(group))
-            shared = set(cands[members[0]][depth])
-            for i in members[1:]:
-                shared &= set(cands[i][depth])
-            for p in {p for p, _ in shared}:
-                for s in solve(group, depth + 1):
-                    out_set.add(p * s)
-            left_probs = {p for p, lab in shared if lab == "left"}
-            for p in left_probs:
-                if (1 - p, "right") not in shared:
-                    continue
-                for left, right in splits(members):
-                    for a in solve(frozenset(left), depth + 1):
-                        for b in solve(frozenset(right), depth + 1):
-                            out_set.add(p * a + (1 - p) * b)
-        elif len(by_class) == 2:
-            first, second = by_class.values()
-            shared1 = set.intersection(*(set(cands[i][depth]) for i in first))
-            shared2 = set.intersection(*(set(cands[i][depth]) for i in second))
-            for p, lab in shared1:
-                if lab == "left" and (1 - p, "right") in shared2:
-                    for a in solve(frozenset(first), depth + 1):
-                        for b in solve(frozenset(second), depth + 1):
-                            out_set.add(p * a + (1 - p) * b)
-                if lab == "right" and (1 - p, "left") in shared2:
-                    for a in solve(frozenset(first), depth + 1):
-                        for b in solve(frozenset(second), depth + 1):
-                            out_set.add(p * a + (1 - p) * b)
-        out = frozenset(out_set)
-        memo[key] = out
-        return out
+        # so live branches must still have steps ahead
+        elif all(depth < len(readings[c]) for c in members):
+            sides: dict[str, list[int]] = {}
+            for c in members:
+                sides.setdefault(keys[c][depth + 1], []).append(c)
+            if len(sides) == 1:
+                for p in {p for p, _ in readings[members[0]][depth]}:
+                    out.update(p * s for s in solve(live, depth + 1))
+            for left, right in _splits(live, list(sides.values())):
+                lc = next(c for c in members if left[c])
+                rc = next(c for c in members if right[c])
+                for r in readings[lc][depth]:
+                    for s in readings[rc][depth]:
+                        if not _sides_of_one_choice(r, s):
+                            continue
+                        for a in solve(left, depth + 1):
+                            out.update(
+                                r[0] * a + s[0] * b
+                                for b in solve(right, depth + 1)
+                            )
+        memo[(live, depth)] = frozenset(out)
+        return memo[(live, depth)]
 
-    sums = set(solve(frozenset(range(n)), 0))
+    sums = set(solve(tuple(len(c) for c in classes.values()), 0))
     if not sums:
         raise TraceError(
             "NDConditionViolated",
             "no labeling makes the merged paths pairwise distinguishable",
         )
     return sums
+
+
+def _splits(
+    live: tuple[int, ...], sides: list[list[int]]
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every split of the live counts into a nonzero left and right part,
+    each on one next term; sides groups the live classes by next term."""
+    if len(sides) == 1:
+        for left in product(*(range(n + 1) for n in live)):
+            if any(left) and left != live:
+                yield left, tuple(n - m for n, m in zip(live, left))
+    elif len(sides) == 2:
+        a, b = (
+            tuple(n if c in side else 0 for c, n in enumerate(live))
+            for side in sides
+        )
+        yield a, b
+        yield b, a
 
 
 # ------------------------------------------------------ judgment checking
@@ -361,10 +363,14 @@ def _frequency_shape(witness: Term, source: Term) -> int | None:
 
 def _check_frequency(
     witness: TraceTerm,
-    claim: MapstoJudgment,
+    source: Term,
+    target: Term,
+    prob: Rational | None,
     width: int,
     registry: OracleRegistry | None,
-) -> None:
+) -> Rational:
+    """Replay a frequency table and return the target's share of it, which
+    a claimed prob must equal."""
     if registry is None:
         raise TraceError(
             "MissingRegistry", "cannot replay an oracle without a registry"
@@ -374,7 +380,7 @@ def _check_frequency(
             "ProbabilityMismatch",
             f"frequency evidence carries probability {witness.prob}, not 1",
         )
-    forced = forced_oracle_form(claim.source)
+    forced = forced_oracle_form(source)
     assert forced is not None
     name, _ = forced
     tup = witness.steps[0]
@@ -392,14 +398,100 @@ def _check_frequency(
     hits = sum(
         1
         for part in tuple_components(result, width)
-        if alpha_eq(part, claim.target)
+        if alpha_eq(part, target)
     )
-    if claim.prob != Fraction(hits, width):
+    if prob is not None and prob != Fraction(hits, width):
         raise TraceError(
             "ProbabilityMismatch",
             f"target occurs {hits} of {width} times, "
-            f"not with probability {claim.prob}",
+            f"not with probability {prob}",
         )
+    return Fraction(hits, width)
+
+
+def _endpoints(witness: Term) -> tuple[Term, Term, Rational | None]:
+    """Source, target and annotated probability of a trace or merge."""
+    match witness:
+        case TraceTerm(steps, annotated):
+            if not steps:
+                raise TraceError("BrokenChain", "empty trace")
+            return steps[0], steps[-1], annotated
+        case MergeTerm(source, _, target, annotated):
+            return source, target, annotated
+    raise TraceError(
+        "NotEvidence", f"{type(witness).__name__} is not evidence"
+    )
+
+
+def _achievable(
+    witness: Term, registry: OracleRegistry | None
+) -> set[Fraction]:
+    """Every probability a trace or merge supports, searched over the
+    labeled readings of its steps."""
+    if isinstance(witness, TraceTerm):
+        return _chain_probs(witness.steps, registry)
+    assert isinstance(witness, MergeTerm)
+    if not witness.branches:
+        raise TraceError("IncompleteWitnesses", "merge carries no paths")
+    return _merge_sums(
+        [(witness.source, *b, witness.target) for b in witness.branches],
+        registry,
+    )
+
+
+def _check_evidence(
+    env: Environment,
+    witness: Term,
+    source: Term,
+    target: Term,
+    prob: Rational | None,
+    registry: OracleRegistry | None,
+) -> Rational:
+    """Recheck evidence that source reaches target and return the
+    probability it establishes: the claimed prob, or with prob None the
+    annotation or else the only probability the evidence supports."""
+    source_type = infer_type(env, source, registry)
+    target_type = infer_type(env, target, registry)
+    if not alpha_eq(source_type, target_type):
+        raise TraceError(
+            "ClaimTypeMismatch",
+            f"source has type {source_type} but target has {target_type}",
+        )
+    if prob is not None and not 0 <= prob <= 1:
+        raise TraceError(
+            "ProbabilityMismatch", f"probability {prob} outside [0, 1]"
+        )
+    width = _frequency_shape(witness, source)
+    if width is not None:
+        assert isinstance(witness, TraceTerm)
+        return _check_frequency(witness, source, target, prob, width, registry)
+    first, last, annotated = _endpoints(witness)
+    if annotated is not None:
+        if prob is not None and annotated != prob:
+            raise TraceError(
+                "ProbabilityMismatch",
+                f"evidence annotated {annotated}, claim says {prob}",
+            )
+        prob = annotated
+    if not alpha_eq(first, source):
+        raise TraceError("BrokenChain", "evidence does not start at the source")
+    if not alpha_eq(last, target):
+        raise TraceError("BrokenChain", "evidence does not end at the target")
+    achievable = _achievable(witness, registry)
+    if prob is None:
+        if len(achievable) != 1:
+            raise TraceError(
+                "ProbabilityMismatch",
+                "unannotated evidence with ambiguous probability; "
+                f"candidates {sorted(achievable)}",
+            )
+        (prob,) = achievable
+    elif prob not in achievable:
+        raise TraceError(
+            "ProbabilityMismatch",
+            f"no valid labeling of the evidence has probability {prob}",
+        )
+    return prob
 
 
 def check_trace(
@@ -416,72 +508,9 @@ def check_trace(
     The claimed probability must be achievable, and for a frequency table
     it must equal the target's share of the rewritten tuple.
     """
-    source_type = infer_type(env, claim.source, registry)
-    target_type = infer_type(env, claim.target, registry)
-    if not alpha_eq(source_type, target_type):
-        raise TraceError(
-            "ClaimTypeMismatch",
-            f"source has type {source_type} but target has {target_type}",
-        )
-    if not 0 <= claim.prob <= 1:
-        raise TraceError(
-            "ProbabilityMismatch", f"probability {claim.prob} outside [0, 1]"
-        )
-    width = _frequency_shape(witness, claim.source)
-    if width is not None:
-        assert isinstance(witness, TraceTerm)
-        _check_frequency(witness, claim, width, registry)
-        return True
-    match witness:
-        case TraceTerm(steps, annotated):
-            if not steps:
-                raise TraceError("BrokenChain", "empty trace")
-            if annotated is not None and annotated != claim.prob:
-                raise TraceError(
-                    "ProbabilityMismatch",
-                    f"trace annotated {annotated}, claim says {claim.prob}",
-                )
-            if not alpha_eq(steps[0], claim.source):
-                raise TraceError(
-                    "BrokenChain", "trace does not start at the source"
-                )
-            if not alpha_eq(steps[-1], claim.target):
-                raise TraceError(
-                    "BrokenChain", "trace does not end at the target"
-                )
-            if claim.prob not in _chain_probs(steps, registry):
-                raise TraceError(
-                    "ProbabilityMismatch",
-                    f"no labeling of the trace has probability {claim.prob}",
-                )
-        case MergeTerm(source, branches, target, annotated):
-            if annotated is not None and annotated != claim.prob:
-                raise TraceError(
-                    "ProbabilityMismatch",
-                    f"merge annotated {annotated}, claim says {claim.prob}",
-                )
-            if not alpha_eq(source, claim.source):
-                raise TraceError(
-                    "BrokenChain", "merge does not start at the source"
-                )
-            if not alpha_eq(target, claim.target):
-                raise TraceError(
-                    "BrokenChain", "merge does not end at the target"
-                )
-            if not branches:
-                raise TraceError(
-                    "IncompleteWitnesses", "merge carries no paths"
-                )
-            sequences = [(source, *branch, target) for branch in branches]
-            if claim.prob not in _merge_sums(sequences, registry):
-                raise TraceError(
-                    "ProbabilityMismatch",
-                    f"no valid labeling sums to probability {claim.prob}",
-                )
-        case _:
-            raise TraceError(
-                "NotEvidence", f"{type(witness).__name__} is not evidence"
-            )
+    _check_evidence(
+        env, witness, claim.source, claim.target, claim.prob, registry
+    )
     return True
 
 
@@ -494,41 +523,9 @@ def derive_judgment(
 
     An unannotated witness must determine its probability uniquely.
     """
-    match term:
-        case TraceTerm(steps, annotated):
-            if not steps:
-                raise TraceError("BrokenChain", "empty trace")
-            source, target = steps[0], steps[-1]
-        case MergeTerm(source, _, target, annotated):
-            pass
-        case _:
-            raise TraceError(
-                "NotEvidence", f"{type(term).__name__} is not evidence"
-            )
-    if annotated is not None:
-        prob = annotated
-    else:
-        if isinstance(term, TraceTerm):
-            achievable = _chain_probs(term.steps, registry)
-        else:
-            sequences = [
-                (term.source, *branch, term.target) for branch in term.branches
-            ]
-            if not sequences:
-                raise TraceError(
-                    "IncompleteWitnesses", "merge carries no paths"
-                )
-            achievable = _merge_sums(sequences, registry)
-        if len(achievable) != 1:
-            raise TraceError(
-                "ProbabilityMismatch",
-                "unannotated evidence with ambiguous probability; "
-                f"candidates {sorted(achievable)}",
-            )
-        (prob,) = achievable
-    claim = MapstoJudgment(source, target, prob, term)
-    check_trace(env, term, claim, registry)
-    return claim
+    source, target, _ = _endpoints(term)
+    prob = _check_evidence(env, term, source, target, None, registry)
+    return MapstoJudgment(source, target, prob, term)
 
 
 # ----------------------------------------------------- exact enumeration

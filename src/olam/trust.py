@@ -305,6 +305,7 @@ def replay_certificate(
     epsilon = surface.parse_rational_text(cert["epsilon"])
     mode = cert.get("mode")
     _require(mode in ("enumerate", "frequency"), f"mode {mode!r}")
+    _require(cert.get("seedless") is True, "certificate is not seedless")
 
     claimed = Distribution()
     for term_text, prob_text in cert["distribution"]:
@@ -319,20 +320,18 @@ def replay_certificate(
         check_trace(env, judgment.witness, judgment, registry)
         key = term_key(judgment.target)
         by_target[key] = by_target.get(key, Fraction(0)) + judgment.prob
+    _require(
+        by_target == claimed.as_key_map(),
+        "witness masses do not add up to the claimed distribution",
+    )
+    _require(judgments != [], "no witnesses")
     if mode == "enumerate":
-        _require(
-            by_target == claimed.as_key_map(),
-            "witness masses do not add up to the claimed distribution",
-        )
-        _require(judgments != [], "no witnesses")
         _require(
             all(alpha_eq(j.source, t) for j in judgments),
             "witnesses do not start at the program",
         )
         width = None
     else:
-        _require(by_target == claimed.as_key_map(), "witness masses differ")
-        _require(judgments != [], "no witnesses")
         first = judgments[0].witness
         _require(
             isinstance(first, TraceTerm) and len(first.steps) == 2,

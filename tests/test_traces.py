@@ -587,6 +587,8 @@ def test_merge_search_matches_brute_force(trial):
     rng = random.Random(trial)
     t = random_choice_term(rng, rng.randint(1, 3))
     sequences = [random_walk(rng, t, reg) for _ in range(rng.randint(1, 3))]
+    # repeated walks are interchangeable branches for the search
+    sequences += rng.choices(sequences, k=rng.randint(0, 2))
     try:
         expected = ("ok", brute_force_merge_sums(sequences, reg))
     except TraceError as e:

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -275,6 +276,33 @@ def test_replay_rejects_schema_change():
     with pytest.raises(TrustError) as e:
         replay_certificate(env, reg, cert)
     assert e.value.code == "CertificateMismatch"
+
+
+def test_replay_rejects_seeded_certificate():
+    env, reg, _, cert = trusted_coin_certificate()
+    cert["seedless"] = False
+    with pytest.raises(TrustError) as e:
+        replay_certificate(env, reg, cert)
+    assert e.value.code == "CertificateMismatch"
+
+
+def test_collapse_certificates_replay_within_bound():
+    """collapse(n) merges 2^n branches with identical term sequences; the
+    checker must not try every subset of them."""
+    env, reg = signature()
+    spec = TrustSpec(((Var("a"), Fraction(1)),), Fraction(1, 100))
+    start = time.perf_counter()
+    for n in (4, 5, 6):
+        src = "a"
+        for _ in range(n):
+            src = f"(\\x:A. choose[1/2]{{x}}{{x}}!) ({src})"
+        t = surface.parse_term(src)
+        report = trust_check(env, t, spec, reg)
+        assert report.verdict == "trusted"
+        cert = build_certificate(env, t, report)
+        assert len(cert["witnesses"][0]["witness"]["branches"]) == 2**n
+        assert replay_certificate(env, reg, cert).verdict == "trusted"
+    assert time.perf_counter() - start < 10
 
 
 def test_replay_rejects_flipped_verdict():
