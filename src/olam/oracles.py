@@ -11,17 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import printer
 from .errors import OracleError
 from .syntax import (
     Forall,
     HoleContext,
     OpaqueType,
+    OracleOccurrence,
     Star,
     Term,
     TypeCon,
     alpha_eq,
-    canonicalize,
+    decompose_oracle_context,
     free_term_vars,
     oracle_names,
     substitute,
@@ -95,7 +95,7 @@ class OracleDef:
 
 def context_fingerprint(ctx: HoleContext) -> str:
     """Printed context after canonical bound renaming, holes as [_i]."""
-    return printer.show(canonicalize(ctx.skeleton))
+    return ctx.fingerprint
 
 
 def guard_matches(
@@ -168,6 +168,20 @@ class OracleRegistry:
         self, name: str, ctx: HoleContext, index: int, arg: Term | None = None
     ) -> Term:
         return eval_oracle(self.lookup(name), ctx, index, arg, self._env)
+
+    def rewrite(
+        self, name: str, t: Term
+    ) -> tuple[tuple[OracleOccurrence, ...], Term]:
+        """The simultaneous rewrite of every outermost forced occurrence of
+        the oracle in t: each hole of the one decomposition is answered
+        against the shared context, then filled.  Returns the occurrences
+        beside the rewritten term."""
+        context, occurrences = decompose_oracle_context(t, name)
+        contents = {
+            occ.index: self.eval(name, context, occ.index, occ.arg)
+            for occ in occurrences
+        }
+        return occurrences, context.fill(contents)
 
 
 def eval_oracle(

@@ -32,7 +32,6 @@ from .syntax import (
     Term,
     TraceTerm,
     children,
-    decompose_oracle_context,
     replace_at,
     subnode_at,
     substitute,
@@ -154,17 +153,13 @@ def _oracle_step(
             f"cannot step oracle {redex.oracle} without a registry",
         )
     assert redex.oracle is not None
-    context, occurrences = decompose_oracle_context(t, redex.oracle)
+    occurrences, result = registry.rewrite(redex.oracle, t)
     if not occurrences or occurrences[0].path != redex.path:
         raise ReductionError(
             "InvalidRedexPath",
             f"no redex of oracle {redex.oracle} at position {list(redex.path)}",
         )
-    contents = {
-        occ.index: registry.eval(redex.oracle, context, occ.index, occ.arg)
-        for occ in occurrences
-    }
-    return StepOutcome(context.fill(contents), Fraction(1), "oracle")
+    return StepOutcome(result, Fraction(1), "oracle")
 
 
 def deterministic_strategy(t: Term) -> TermRedex | None:

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from . import oracles, syntax
 from .errors import ParseError
+from .printer import term_key
 from .syntax import (
     App,
     Bottom,
@@ -35,7 +36,6 @@ from .syntax import (
     TypeCon,
     TypeName,
     Var,
-    alpha_eq,
     fresh_name,
     free_term_vars,
 )
@@ -684,6 +684,7 @@ def _guard(ts: _Stream, arity: int) -> oracles.Guard:
 
 def parse_distribution(text: str) -> list[tuple[Term, Fraction]]:
     entries: list[tuple[Term, Fraction]] = []
+    seen: dict[str, Term] = {}
     for toks in logical_lines(text):
         ts = _Stream(toks)
         term = _term(ts)
@@ -696,12 +697,12 @@ def parse_distribution(text: str) -> list[tuple[Term, Fraction]]:
                 f"probability {prob} outside [0, 1]",
                 (eq.line, eq.col),
             )
-        for prev, _ in entries:
-            if alpha_eq(prev, term):
-                raise ParseError(
-                    "DuplicateOutcome",
-                    f"outcome {prev} listed twice",
-                    (toks[0].line, toks[0].col),
-                )
+        prev = seen.setdefault(term_key(term), term)
+        if prev is not term:
+            raise ParseError(
+                "DuplicateOutcome",
+                f"outcome {prev} listed twice",
+                (toks[0].line, toks[0].col),
+            )
         entries.append((term, prob))
     return entries

@@ -1,13 +1,19 @@
 """Abstract syntax for the calculus: terms, type constructors, kinds.
 
 Three levels share one node protocol (children/rebuild) so that paths,
-substitution and alpha-equality are generic.  All nodes are immutable and
-hashable; probabilities are exact Fractions.
+substitution and alpha-equality are generic.  Each node's shape comes from
+its dataclass fields: the fields of node type are its children, in field
+order, and the rest are data that alpha-equality compares with ==.  All
+nodes are immutable and hashable; probabilities are exact Fractions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import attrgetter
+from typing import get_type_hints
 
 from .errors import ReductionError
 
@@ -232,85 +238,114 @@ class KindPi(Kind):
 
 
 # A binder node owns exactly one bound name; the annotation sits outside it.
+# All four share the field layout (var, var_type, body).
 BINDERS = (Lam, TypeAbs, Forall, KindPi)
+
+
+# ------------------------------------------------------------ node shapes
+#
+# A node's children are its fields of node type, in field order, which is
+# also printed order.  The tables below are read off the dataclasses once;
+# only the recorded computations, whose children sit in tuples, are written
+# out by hand.
+
+
+def _merge_rebuild(node: MergeTerm, kids: tuple[Node, ...]) -> MergeTerm:
+    out: list[tuple[Term, ...]] = []
+    i = 1
+    for br in node.branches:
+        out.append(tuple(kids[i : i + len(br)]))
+        i += len(br)
+    return MergeTerm(kids[0], tuple(out), kids[i], node.prob)
+
+
+_CHILDREN: dict[type, Callable[[Node], tuple[Node, ...]]] = {
+    TraceTerm: attrgetter("steps"),
+    MergeTerm: lambda node: (node.source, *chain(*node.branches), node.target),
+}
+_REBUILD: dict[type, Callable[[Node, tuple[Node, ...]], Node]] = {
+    TraceTerm: lambda node, kids: TraceTerm(tuple(kids), node.prob),
+    MergeTerm: _merge_rebuild,
+}
+# the fields that are not children, compared with == by alpha-equality
+_DATA: dict[type, Callable[[Node], tuple]] = {}
+
+
+def _getter(names: list[str]) -> Callable[[Node], tuple]:
+    """The named fields of a node as a tuple."""
+    if not names:
+        return lambda node: ()
+    if len(names) == 1:
+        get = attrgetter(names[0])
+        return lambda node: (get(node),)
+    return attrgetter(*names)
+
+
+def _rebuilder(
+    cls: type, names: list[str], kid_at: list[int]
+) -> Callable[[Node, tuple[Node, ...]], Node]:
+    if not kid_at:
+        return lambda node, kids: node
+    if len(kid_at) == len(names):
+        return lambda node, kids: cls(*kids)
+    every = attrgetter(*names)
+
+    def make(node: Node, kids: tuple[Node, ...]) -> Node:
+        args = list(every(node))
+        for i, kid in zip(kid_at, kids):
+            args[i] = kid
+        return cls(*args)
+
+    return make
+
+
+def _read_shape(cls: type) -> None:
+    """Enter a dataclass node in the tables: its fields of node type are its
+    children, the others its data."""
+    hints = get_type_hints(cls)
+    names = [f.name for f in fields(cls)]
+    kid_at = [
+        i for i, n in enumerate(names)
+        if isinstance(hints[n], type) and issubclass(hints[n], Node)
+    ]
+    _CHILDREN[cls] = _getter([names[i] for i in kid_at])
+    _REBUILD[cls] = _rebuilder(cls, names, kid_at)
+    _DATA[cls] = _getter([n for i, n in enumerate(names) if i not in kid_at])
+
+
+for _cls in list(globals().values()):
+    if isinstance(_cls, type) and issubclass(_cls, Node) and is_dataclass(_cls):
+        if _cls not in _CHILDREN:
+            _read_shape(_cls)
+del _cls
+assert all(
+    [f.name for f in fields(b)] == ["var", "var_type", "body"] for b in BINDERS
+)
 
 
 def children(node: Node) -> tuple[Node, ...]:
     """Child nodes in printed order; the basis for paths and traversal."""
-    match node:
-        case Var() | OracleRef() | Hole() | TypeName() | Bottom() | Star():
-            return ()
-        case OracleCall(_, arg):
-            return (arg,)
-        case Lam(_, a, b) | TypeAbs(_, a, b) | Forall(_, a, b) | KindPi(_, a, b):
-            return (a, b)
-        case App(f, a):
-            return (f, a)
-        case Choice(l, _, r):
-            return (l, r)
-        case Force(b) | Proj(b, _) | ChoiceType(b) | OpaqueType(b):
-            return (b,)
-        case Pair(l, r) | Conj(l, r):
-            return (l, r)
-        case Efq(b, t):
-            return (b, t)
-        case TypeApp(c, a):
-            return (c, a)
-        case TraceTerm(steps, _):
-            return steps
-        case MergeTerm(src, branches, tgt, _):
-            flat: list[Node] = [src]
-            for br in branches:
-                flat.extend(br)
-            flat.append(tgt)
-            return tuple(flat)
-    raise TypeError(f"unknown node {type(node).__name__}")
+    get = _CHILDREN.get(type(node))
+    if get is None:
+        raise TypeError(f"unknown node {type(node).__name__}")
+    return get(node)
 
 
 def rebuild(node: Node, kids: tuple[Node, ...]) -> Node:
-    match node:
-        case Var() | OracleRef() | Hole() | TypeName() | Bottom() | Star():
-            return node
-        case OracleCall(o, _):
-            return OracleCall(o, kids[0])
-        case Lam(x, _, _):
-            return Lam(x, kids[0], kids[1])
-        case TypeAbs(x, _, _):
-            return TypeAbs(x, kids[0], kids[1])
-        case Forall(x, _, _):
-            return Forall(x, kids[0], kids[1])
-        case KindPi(x, _, _):
-            return KindPi(x, kids[0], kids[1])
-        case App(_, _):
-            return App(kids[0], kids[1])
-        case Choice(_, p, _):
-            return Choice(kids[0], p, kids[1])
-        case Force(_):
-            return Force(kids[0])
-        case Proj(_, i):
-            return Proj(kids[0], i)
-        case ChoiceType(_):
-            return ChoiceType(kids[0])
-        case OpaqueType(_):
-            return OpaqueType(kids[0])
-        case Pair(_, _):
-            return Pair(kids[0], kids[1])
-        case Conj(_, _):
-            return Conj(kids[0], kids[1])
-        case Efq(_, _):
-            return Efq(kids[0], kids[1])
-        case TypeApp(_, _):
-            return TypeApp(kids[0], kids[1])
-        case TraceTerm(_, p):
-            return TraceTerm(tuple(kids), p)
-        case MergeTerm(_, branches, _, p):
-            out: list[tuple[Term, ...]] = []
-            i = 1
-            for br in branches:
-                out.append(tuple(kids[i : i + len(br)]))
-                i += len(br)
-            return MergeTerm(kids[0], tuple(out), kids[i], p)
-    raise TypeError(f"unknown node {type(node).__name__}")
+    """The node with its children replaced, in the order children gives."""
+    make = _REBUILD.get(type(node))
+    if make is None:
+        raise TypeError(f"unknown node {type(node).__name__}")
+    return make(node, kids)
+
+
+def _map_children(node: Node, fn: Callable[[int, Node], Node]) -> Node:
+    """The node rebuilt from fn(i, child) for each child; a leaf is returned
+    as it is."""
+    kids = children(node)
+    if not kids:
+        return node
+    return rebuild(node, tuple(fn(i, kid) for i, kid in enumerate(kids)))
 
 
 def subnode_at(node: Node, path: tuple[int, ...]) -> Node:
@@ -346,15 +381,6 @@ def free_term_vars(node: Node) -> frozenset[str]:
             return out
 
 
-def free_con_names(node: Node) -> frozenset[str]:
-    if isinstance(node, TypeName):
-        return frozenset((node.name,))
-    out: frozenset[str] = frozenset()
-    for c in children(node):
-        out |= free_con_names(c)
-    return out
-
-
 def oracle_names(node: Node) -> frozenset[str]:
     match node:
         case OracleRef(o):
@@ -380,18 +406,6 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
 # ----------------------------------------------------------- substitution
 
 
-def _with_binder(node: Node, var: str, var_type: TypeCon, body: Node) -> Node:
-    match node:
-        case Lam(_, _, _):
-            return Lam(var, var_type, body)
-        case TypeAbs(_, _, _):
-            return TypeAbs(var, var_type, body)
-        case Forall(_, _, _):
-            return Forall(var, var_type, body)
-        case _:
-            return KindPi(var, var_type, body)
-
-
 def substitute(node: Node, name: str, replacement: Term) -> Node:
     """Capture-avoiding substitution of a term for a free term variable, at
     any of the three levels."""
@@ -401,20 +415,17 @@ def substitute(node: Node, name: str, replacement: Term) -> Node:
         case Lam(x, a, b) | TypeAbs(x, a, b) | Forall(x, a, b) | KindPi(x, a, b):
             a2 = substitute(a, name, replacement)
             if x == name:
-                return _with_binder(node, x, a2, b)
+                return type(node)(x, a2, b)
             if x in free_term_vars(replacement) and name in free_term_vars(b):
                 x2 = fresh_name(
                     x, free_term_vars(replacement) | free_term_vars(b) | {name}
                 )
                 b = substitute(b, x, Var(x2))
                 x = x2
-            return _with_binder(node, x, a2, substitute(b, name, replacement))
+            return type(node)(x, a2, substitute(b, name, replacement))
         case _:
-            kids = children(node)
-            if not kids:
-                return node
-            return rebuild(
-                node, tuple(substitute(c, name, replacement) for c in kids)
+            return _map_children(
+                node, lambda _, c: substitute(c, name, replacement)
             )
 
 
@@ -435,34 +446,18 @@ def _alpha(a: Node, b: Node, env_a: dict, env_b: dict, counter: list[int]) -> bo
             return (ia is None and ib is None and n == m) or (
                 ia is not None and ia == ib
             )
-        case OracleRef(o):
-            return o == b.oracle
-        case OracleCall(o, arg):
-            return o == b.oracle and _alpha(arg, b.arg, env_a, env_b, counter)
-        case Hole(i):
-            return i == b.index
-        case TypeName(n):
-            return n == b.name
-        case Choice(l, p, r):
-            return (
-                p == b.prob
-                and _alpha(l, b.left, env_a, env_b, counter)
-                and _alpha(r, b.right, env_a, env_b, counter)
-            )
-        case Proj(t, i):
-            return i == b.index and _alpha(t, b.pair, env_a, env_b, counter)
         case Lam(x, ta, body) | TypeAbs(x, ta, body) | Forall(x, ta, body) | KindPi(
             x, ta, body
         ):
-            kb = children(b)
-            if not _alpha(ta, kb[0], env_a, env_b, counter):
+            # binders share one field layout, so b reads like a
+            if not _alpha(ta, b.var_type, env_a, env_b, counter):  # type: ignore
                 return False
             counter[0] += 1
             ea = dict(env_a)
             eb = dict(env_b)
             ea[x] = counter[0]
             eb[b.var] = counter[0]  # type: ignore[union-attr]
-            return _alpha(body, kb[1], ea, eb, counter)
+            return _alpha(body, b.body, ea, eb, counter)  # type: ignore
         case TraceTerm(steps, p):
             return (
                 p == b.prob
@@ -482,9 +477,10 @@ def _alpha(a: Node, b: Node, env_a: dict, env_b: dict, counter: list[int]) -> bo
                 _alpha(x, y, env_a, env_b, counter) for x, y in zip(ka, kb)
             )
         case _:
-            ka, kb = children(a), children(b)
-            if len(ka) != len(kb):
+            data = _DATA[type(a)]
+            if data(a) != data(b):
                 return False
+            ka, kb = children(a), children(b)
             return all(
                 _alpha(x, y, env_a, env_b, counter) for x, y in zip(ka, kb)
             )
@@ -509,12 +505,9 @@ def _canon(node: Node, env: dict[str, str], counter: list[int]) -> Node:
             counter[0] += 1
             env2 = dict(env)
             env2[x] = nm
-            return _with_binder(node, nm, a2, _canon(b, env2, counter))
+            return type(node)(nm, a2, _canon(b, env2, counter))
         case _:
-            kids = children(node)
-            if not kids:
-                return node
-            return rebuild(node, tuple(_canon(c, env, counter) for c in kids))
+            return _map_children(node, lambda _, c: _canon(c, env, counter))
 
 
 # -------------------------------------------------------------- contexts
@@ -536,17 +529,27 @@ class HoleContext:
 
     skeleton: Term
     count: int
+    _fingerprint: str | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def fingerprint(self) -> str:
+        """Printed skeleton after canonical bound renaming, holes as [_i];
+        printed on first use only."""
+        if self._fingerprint is None:
+            from . import printer
+
+            key = printer.term_key(self.skeleton)
+            object.__setattr__(self, "_fingerprint", key)
+        return self._fingerprint  # type: ignore[return-value]
 
     def fill(self, contents: dict[int, Term]) -> Term:
         def go(node: Node) -> Node:
             if isinstance(node, Hole):
                 return contents[node.index]
-            kids = children(node)
-            if not kids:
-                return node
-            return rebuild(
-                node,
-                tuple(go(c) if isinstance(c, Term) else c for c in kids),
+            return _map_children(
+                node, lambda _, c: go(c) if isinstance(c, Term) else c
             )
 
         return go(self.skeleton)  # type: ignore[return-value]
@@ -576,15 +579,8 @@ def decompose_oracle_context(
             return Hole(len(occurrences))
         if isinstance(node, (TraceTerm, MergeTerm)):
             return node
-        kids = children(node)
-        if not kids:
-            return node
-        return rebuild(
-            node,
-            tuple(
-                go(c, path + (i,)) if isinstance(c, Term) else c
-                for i, c in enumerate(kids)
-            ),
+        return _map_children(
+            node, lambda i, c: go(c, path + (i,)) if isinstance(c, Term) else c
         )
 
     skeleton = go(t, ())

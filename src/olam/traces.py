@@ -383,13 +383,7 @@ def _check_frequency(
     forced = forced_oracle_form(source)
     assert forced is not None
     name, _ = forced
-    tup = witness.steps[0]
-    context, occurrences = decompose_oracle_context(tup, name)
-    contents = {
-        occ.index: registry.eval(name, context, occ.index, occ.arg)
-        for occ in occurrences
-    }
-    result = context.fill(contents)
+    _, result = registry.rewrite(name, witness.steps[0])
     if not alpha_eq(result, witness.steps[1]):
         raise TraceError(
             "OracleReplayMismatch",
@@ -644,12 +638,7 @@ def oracle_frequency(
         subject = Force(OracleCall(oracle, arg))
     infer_type(env, subject, registry)
     tup = make_tuple([subject] * width)
-    context, occurrences = decompose_oracle_context(tup, oracle)
-    contents = {
-        occ.index: registry.eval(oracle, context, occ.index, occ.arg)
-        for occ in occurrences
-    }
-    result = context.fill(contents)
+    _, result = registry.rewrite(oracle, tup)
     dist = Distribution()
     for part in tuple_components(result, width):
         dist.add(part, Fraction(1, width))

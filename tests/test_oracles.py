@@ -4,7 +4,7 @@ fingerprints, and static validation against the program signature."""
 import pytest
 
 from generators import signature
-from olam import surface
+from olam import printer, surface
 from olam.errors import OracleError
 from olam.oracles import (
     GuardArg,
@@ -32,6 +32,7 @@ from olam.syntax import (
     Var,
     decompose_oracle_context,
 )
+from olam.traces import oracle_frequency
 
 
 def c_def():
@@ -100,6 +101,31 @@ def test_context_fingerprint_is_alpha_invariant():
     a = context_fingerprint(ctx_for(s.body, "c"))
     b = context_fingerprint(ctx_for(t.body, "c"))
     assert a == b == "g [_1]"
+
+
+def test_context_fingerprint_printed_once_per_rewrite(monkeypatch):
+    # two context rules are tried for each of 30 holes; the shared context
+    # is printed once for the whole rewrite
+    env, _ = signature()
+    e = OracleDef(
+        "e",
+        0,
+        OpaqueType(TypeName("A")),
+        (
+            OracleRule(GuardContext("g [_1]"), Var("a")),
+            OracleRule(GuardContext("h [_1]"), Var("a")),
+            OracleRule(GuardDefault(), Var("b")),
+        ),
+    )
+    reg = OracleRegistry.load(env, [e])
+    printed = []
+    key = printer.term_key
+    monkeypatch.setattr(
+        printer, "term_key", lambda t: printed.append(t) or key(t)
+    )
+    dist, _ = oracle_frequency(env, "e", None, 30, reg)
+    assert dist.items() == [(Var("b"), 1)]
+    assert len(printed) == 1
 
 
 def test_guard_context_matching():

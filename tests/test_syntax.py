@@ -1,6 +1,7 @@
 """Core term algebra: substitution, alpha-equivalence, canonical
 renaming, positional access, oracle context decomposition, tuples."""
 
+from dataclasses import is_dataclass
 from fractions import Fraction
 
 import pytest
@@ -8,20 +9,32 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from generators import gen_closed_con, gen_closed_term, gen_substitution_instance
+from olam import syntax
 from olam.errors import ReductionError
 from olam.syntax import (
     App,
+    Bottom,
     Choice,
+    ChoiceType,
+    Conj,
     Efq,
+    Forall,
     Force,
     Fuel,
     Hole,
+    KindPi,
     Lam,
     MergeTerm,
+    Node,
+    OpaqueType,
     OracleCall,
     OracleRef,
     Pair,
+    Proj,
+    Star,
     TraceTerm,
+    TypeAbs,
+    TypeApp,
     TypeName,
     Var,
     alpha_eq,
@@ -67,8 +80,6 @@ def test_substitute_inside_type_annotation():
     t = Lam("z", TypeName("P"), Var("z"))
     # annotations are constructor-level; term substitution reaches
     # embedded terms inside dependent types
-    from olam.syntax import TypeApp
-
     dep = Lam("z", TypeApp(TypeName("P"), Var("x")), Var("z"))
     out = substitute(dep, "x", Var("a"))
     assert out == Lam("z", TypeApp(TypeName("P"), Var("a")), Var("z"))
@@ -88,10 +99,25 @@ def test_alpha_eq_renames_binders():
 
 
 def test_alpha_eq_distinguishes_probabilities():
+    # every field that is not a child is data: changing it breaks equality
     l, r = Var("a"), Var("b")
-    assert not alpha_eq(
-        Choice(l, Fraction(1, 2), r), Choice(l, Fraction(1, 3), r)
-    )
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    pairs = [
+        (OracleRef("c"), OracleRef("d")),
+        (OracleCall("c", l), OracleCall("d", l)),
+        (Hole(1), Hole(2)),
+        (TypeName("A"), TypeName("B")),
+        (Proj(l, 0), Proj(l, 1)),
+        (Choice(l, half, r), Choice(l, third, r)),
+        (TraceTerm((l, r), half), TraceTerm((l, r), third)),
+        (TraceTerm((l, r), half), TraceTerm((l, r), None)),
+        (MergeTerm(l, ((l,),), r, half), MergeTerm(l, ((l,),), r, third)),
+        (MergeTerm(l, ((l, r), (l,)), r), MergeTerm(l, ((l,), (r, l)), r)),
+    ]
+    for x, y in pairs:
+        assert alpha_eq(x, x)
+        assert not alpha_eq(x, y)
+        assert not alpha_eq(y, x)
 
 
 def test_canonicalize_is_alpha_invariant():
@@ -106,10 +132,50 @@ def test_children_and_rebuild_round_trip():
 
 
 def test_children_order_for_binders():
-    lam = Lam("x", A, Var("x"))
-    assert children(lam) == (A, Var("x"))
-    efq = Efq(Var("z"), A)
-    assert children(efq) == (Var("z"), A)
+    # one instance of every node class with its children in printed order
+    a, b, x = Var("a"), Var("b"), Var("x")
+    half = Fraction(1, 2)
+    table = [
+        (a, ()),
+        (OracleRef("c"), ()),
+        (OracleCall("c", a), (a,)),
+        (Lam("x", A, x), (A, x)),
+        (App(a, b), (a, b)),
+        (Choice(a, half, b), (a, b)),
+        (Force(a), (a,)),
+        (Pair(a, b), (a, b)),
+        (Proj(a, 1), (a,)),
+        (Efq(a, A), (a, A)),
+        (TraceTerm((a, b, x), half), (a, b, x)),
+        (MergeTerm(a, ((b,), (x, b)), x, half), (a, b, x, b, x)),
+        (Hole(1), ()),
+        (A, ()),
+        (TypeAbs("x", A, TypeApp(A, x)), (A, TypeApp(A, x))),
+        (TypeApp(A, a), (A, a)),
+        (Forall("x", A, Bottom()), (A, Bottom())),
+        (ChoiceType(A), (A,)),
+        (OpaqueType(A), (A,)),
+        (Conj(A, Bottom()), (A, Bottom())),
+        (Bottom(), ()),
+        (Star(), ()),
+        (KindPi("x", A, Star()), (A, Star())),
+    ]
+    node_classes = {
+        cls
+        for cls in vars(syntax).values()
+        if isinstance(cls, type) and issubclass(cls, Node) and is_dataclass(cls)
+    }
+    assert {type(node) for node, _ in table} == node_classes
+    for node, kids in table:
+        assert children(node) == kids
+        assert rebuild(node, kids) == node
+        # rebuild puts each child where children reads it back
+        assert children(rebuild(node, kids[::-1])) == kids[::-1]
+    for not_a_node in ("a", 1, None, (a, b)):
+        with pytest.raises(TypeError):
+            children(not_a_node)
+        with pytest.raises(TypeError):
+            rebuild(not_a_node, ())
 
 
 def test_subnode_and_replace_at():
