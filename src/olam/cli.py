@@ -43,6 +43,21 @@ def _epsilon_arg(text: str) -> Fraction:
     return value
 
 
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than minimum."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad integer {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{value} is below {minimum}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="olam",
@@ -60,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--fuel",
-        type=int,
+        type=_at_least(0),
         default=100_000,
         help="step budget (default 100000)",
     )
@@ -82,7 +97,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument("--seed", type=int, default=0, help="base seed")
     p_eval.add_argument(
-        "--samples", type=int, default=10, help="number of runs (default 10)"
+        "--samples",
+        type=_at_least(1),
+        default=10,
+        help="number of runs (default 10)",
     )
     p_eval.set_defaults(handler=_cmd_eval)
 
@@ -107,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_trust.add_argument(
         "--samples",
-        type=int,
+        type=_at_least(1),
         default=10,
         help="frequency width for oracle programs (default 10)",
     )
@@ -119,7 +137,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="frequency table of an oracle program",
     )
     p_freq.add_argument(
-        "--samples", type=int, default=10, help="table width (default 10)"
+        "--samples",
+        type=_at_least(1),
+        default=10,
+        help="table width (default 10)",
     )
     p_freq.set_defaults(handler=_cmd_freq)
     return parser

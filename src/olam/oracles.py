@@ -5,7 +5,8 @@ is a total rule list: each rule guards on the hole index, an index residue,
 the argument (unary oracles), or the printed fingerprint of the surrounding
 context; the mandatory final default makes the function total.  Outputs are
 closed over the program signature and oracle-free, and every output is
-checked against its type obligation when produced.
+checked against its type obligation: at load where the obligation is fixed,
+and when produced where it depends on the argument.
 """
 from __future__ import annotations
 
@@ -167,7 +168,14 @@ class OracleRegistry:
     def eval(
         self, name: str, ctx: HoleContext, index: int, arg: Term | None = None
     ) -> Term:
-        return eval_oracle(self.lookup(name), ctx, index, arg, self._env)
+        """The answer for one hole.  Load checked every rule output's shape
+        and, at arity 0, its type, so only an arity-1 output's type at the
+        actual argument is left to check."""
+        odef = self.lookup(name)
+        output = _select_output(odef, ctx, index, arg)
+        if odef.arity == 1:
+            _check_output_type(odef, output, arg, self._env)
+        return output
 
     def rewrite(
         self, name: str, t: Term
@@ -184,15 +192,10 @@ class OracleRegistry:
         return occurrences, context.fill(contents)
 
 
-def eval_oracle(
-    odef: OracleDef,
-    ctx: HoleContext,
-    index: int,
-    arg: Term | None = None,
-    env=None,
+def _select_output(
+    odef: OracleDef, ctx: HoleContext, index: int, arg: Term | None
 ) -> Term:
-    """Output for hole `index` of the decomposed context: the first matching
-    rule fires.  The output is re-checked against its type obligation."""
+    """Output of the first rule that matches hole `index`."""
     if not 1 <= index <= ctx.count:
         raise OracleError(
             "HoleIndexOutOfRange", f"hole {index} of {ctx.count}"
@@ -204,27 +207,46 @@ def eval_oracle(
         )
     for rule in odef.rules:
         if guard_matches(rule.guard, ctx, index, arg):
-            output = rule.output
-            break
-    else:  # unreachable: the default rule always matches
-        raise OracleError("NoMatchingRule", f"oracle {odef.name} not total")
-    if env is not None:
-        from . import checker
+            return rule.output
+    # unreachable: the default rule always matches
+    raise OracleError("NoMatchingRule", f"oracle {odef.name} not total")
 
+
+def _check_output_type(
+    odef: OracleDef, output: Term, arg: Term | None, env
+) -> None:
+    """Check an output against its type obligation at the argument."""
+    from . import checker
+
+    if odef.arity == 0:
+        expected = odef.value_type()
+    else:
+        var, _, result = odef.dependent_type()
+        expected = substitute(result, var, arg)  # type: ignore[assignment]
+    try:
+        checker.check_type(env, output, expected)
+    except Exception as exc:
+        raise OracleError(
+            "OutputIllTyped",
+            f"oracle {odef.name} output {output} fails its obligation "
+            f"{expected}: {exc}",
+        ) from exc
+
+
+def eval_oracle(
+    odef: OracleDef,
+    ctx: HoleContext,
+    index: int,
+    arg: Term | None = None,
+    env=None,
+) -> Term:
+    """Output for hole `index` of the decomposed context: the first matching
+    rule fires.  With an env, the output is checked for shape and against
+    its type obligation."""
+    output = _select_output(odef, ctx, index, arg)
+    if env is not None:
         _check_output_shape(odef, output, frozenset(env.term_names()))
-        if odef.arity == 0:
-            expected = odef.value_type()
-        else:
-            var, _, result = odef.dependent_type()
-            expected = substitute(result, var, arg)  # type: ignore[assignment]
-        try:
-            checker.check_type(env, output, expected)
-        except Exception as exc:
-            raise OracleError(
-                "OutputIllTyped",
-                f"oracle {odef.name} output {output} fails its obligation "
-                f"{expected}: {exc}",
-            ) from exc
+        _check_output_type(odef, output, arg, env)
     return output
 
 

@@ -31,6 +31,7 @@ from .syntax import (
     Rational,
     Term,
     TraceTerm,
+    TypeCon,
     alpha_eq,
     decompose_oracle_context,
     make_tuple,
@@ -228,19 +229,64 @@ def _diagnose_failed_step(
         )
 
 
-def _chain_probs(
-    seq: Sequence[Term], registry: OracleRegistry | None
-) -> set[Fraction]:
+class _StepTable:
+    """What one run of checks has already established, keyed by the terms
+    it was computed for: the readings of a step, the oracle rewrite of a
+    term, and the type of a term.
+
+    Bound to one environment and registry.  Node dataclasses are frozen,
+    so structurally equal terms share an entry.  Only successes are kept:
+    a check that fails raises again each time it is asked.
+    """
+
+    __slots__ = ("env", "registry", "_readings", "_rewrites", "_types")
+
+    def __init__(
+        self, env: Environment, registry: OracleRegistry | None
+    ) -> None:
+        self.env = env
+        self.registry = registry
+        self._readings: dict[
+            tuple[Term, Term], list[tuple[Fraction, str]]
+        ] = {}
+        self._rewrites: dict[tuple[str, Term], Term] = {}
+        self._types: dict[Term, TypeCon] = {}
+
+    def readings(self, u: Term, v: Term) -> list[tuple[Fraction, str]]:
+        """All (probability, label) readings of u stepping to v."""
+        found = self._readings.get((u, v))
+        if found is None:
+            found = _step_candidates(u, v, self.registry)
+            self._readings[(u, v)] = found
+        return found
+
+    def rewrite(self, name: str, t: Term) -> Term:
+        """t after the registry's simultaneous rewrite of oracle name."""
+        result = self._rewrites.get((name, t))
+        if result is None:
+            assert self.registry is not None
+            _, result = self.registry.rewrite(name, t)
+            self._rewrites[(name, t)] = result
+        return result
+
+    def type_of(self, t: Term) -> TypeCon:
+        found = self._types.get(t)
+        if found is None:
+            found = self._types[t] = infer_type(self.env, t, self.registry)
+        return found
+
+
+def _chain_probs(seq: Sequence[Term], table: _StepTable) -> set[Fraction]:
     """Achievable probabilities of the step chain through seq."""
     probs = {Fraction(1)}
     for u, v in zip(seq, seq[1:]):
-        step_probs = {p for p, _ in _step_candidates(u, v, registry)}
+        step_probs = {p for p, _ in table.readings(u, v)}
         probs = {acc * p for acc in probs for p in step_probs}
     return probs
 
 
 def _merge_sums(
-    sequences: list[tuple[Term, ...]], registry: OracleRegistry | None
+    sequences: list[tuple[Term, ...]], table: _StepTable
 ) -> set[Fraction]:
     """Achievable total probabilities of a merge: over every assignment of
     labeled readings to branches under which all branch pairs resolve a
@@ -264,7 +310,7 @@ def _merge_sums(
     # readings of any one of them are the readings of all of them
     readings = [
         [
-            {c for c in _step_candidates(u, v, registry)
+            {c for c in table.readings(u, v)
              if allow_oracle or c[1] != "oracle"}
             for u, v in zip(seq, seq[1:])
         ]
@@ -367,11 +413,11 @@ def _check_frequency(
     target: Term,
     prob: Rational | None,
     width: int,
-    registry: OracleRegistry | None,
+    table: _StepTable,
 ) -> Rational:
     """Replay a frequency table and return the target's share of it, which
     a claimed prob must equal."""
-    if registry is None:
+    if table.registry is None:
         raise TraceError(
             "MissingRegistry", "cannot replay an oracle without a registry"
         )
@@ -383,7 +429,7 @@ def _check_frequency(
     forced = forced_oracle_form(source)
     assert forced is not None
     name, _ = forced
-    _, result = registry.rewrite(name, witness.steps[0])
+    result = table.rewrite(name, witness.steps[0])
     if not alpha_eq(result, witness.steps[1]):
         raise TraceError(
             "OracleReplayMismatch",
@@ -417,35 +463,32 @@ def _endpoints(witness: Term) -> tuple[Term, Term, Rational | None]:
     )
 
 
-def _achievable(
-    witness: Term, registry: OracleRegistry | None
-) -> set[Fraction]:
+def _achievable(witness: Term, table: _StepTable) -> set[Fraction]:
     """Every probability a trace or merge supports, searched over the
     labeled readings of its steps."""
     if isinstance(witness, TraceTerm):
-        return _chain_probs(witness.steps, registry)
+        return _chain_probs(witness.steps, table)
     assert isinstance(witness, MergeTerm)
     if not witness.branches:
         raise TraceError("IncompleteWitnesses", "merge carries no paths")
     return _merge_sums(
         [(witness.source, *b, witness.target) for b in witness.branches],
-        registry,
+        table,
     )
 
 
 def _check_evidence(
-    env: Environment,
+    table: _StepTable,
     witness: Term,
     source: Term,
     target: Term,
     prob: Rational | None,
-    registry: OracleRegistry | None,
 ) -> Rational:
     """Recheck evidence that source reaches target and return the
     probability it establishes: the claimed prob, or with prob None the
     annotation or else the only probability the evidence supports."""
-    source_type = infer_type(env, source, registry)
-    target_type = infer_type(env, target, registry)
+    source_type = table.type_of(source)
+    target_type = table.type_of(target)
     if not alpha_eq(source_type, target_type):
         raise TraceError(
             "ClaimTypeMismatch",
@@ -458,7 +501,7 @@ def _check_evidence(
     width = _frequency_shape(witness, source)
     if width is not None:
         assert isinstance(witness, TraceTerm)
-        return _check_frequency(witness, source, target, prob, width, registry)
+        return _check_frequency(witness, source, target, prob, width, table)
     first, last, annotated = _endpoints(witness)
     if annotated is not None:
         if prob is not None and annotated != prob:
@@ -471,7 +514,7 @@ def _check_evidence(
         raise TraceError("BrokenChain", "evidence does not start at the source")
     if not alpha_eq(last, target):
         raise TraceError("BrokenChain", "evidence does not end at the target")
-    achievable = _achievable(witness, registry)
+    achievable = _achievable(witness, table)
     if prob is None:
         if len(achievable) != 1:
             raise TraceError(
@@ -493,6 +536,7 @@ def check_trace(
     witness: Term,
     claim: MapstoJudgment,
     registry: OracleRegistry | None = None,
+    table: _StepTable | None = None,
 ) -> bool:
     """Recheck a claimed judgment against its evidence.
 
@@ -500,11 +544,13 @@ def check_trace(
     additionally needs a labeling of its branches under which every pair
     resolves its first divergence point to opposite sides of one choice.
     The claimed probability must be achievable, and for a frequency table
-    it must equal the target's share of the rewritten tuple.
+    it must equal the target's share of the rewritten tuple.  Checks of
+    several witnesses may share one table made for the same env and
+    registry, so a step they have in common is checked once.
     """
-    _check_evidence(
-        env, witness, claim.source, claim.target, claim.prob, registry
-    )
+    if table is None:
+        table = _StepTable(env, registry)
+    _check_evidence(table, witness, claim.source, claim.target, claim.prob)
     return True
 
 
@@ -512,13 +558,16 @@ def derive_judgment(
     env: Environment,
     term: Term,
     registry: OracleRegistry | None = None,
+    table: _StepTable | None = None,
 ) -> MapstoJudgment:
     """The judgment a free-standing piece of evidence supports.
 
     An unannotated witness must determine its probability uniquely.
     """
+    if table is None:
+        table = _StepTable(env, registry)
     source, target, _ = _endpoints(term)
-    prob = _check_evidence(env, term, source, target, None, registry)
+    prob = _check_evidence(table, term, source, target, None)
     return MapstoJudgment(source, target, prob, term)
 
 

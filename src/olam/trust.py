@@ -31,6 +31,7 @@ from .syntax import (
 from .traces import (
     Distribution,
     MapstoJudgment,
+    _StepTable,
     check_trace,
     enumerate_distribution,
     forced_oracle_form,
@@ -193,20 +194,36 @@ def trust_check(
 # ---------------------------------------------------------- certificates
 
 
-def _witness_to_json(witness: Term) -> dict:
+def _parse(text: str, parsed: dict[str, Term]) -> Term:
+    """The term of text, parsed on its first visit to parsed."""
+    term = parsed.get(text)
+    if term is None:
+        term = parsed[text] = surface.parse_term(text)
+    return term
+
+
+def _show(term: Term, shown: dict[Term, str]) -> str:
+    """The text of term, printed on its first visit to shown."""
+    text = shown.get(term)
+    if text is None:
+        text = shown[term] = show(term)
+    return text
+
+
+def _witness_to_json(witness: Term, shown: dict[Term, str]) -> dict:
     match witness:
         case TraceTerm(steps, prob):
             return {
                 "kind": "steps",
-                "terms": [show(s) for s in steps],
+                "terms": [_show(s, shown) for s in steps],
                 "probability": None if prob is None else str(prob),
             }
         case MergeTerm(source, branches, target, prob):
             return {
                 "kind": "merge",
-                "source": show(source),
-                "branches": [[show(s) for s in br] for br in branches],
-                "target": show(target),
+                "source": _show(source, shown),
+                "branches": [[_show(s, shown) for s in br] for br in branches],
+                "target": _show(target, shown),
                 "probability": None if prob is None else str(prob),
             }
     raise TrustError(
@@ -215,62 +232,76 @@ def _witness_to_json(witness: Term) -> dict:
     )
 
 
-def _witness_from_json(obj: dict) -> Term:
+def _witness_from_json(obj: dict, parsed: dict[str, Term]) -> Term:
     prob_text = obj.get("probability")
     prob = None if prob_text is None else surface.parse_rational_text(prob_text)
     kind = obj.get("kind")
     if kind == "steps":
-        steps = tuple(surface.parse_term(s) for s in obj["terms"])
+        steps = tuple(_parse(s, parsed) for s in obj["terms"])
         return TraceTerm(steps, prob)
     if kind == "merge":
         return MergeTerm(
-            surface.parse_term(obj["source"]),
+            _parse(obj["source"], parsed),
             tuple(
-                tuple(surface.parse_term(s) for s in br)
-                for br in obj["branches"]
+                tuple(_parse(s, parsed) for s in br) for br in obj["branches"]
             ),
-            surface.parse_term(obj["target"]),
+            _parse(obj["target"], parsed),
             prob,
         )
     raise TrustError("CertificateMismatch", f"unknown witness kind {kind!r}")
 
 
-def judgment_to_json(judgment: MapstoJudgment) -> dict:
+def judgment_to_json(
+    judgment: MapstoJudgment, shown: dict[Term, str] | None = None
+) -> dict:
+    """A judgment as certificate JSON; judgments printed through one
+    shown dict print each distinct term once."""
+    if shown is None:
+        shown = {}
     return {
-        "source": show(judgment.source),
-        "target": show(judgment.target),
+        "source": _show(judgment.source, shown),
+        "target": _show(judgment.target, shown),
         "probability": str(judgment.prob),
-        "witness": _witness_to_json(judgment.witness),
+        "witness": _witness_to_json(judgment.witness, shown),
     }
 
 
-def judgment_from_json(obj: dict) -> MapstoJudgment:
+def judgment_from_json(
+    obj: dict, parsed: dict[str, Term] | None = None
+) -> MapstoJudgment:
+    """A judgment read from certificate JSON; judgments read through one
+    parsed dict parse each distinct text once."""
+    if parsed is None:
+        parsed = {}
     return MapstoJudgment(
-        surface.parse_term(obj["source"]),
-        surface.parse_term(obj["target"]),
+        _parse(obj["source"], parsed),
+        _parse(obj["target"], parsed),
         surface.parse_rational_text(obj["probability"]),
-        _witness_from_json(obj["witness"]),
+        _witness_from_json(obj["witness"], parsed),
     )
 
 
 def build_certificate(env: Environment, t: Term, report: TrustReport) -> dict:
     """Self-contained record of a trust verdict: the program, its derived
-    distribution, all evidence, and every threshold comparison."""
+    distribution, all evidence, and every threshold comparison.  Each
+    distinct term is printed once."""
+    shown: dict[Term, str] = {}
     return {
         "schema": 1,
-        "program": show(t),
+        "program": _show(t, shown),
         "mode": report.mode,
         "seedless": True,
         "epsilon": str(report.epsilon),
         "verdict": report.verdict,
         "totality": str(report.total),
         "distribution": [
-            [show(rep), str(prob)] for rep, prob in report.distribution.items()
+            [_show(rep, shown), str(prob)]
+            for rep, prob in report.distribution.items()
         ],
-        "witnesses": [judgment_to_json(j) for j in report.judgments],
+        "witnesses": [judgment_to_json(j, shown) for j in report.judgments],
         "threshold_checks": [
             {
-                "outcome": show(row.outcome),
+                "outcome": _show(row.outcome, shown),
                 "target": str(row.target),
                 "derived": str(row.derived),
                 "deviation": str(row.deviation),
@@ -299,9 +330,14 @@ def replay_certificate(
     same trust_check that recomputes the threshold checks and the
     verdict, and all of it is compared with the certificate.  Any
     disagreement raises instead of returning.
+
+    Witnesses share prefixes, so the replay parses each distinct text
+    once and checks each distinct step once; every witness is still
+    checked against its own claim.
     """
     _require(cert.get("schema") == 1, f"schema {cert.get('schema')!r}")
-    t = surface.parse_term(cert["program"])
+    parsed: dict[str, Term] = {}
+    t = _parse(cert["program"], parsed)
     epsilon = surface.parse_rational_text(cert["epsilon"])
     mode = cert.get("mode")
     _require(mode in ("enumerate", "frequency"), f"mode {mode!r}")
@@ -310,14 +346,14 @@ def replay_certificate(
     claimed = Distribution()
     for term_text, prob_text in cert["distribution"]:
         claimed.add(
-            surface.parse_term(term_text),
-            surface.parse_rational_text(prob_text),
+            _parse(term_text, parsed), surface.parse_rational_text(prob_text)
         )
 
-    judgments = [judgment_from_json(obj) for obj in cert["witnesses"]]
+    judgments = [judgment_from_json(obj, parsed) for obj in cert["witnesses"]]
+    table = _StepTable(env, registry)
     by_target: dict[str, Fraction] = {}
     for judgment in judgments:
-        check_trace(env, judgment.witness, judgment, registry)
+        check_trace(env, judgment.witness, judgment, registry, table)
         key = term_key(judgment.target)
         by_target[key] = by_target.get(key, Fraction(0)) + judgment.prob
     _require(
@@ -343,7 +379,7 @@ def replay_certificate(
     spec = TrustSpec(
         tuple(
             (
-                surface.parse_term(row["outcome"]),
+                _parse(row["outcome"], parsed),
                 surface.parse_rational_text(row["target"]),
             )
             for row in rows

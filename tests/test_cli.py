@@ -263,18 +263,35 @@ def test_trust_json_emits_certificate(project, capsys, tmp_path):
 
 
 def test_trust_bad_epsilon_is_usage_error(project, capsys, tmp_path):
+    """A bad value of a numeric flag is a usage error, exit 2."""
     prog, orc = project("choose[1/3]{a}{b}!")
     target = tmp_path / "target.dist"
     target.write_text("a = 1/3\nb = 2/3\n")
-    with pytest.raises(SystemExit) as e:
-        main(
-            [
-                "trust", prog, "--oracles", orc,
-                "--target", str(target), "--epsilon", "0",
-            ]
-        )
-    assert e.value.code == 2
-    capsys.readouterr()
+    trust_args = ["--target", str(target), "--epsilon", "1/100"]
+    for command, flag, value in (
+        ("trust", "--epsilon", "0"),
+        ("eval", "--samples", "0"),
+        ("eval", "--samples", "-1"),
+        ("trust", "--samples", "0"),
+        ("oracle-freq", "--samples", "-3"),
+        ("oracle-freq", "--samples", "ten"),
+        ("dist", "--fuel", "-3"),
+        ("check", "--fuel", "1.5"),
+    ):
+        argv = [command, prog, "--oracles", orc]
+        if command == "trust":
+            argv += trust_args
+        with pytest.raises(SystemExit) as e:
+            main(argv + [flag, value])
+        assert e.value.code == 2, (command, flag, value)
+        capsys.readouterr()
+    # the smallest values are accepted
+    for command, flag, value in (
+        ("check", "--fuel", "0"),
+        ("eval", "--samples", "1"),
+    ):
+        argv = [command, prog, "--oracles", orc, flag, value]
+        assert run(argv, capsys)[0] == 0
 
 
 def test_trust_malformed_target_is_domain_error(project, capsys, tmp_path):

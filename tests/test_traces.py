@@ -27,7 +27,7 @@ from olam.traces import (
     oracle_frequency,
     produced_sequence,
 )
-from olam.traces import _merge_sums, _step_candidates
+from olam.traces import _merge_sums, _step_candidates, _StepTable
 from olam.syntax import (
     App,
     Choice,
@@ -594,7 +594,7 @@ def test_merge_search_matches_brute_force(trial):
     except TraceError as e:
         expected = ("err", e.code)
     try:
-        got = ("ok", _merge_sums(sequences, reg))
+        got = ("ok", _merge_sums(sequences, _StepTable(env, reg)))
     except TraceError as e:
         got = ("err", e.code)
     assert got == expected

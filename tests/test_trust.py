@@ -3,6 +3,7 @@
 import copy
 import json
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import signature
-from olam import surface
+from olam import surface, traces
 from olam.errors import TraceError, TrustError
+from olam.oracles import OracleRegistry
 from olam.syntax import Var, alpha_eq
 from olam.traces import enumerate_distribution
 from olam.trust import (
@@ -258,16 +260,42 @@ def test_certificate_with_merge_witness_replays():
     assert replay_certificate(env, reg, cert).verdict == "trusted"
 
 
-def test_frequency_certificate_replays():
+def count_calls(monkeypatch, calls, owner, name):
+    """Count in calls[name] every call of owner.name from now on."""
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def exact_certificate(src):
+    """Certificate for the program src against its own distribution."""
+    env, reg = signature()
+    t = surface.parse_term(src)
+    dist, _ = enumerate_distribution(env, t, registry=reg)
+    spec = TrustSpec(tuple(dist.items()), Fraction(1, 100))
+    return env, reg, build_certificate(env, t, trust_check(env, t, spec, reg))
+
+
+def test_frequency_certificate_replays(monkeypatch):
     env, reg = signature()
     t = surface.parse_term("#c!")
     spec = spec_ab(Fraction(2, 3), Fraction(1, 3), Fraction(1, 100))
     report = trust_check(env, t, spec, reg, freq_width=3)
     cert = build_certificate(env, t, report)
     assert cert["mode"] == "frequency"
+    assert len(cert["witnesses"]) == 2
+    calls = Counter()
+    count_calls(monkeypatch, calls, OracleRegistry, "rewrite")
     replayed = replay_certificate(env, reg, cert)
     assert replayed.verdict == "trusted"
     assert replayed.mode == "frequency"
+    # the witnesses share one table: it is rewritten once to check it and
+    # once more by the independent derivation
+    assert calls["rewrite"] == 2
 
 
 def test_replay_rejects_schema_change():
@@ -337,10 +365,41 @@ def test_replay_rejects_tampered_witness_probability():
 
 
 def test_replay_rejects_tampered_witness_steps():
-    env, reg, _, cert = trusted_coin_certificate()
-    cert["witnesses"][0]["witness"]["terms"][-1] = "q"
-    with pytest.raises(TraceError):
-        replay_certificate(env, reg, cert)
+    env, reg, _, coin_cert = trusted_coin_certificate()
+    _, _, pair_cert = exact_certificate(f"<{COIN}, {COIN}>")
+    # the first two witnesses of the pair share their middle term
+    first, second = (w["witness"]["terms"] for w in pair_cert["witnesses"][:2])
+    assert first[1] == second[1] == f"<a, {COIN}>"
+    for cert, witness, position, text in (
+        (coin_cert, 0, -1, "q"),
+        # a step checked for one witness never vouches for a tampered copy
+        (pair_cert, 1, 1, f"<b, {COIN}>"),
+    ):
+        replay_certificate(env, reg, copy.deepcopy(cert))
+        cert["witnesses"][witness]["witness"]["terms"][position] = text
+        with pytest.raises(TraceError):
+            replay_certificate(env, reg, cert)
+
+
+def test_replay_parses_and_checks_each_distinct_step_once(monkeypatch):
+    """The eight traces of a three-coin tuple share their prefixes: replay
+    parses each distinct text once and reads each distinct step once."""
+    env, reg, cert = exact_certificate(f"<{COIN}, <{COIN}, {COIN}>>")
+    witnesses = cert["witnesses"]
+    assert len(witnesses) == 8
+    texts = {cert["program"]}
+    texts.update(text for text, _ in cert["distribution"])
+    texts.update(row["outcome"] for row in cert["threshold_checks"])
+    steps = set()
+    for w in witnesses:
+        terms = w["witness"]["terms"]
+        texts.update((w["source"], w["target"], *terms))
+        steps.update(zip(terms, terms[1:]))
+    calls = Counter()
+    count_calls(monkeypatch, calls, surface, "parse_term")
+    count_calls(monkeypatch, calls, traces, "_step_candidates")
+    assert replay_certificate(env, reg, cert).verdict == "trusted"
+    assert calls == {"parse_term": len(texts), "_step_candidates": len(steps)}
 
 
 def test_replay_rejects_tampered_threshold_row():
