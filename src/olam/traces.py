@@ -550,6 +550,8 @@ def check_trace(
     """
     if table is None:
         table = _StepTable(env, registry)
+    elif table.env is not env or table.registry is not registry:
+        raise ValueError("table was made for another env or registry")
     _check_evidence(table, witness, claim.source, claim.target, claim.prob)
     return True
 
@@ -558,16 +560,13 @@ def derive_judgment(
     env: Environment,
     term: Term,
     registry: OracleRegistry | None = None,
-    table: _StepTable | None = None,
 ) -> MapstoJudgment:
     """The judgment a free-standing piece of evidence supports.
 
     An unannotated witness must determine its probability uniquely.
     """
-    if table is None:
-        table = _StepTable(env, registry)
     source, target, _ = _endpoints(term)
-    prob = _check_evidence(table, term, source, target, None)
+    prob = _check_evidence(_StepTable(env, registry), term, source, target, None)
     return MapstoJudgment(source, target, prob, term)
 
 
