@@ -146,11 +146,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _UsageError(Exception):
+    """An input file the command cannot use; exit status 2."""
+
+
+def _read(path: str) -> str:
+    """The text of a UTF-8 file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise _UsageError(
+            f"{path} is not UTF-8 text: {err.reason} at byte {err.start}"
+        ) from err
+
+
 def _load(args: argparse.Namespace) -> CheckedProgram:
-    text = Path(args.program).read_text()
+    text = _read(args.program)
     oracle_defs = []
     for path in args.oracles:
-        oracle_defs.extend(surface.parse_oracle_file(Path(path).read_text()))
+        oracle_defs.extend(surface.parse_oracle_file(_read(path)))
     return checker.check_program(surface.parse_program(text), oracle_defs)
 
 
@@ -282,7 +296,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_trust(args: argparse.Namespace) -> int:
     checked = _load(args)
-    entries = surface.parse_distribution(Path(args.target).read_text())
+    entries = surface.parse_distribution(_read(args.target))
     spec = trust.TrustSpec(tuple(entries), args.epsilon)
     report = trust.trust_check(
         checked.env,
@@ -356,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     except OlamError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except OSError as err:
+    except (OSError, _UsageError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -40,6 +40,7 @@ from .syntax import (
 __all__ = [
     "TermRedex",
     "StepOutcome",
+    "RULE_KIND",
     "SampleResult",
     "find_redexes",
     "step",
@@ -60,6 +61,16 @@ class TermRedex:
     path: tuple[int, ...]
     kind: str
     oracle: str | None = None
+
+
+# the kind of redex each outcome label comes from
+RULE_KIND = {
+    "beta": "beta",
+    "proj": "proj",
+    "left": "choice",
+    "right": "choice",
+    "oracle": "oracle",
+}
 
 
 @dataclass(frozen=True, slots=True)

@@ -134,24 +134,37 @@ class Efq(Term):
     target: TypeCon
 
 
+# A step's label: the path of the redex it fires and the rule it takes
+# (beta, proj, left, right or oracle).
+StepLabel = tuple[tuple[int, ...], str]
+
+
 @dataclass(frozen=True, slots=True)
 class TraceTerm(Term):
     """Recorded computation [t1, ..., tn]: the produced term sequence of one
-    reduction path.  prob None means the probability is not yet derived."""
+    reduction path.  prob None means the probability is not yet derived.
+
+    labels, one per step, are a hint for the checker, which verifies them;
+    they are never printed, and equality and alpha-equality ignore them."""
 
     steps: tuple[Term, ...]
     prob: Rational | None = None
+    labels: tuple[StepLabel, ...] | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
 class MergeTerm(Term):
     """Recorded merge [t, [k1 / ... / kn], s]: several reduction paths from t
-    to s; each branch holds the intermediate terms only."""
+    to s; each branch holds the intermediate terms only.  labels, when
+    present, hold one step label list per branch, as for TraceTerm."""
 
     source: Term
     branches: tuple[tuple[Term, ...], ...]
     target: Term
     prob: Rational | None = None
+    labels: tuple[tuple[StepLabel, ...], ...] | None = field(
+        default=None, compare=False
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -263,6 +276,7 @@ _CHILDREN: dict[type, Callable[[Node], tuple[Node, ...]]] = {
     TraceTerm: attrgetter("steps"),
     MergeTerm: lambda node: (node.source, *chain(*node.branches), node.target),
 }
+# rebuilt evidence drops its labels, which named the redexes of the old terms
 _REBUILD: dict[type, Callable[[Node, tuple[Node, ...]], Node]] = {
     TraceTerm: lambda node, kids: TraceTerm(tuple(kids), node.prob),
     MergeTerm: _merge_rebuild,
@@ -433,7 +447,9 @@ def substitute(node: Node, name: str, replacement: Term) -> Node:
 
 
 def alpha_eq(a: Node, b: Node) -> bool:
-    return _alpha(a, b, {}, {}, [0])
+    # identity settles equality only here, where no binder is open: below
+    # a binder, one shared subterm may sit under different binder maps
+    return a is b or _alpha(a, b, {}, {}, [0])
 
 
 def _alpha(a: Node, b: Node, env_a: dict, env_b: dict, counter: list[int]) -> bool:

@@ -20,7 +20,13 @@ from .checker import Environment, infer_type
 from .errors import TraceError
 from .oracles import OracleRegistry
 from .printer import term_key
-from .reducer import StepOutcome, deterministic_strategy, find_redexes, step
+from .reducer import (
+    RULE_KIND,
+    StepOutcome,
+    deterministic_strategy,
+    find_redexes,
+    step,
+)
 from .syntax import (
     DEFAULT_FUEL,
     Force,
@@ -29,6 +35,7 @@ from .syntax import (
     OracleCall,
     OracleRef,
     Rational,
+    StepLabel,
     Term,
     TraceTerm,
     TypeCon,
@@ -57,12 +64,14 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class TraceQuadruple:
-    """One rechecked reduction step: terms, probability, and rule label."""
+    """One rechecked reduction step: terms, probability, rule label, and
+    the path of the redex it fired (None where nobody recorded it)."""
 
     before: Term
     after: Term
     prob: Rational
     label: str
+    path: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,6 +208,43 @@ def _step_candidates(
     )
 
 
+def _labelled_step(
+    u: Term, v: Term, label: StepLabel, registry: OracleRegistry | None
+) -> Fraction:
+    """The probability of u stepping to v by the labelled redex and rule.
+
+    The label is checked, not trusted: its redex must be one of u's, and
+    firing that redex alone must take the labelled side to v.
+    """
+    path, rule = label
+    kind = RULE_KIND.get(rule)
+    redex = next(
+        (r for r in find_redexes(u) if r.path == path and r.kind == kind),
+        None,
+    )
+    if redex is None:
+        raise TraceError(
+            "LabelMismatch", f"no {rule} redex at position {list(path)} of {u}"
+        )
+    if kind == "oracle" and registry is None:
+        raise TraceError(
+            "MissingRegistry",
+            f"cannot replay oracle {redex.oracle} without a registry",
+        )
+    for outcome in step(u, redex, registry):
+        if (
+            outcome.label == rule
+            and outcome.prob != 0
+            and alpha_eq(outcome.term, v)
+        ):
+            return Fraction(outcome.prob)
+    _diagnose_failed_step(u, v, registry)
+    raise TraceError(
+        "RuleMismatch",
+        f"the {rule} step at position {list(path)} does not take {u} to {v}",
+    )
+
+
 def _diagnose_failed_step(
     u: Term, v: Term, registry: OracleRegistry | None
 ) -> None:
@@ -231,24 +277,33 @@ def _diagnose_failed_step(
 
 class _StepTable:
     """What one run of checks has already established, keyed by the terms
-    it was computed for: the readings of a step, the oracle rewrite of a
-    term, and the type of a term.
+    it was computed for: the readings of a step, the probability of a
+    labelled step, the oracle rewrite of a term, and the type of a term.
 
-    Bound to one environment and registry.  Node dataclasses are frozen,
-    so structurally equal terms share an entry.  Only successes are kept:
-    a check that fails raises again each time it is asked.
+    Bound to one environment and registry, and to the fuel that searches
+    over unlabelled merges spend.  Node dataclasses are frozen, so
+    structurally equal terms share an entry.  Only successes are kept: a
+    check that fails raises again each time it is asked.
     """
 
-    __slots__ = ("env", "registry", "_readings", "_rewrites", "_types")
+    __slots__ = (
+        "env", "registry", "fuel", "_readings", "_labelled", "_rewrites",
+        "_types",
+    )
 
     def __init__(
-        self, env: Environment, registry: OracleRegistry | None
+        self,
+        env: Environment,
+        registry: OracleRegistry | None,
+        fuel: Fuel | int = DEFAULT_FUEL,
     ) -> None:
         self.env = env
         self.registry = registry
+        self.fuel = fuel if isinstance(fuel, Fuel) else Fuel(fuel)
         self._readings: dict[
             tuple[Term, Term], list[tuple[Fraction, str]]
         ] = {}
+        self._labelled: dict[tuple[Term, Term, StepLabel], Fraction] = {}
         self._rewrites: dict[tuple[str, Term], Term] = {}
         self._types: dict[Term, TypeCon] = {}
 
@@ -258,6 +313,15 @@ class _StepTable:
         if found is None:
             found = _step_candidates(u, v, self.registry)
             self._readings[(u, v)] = found
+        return found
+
+    def labelled(self, u: Term, v: Term, label: StepLabel) -> Fraction:
+        """The probability of u stepping to v by the labelled step."""
+        key = (u, v, label)
+        found = self._labelled.get(key)
+        if found is None:
+            found = _labelled_step(u, v, label, self.registry)
+            self._labelled[key] = found
         return found
 
     def rewrite(self, name: str, t: Term) -> Term:
@@ -285,12 +349,85 @@ def _chain_probs(seq: Sequence[Term], table: _StepTable) -> set[Fraction]:
     return probs
 
 
+def _labelled_sum(
+    sequences: list[tuple[Term, ...]],
+    labels: Sequence[Sequence[StepLabel]],
+    table: _StepTable,
+) -> Fraction:
+    """The probability of labelled evidence, one term sequence for a trace
+    and one per branch for a merge, in one pass over their trie.
+
+    The live branches at a trie node stand on one term.  Either they all
+    take one labelled step, or they split into exactly two groups that take
+    the two sides of the choice at one path; a leaf holds one branch.  A
+    merge of several branches takes no oracle step.  The probability is
+    the sum over leaves of the product of the steps above them.
+    """
+    if len(labels) != len(sequences) or any(
+        len(ls) != len(s) - 1 for ls, s in zip(labels, sequences)
+    ):
+        raise TraceError(
+            "LabelMismatch", "labels do not match the steps of the evidence"
+        )
+    if len(sequences) > 1 and any(
+        rule == "oracle" for branch in labels for _, rule in branch
+    ):
+        raise TraceError(
+            "NDConditionViolated", "merged paths take an oracle step"
+        )
+    total = Fraction(0)
+    stack = [(tuple(range(len(sequences))), 0, Fraction(1))]
+    while stack:
+        live, depth, prob = stack.pop()
+        if len(live) == 1:
+            seq, branch = sequences[live[0]], labels[live[0]]
+            for i in range(depth, len(seq) - 1):
+                prob *= table.labelled(seq[i], seq[i + 1], branch[i])
+            total += prob
+            continue
+        groups: dict[StepLabel, list[int]] = {}
+        for b in live:
+            if depth + 1 == len(sequences[b]):
+                raise TraceError(
+                    "NDConditionViolated",
+                    "merged paths reach the target before they diverge",
+                )
+            groups.setdefault(labels[b][depth], []).append(b)
+        readings = []
+        for label, members in groups.items():
+            u, v = sequences[members[0]][depth : depth + 2]
+            p = table.labelled(u, v, label)
+            for b in members[1:]:
+                # one redex takes one term to one term, so a branch that
+                # differs here fails its own step check
+                w = sequences[b][depth + 1]
+                if not alpha_eq(w, v):
+                    table.labelled(u, w, label)
+            readings.append((p, label))
+            stack.append((tuple(members), depth + 1, prob * p))
+        if len(readings) == 1:
+            continue
+        if len(readings) == 2:
+            (p, (path1, rule1)), (q, (path2, rule2)) = readings
+            r1, r2 = (p, rule1), (q, rule2)
+            if path1 == path2 and (
+                _sides_of_one_choice(r1, r2) or _sides_of_one_choice(r2, r1)
+            ):
+                continue
+        raise TraceError(
+            "NDConditionViolated",
+            "merged paths do not split at the two sides of one choice",
+        )
+    return total
+
+
 def _merge_sums(
     sequences: list[tuple[Term, ...]], table: _StepTable
 ) -> set[Fraction]:
     """Achievable total probabilities of a merge: over every assignment of
     labeled readings to branches under which all branch pairs resolve a
-    common divergence point oppositely.
+    common divergence point oppositely.  Each search state spends one unit
+    of the table's fuel.
 
     Readings that satisfy the pairwise condition necessarily organize
     into a binary tree: at each step the live branches either all carry
@@ -325,6 +462,7 @@ def _merge_sums(
         cached = memo.get((live, depth))
         if cached is not None:
             return cached
+        table.fuel.spend()
         members = [c for c, n in enumerate(live) if n]
         out: set[Fraction] = set()
         if sum(live) == 1:
@@ -464,17 +602,21 @@ def _endpoints(witness: Term) -> tuple[Term, Term, Rational | None]:
 
 
 def _achievable(witness: Term, table: _StepTable) -> set[Fraction]:
-    """Every probability a trace or merge supports, searched over the
-    labeled readings of its steps."""
+    """Every probability a trace or merge supports: the one its labels
+    give, or else every one over the labeled readings of its steps."""
     if isinstance(witness, TraceTerm):
-        return _chain_probs(witness.steps, table)
+        if witness.labels is None:
+            return _chain_probs(witness.steps, table)
+        return {_labelled_sum([witness.steps], [witness.labels], table)}
     assert isinstance(witness, MergeTerm)
     if not witness.branches:
         raise TraceError("IncompleteWitnesses", "merge carries no paths")
-    return _merge_sums(
-        [(witness.source, *b, witness.target) for b in witness.branches],
-        table,
-    )
+    sequences = [
+        (witness.source, *b, witness.target) for b in witness.branches
+    ]
+    if witness.labels is None:
+        return _merge_sums(sequences, table)
+    return {_labelled_sum(sequences, witness.labels, table)}
 
 
 def _check_evidence(
@@ -544,9 +686,12 @@ def check_trace(
     additionally needs a labeling of its branches under which every pair
     resolves its first divergence point to opposite sides of one choice.
     The claimed probability must be achievable, and for a frequency table
-    it must equal the target's share of the rewritten tuple.  Checks of
-    several witnesses may share one table made for the same env and
-    registry, so a step they have in common is checked once.
+    it must equal the target's share of the rewritten tuple.  Labelled
+    evidence is checked step by step and a labelled merge in one pass;
+    evidence without labels is searched, spending the table's fuel
+    (DEFAULT_FUEL in a fresh table).  Checks of several witnesses may
+    share one table made for the same env and registry, so a step they
+    have in common is checked once.
     """
     if table is None:
         table = _StepTable(env, registry)
@@ -608,7 +753,11 @@ def enumerate_paths(
                     quads
                     + (
                         TraceQuadruple(
-                            current, outcome.term, outcome.prob, outcome.label
+                            current,
+                            outcome.term,
+                            outcome.prob,
+                            outcome.label,
+                            redex.path,
                         ),
                     ),
                 )
@@ -625,42 +774,49 @@ def enumerate_distribution(
     """Exact output distribution of t with evidence for every outcome.
 
     Paths free of oracle steps that share an outcome are merged into one
-    judgment; each path through an oracle step keeps its own trace.
+    judgment; each path through an oracle step keeps its own trace.  The
+    evidence carries each step's label, the redex path and rule it took.
     """
     dist = Distribution()
-    groups: dict[str, list[tuple[Fraction, tuple[Term, ...], bool]]] = {}
+    # outcome key -> ((prob, term sequence, labels), saw an oracle) per path
+    groups: dict[str, list[tuple[tuple, bool]]] = {}
     for prob, quads in enumerate_paths(env, t, registry, fuel):
         seq = (t,) + tuple(q.after for q in quads)
+        labels = tuple((q.path, q.label) for q in quads)
         saw_oracle = any(q.label == "oracle" for q in quads)
         key = term_key(seq[-1])
         dist._add_keyed(key, seq[-1], prob)
-        groups.setdefault(key, []).append((prob, seq, saw_oracle))
+        groups.setdefault(key, []).append(((prob, seq, labels), saw_oracle))
 
     judgments: list[MapstoJudgment] = []
     for key in sorted(groups):
-        paths = groups[key]
-        plain = [(p, s) for p, s, saw in paths if not saw]
-        through_oracle = [(p, s) for p, s, saw in paths if saw]
+        plain = [path for path, saw in groups[key] if not saw]
+        # a lone plain path and each path through an oracle: one trace each
+        singles = [path for path, saw in groups[key] if saw]
         if len(plain) == 1:
-            prob, seq = plain[0]
-            judgments.append(
-                MapstoJudgment(t, seq[-1], prob, TraceTerm(seq, prob))
-            )
+            singles.insert(0, plain[0])
         elif plain:
-            total = sum((p for p, _ in plain), Fraction(0))
+            total = sum((p for p, _, _ in plain), Fraction(0))
             target = plain[0][1][-1]
-            branch_middles = tuple(tuple(s[1:-1]) for _, s in plain)
             judgments.append(
                 MapstoJudgment(
                     t,
                     target,
                     total,
-                    MergeTerm(t, branch_middles, target, total),
+                    MergeTerm(
+                        t,
+                        tuple(s[1:-1] for _, s, _ in plain),
+                        target,
+                        total,
+                        tuple(labels for _, _, labels in plain),
+                    ),
                 )
             )
-        for prob, seq in through_oracle:
+        for prob, seq, labels in singles:
             judgments.append(
-                MapstoJudgment(t, seq[-1], prob, TraceTerm(seq, prob))
+                MapstoJudgment(
+                    t, seq[-1], prob, TraceTerm(seq, prob, labels)
+                )
             )
     return dist, judgments
 

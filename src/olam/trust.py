@@ -9,20 +9,22 @@ certificate can be replayed from scratch against the program it names.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import surface
 from .checker import Environment, infer_type
-from .errors import TrustError
+from .errors import OlamError, TrustError
 from .oracles import OracleRegistry
 from .printer import show, term_key
-from .reducer import find_redexes
+from .reducer import RULE_KIND, find_redexes
 from .syntax import (
     DEFAULT_FUEL,
     Fuel,
     MergeTerm,
     Rational,
+    StepLabel,
     Term,
     TraceTerm,
     alpha_eq,
@@ -210,45 +212,190 @@ def _show(term: Term, shown: dict[Term, str]) -> str:
     return text
 
 
+# A step label is written as its rule followed by the redex path, all
+# separated by single spaces: "left 1 0" is the left side of the choice at
+# path (1, 0), and "beta" a beta step at the root.
+_LABEL_TEXT = re.compile(
+    "(?:" + "|".join(RULE_KIND) + ")(?: (?:0|[1-9][0-9]*))*"
+)
+
+
+def _label_to_text(label: StepLabel) -> str:
+    path, rule = label
+    return " ".join((rule, *map(str, path)))
+
+
+def _label_from_text(text: str) -> StepLabel:
+    rule, *path = text.split(" ")
+    return tuple(map(int, path)), rule
+
+
+def _is_label_text(value: object) -> bool:
+    return isinstance(value, str) and _LABEL_TEXT.fullmatch(value) is not None
+
+
+class _OneOf:
+    """A certificate shape that any one of several shapes satisfies."""
+
+    def __init__(self, *shapes: object) -> None:
+        self.shapes = shapes
+
+
+# The JSON shape of certificates, checked before anything is read.  A type
+# is matched with isinstance, a one-item list by every item of a list, a
+# tuple by a list of its length item by item, a dict field by field (a
+# missing field reads as None), a function as a predicate, and anything
+# else by equal value and type.
+_OPTIONAL_TEXT = _OneOf(None, str)
+_WITNESS = _OneOf(
+    {
+        "kind": "steps",
+        "terms": [str],
+        "probability": _OPTIONAL_TEXT,
+        "labels": _OneOf(None, [_is_label_text]),
+    },
+    {
+        "kind": "merge",
+        "source": str,
+        "branches": [[str]],
+        "target": str,
+        "probability": _OPTIONAL_TEXT,
+        "labels": _OneOf(None, [[_is_label_text]]),
+    },
+)
+_JUDGMENT = {
+    "source": str,
+    "target": str,
+    "probability": str,
+    "witness": _WITNESS,
+}
+_CERTIFICATE = {
+    "schema": 1,
+    "program": str,
+    "mode": _OneOf("enumerate", "frequency"),
+    "seedless": True,
+    "epsilon": str,
+    "verdict": str,
+    "totality": str,
+    "distribution": [(str, str)],
+    "witnesses": [_JUDGMENT],
+    "threshold_checks": [
+        {
+            "outcome": str,
+            "target": str,
+            "derived": str,
+            "deviation": str,
+            "passed": bool,
+        }
+    ],
+}
+
+
+def _departure(value: object, shape: object) -> list[str] | None:
+    """Where value first departs from shape, as the steps into value that
+    lead there, innermost first; None when value has the shape."""
+    if isinstance(shape, _OneOf):
+        fits = any(_departure(value, s) is None for s in shape.shapes)
+        return None if fits else []
+    if isinstance(shape, type):
+        return None if isinstance(value, shape) else []
+    if isinstance(shape, (list, tuple)):
+        if not isinstance(value, list) or (
+            isinstance(shape, tuple) and len(value) != len(shape)
+        ):
+            return []
+        for i, v in enumerate(value):
+            bad = _departure(v, shape[i if isinstance(shape, tuple) else 0])
+            if bad is not None:
+                return [*bad, f"[{i}]"]
+        return None
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            return []
+        for key, s in shape.items():
+            bad = _departure(value.get(key), s)
+            if bad is not None:
+                return [*bad, f".{key}"]
+        return None
+    if callable(shape):
+        return None if shape(value) else []
+    return None if type(value) is type(shape) and value == shape else []
+
+
+def _require_shape(value: object, shape: object, name: str) -> None:
+    bad = _departure(value, shape)
+    if bad is not None:
+        raise TrustError(
+            "CertificateMismatch", f"malformed {name}{''.join(reversed(bad))}"
+        )
+
+
 def _witness_to_json(witness: Term, shown: dict[Term, str]) -> dict:
     match witness:
-        case TraceTerm(steps, prob):
-            return {
+        case TraceTerm(steps, prob, labels):
+            out = {
                 "kind": "steps",
                 "terms": [_show(s, shown) for s in steps],
                 "probability": None if prob is None else str(prob),
             }
-        case MergeTerm(source, branches, target, prob):
-            return {
+            if labels is not None:
+                out["labels"] = [_label_to_text(x) for x in labels]
+            return out
+        case MergeTerm(source, branches, target, prob, labels):
+            out = {
                 "kind": "merge",
                 "source": _show(source, shown),
                 "branches": [[_show(s, shown) for s in br] for br in branches],
                 "target": _show(target, shown),
                 "probability": None if prob is None else str(prob),
             }
+            if labels is not None:
+                out["labels"] = [
+                    [_label_to_text(x) for x in br] for br in labels
+                ]
+            return out
     raise TrustError(
         "CertificateMismatch",
         f"{type(witness).__name__} cannot appear in a certificate",
     )
 
 
+def _labels_from_json(texts: list[str], steps: int) -> tuple[StepLabel, ...]:
+    """The labels of a path of the given number of steps, one per step."""
+    _require(
+        len(texts) == steps, "step labels do not match the steps of a witness"
+    )
+    return tuple(_label_from_text(x) for x in texts)
+
+
 def _witness_from_json(obj: dict, parsed: dict[str, Term]) -> Term:
+    """A witness read from JSON of the shape _WITNESS."""
     prob_text = obj.get("probability")
     prob = None if prob_text is None else surface.parse_rational_text(prob_text)
-    kind = obj.get("kind")
-    if kind == "steps":
-        steps = tuple(_parse(s, parsed) for s in obj["terms"])
-        return TraceTerm(steps, prob)
-    if kind == "merge":
-        return MergeTerm(
-            _parse(obj["source"], parsed),
-            tuple(
-                tuple(_parse(s, parsed) for s in br) for br in obj["branches"]
-            ),
-            _parse(obj["target"], parsed),
-            prob,
+    labels = obj.get("labels")
+    if obj["kind"] == "steps":
+        terms = obj["terms"]
+        if labels is not None:
+            labels = _labels_from_json(labels, len(terms) - 1)
+        return TraceTerm(tuple(_parse(s, parsed) for s in terms), prob, labels)
+    branches = obj["branches"]
+    if labels is not None:
+        _require(
+            len(labels) == len(branches),
+            "step labels do not match the branches of a merge",
         )
-    raise TrustError("CertificateMismatch", f"unknown witness kind {kind!r}")
+        # a branch lists the terms between source and target
+        labels = tuple(
+            _labels_from_json(ls, len(br) + 1)
+            for ls, br in zip(labels, branches)
+        )
+    return MergeTerm(
+        _parse(obj["source"], parsed),
+        tuple(tuple(_parse(s, parsed) for s in br) for br in branches),
+        _parse(obj["target"], parsed),
+        prob,
+        labels,
+    )
 
 
 def judgment_to_json(
@@ -271,8 +418,12 @@ def judgment_from_json(
 ) -> MapstoJudgment:
     """A judgment read from certificate JSON; judgments read through one
     parsed dict parse each distinct text once."""
-    if parsed is None:
-        parsed = {}
+    _require_shape(obj, _JUDGMENT, "judgment")
+    return _judgment_from_json(obj, {} if parsed is None else parsed)
+
+
+def _judgment_from_json(obj: dict, parsed: dict[str, Term]) -> MapstoJudgment:
+    """A judgment read from JSON of the shape _JUDGMENT."""
     return MapstoJudgment(
         _parse(obj["source"], parsed),
         _parse(obj["target"], parsed),
@@ -333,15 +484,16 @@ def replay_certificate(
 
     Witnesses share prefixes, so the replay parses each distinct text
     once and checks each distinct step once; every witness is still
-    checked against its own claim.
+    checked against its own claim.  A labelled witness is checked along
+    its labels; one without labels is searched, spending fuel.  A
+    certificate of the wrong JSON shape is rejected before it is read,
+    and a witness that fails its check is named in the error.
     """
-    _require(cert.get("schema") == 1, f"schema {cert.get('schema')!r}")
+    _require_shape(cert, _CERTIFICATE, "certificate")
     parsed: dict[str, Term] = {}
     t = _parse(cert["program"], parsed)
     epsilon = surface.parse_rational_text(cert["epsilon"])
-    mode = cert.get("mode")
-    _require(mode in ("enumerate", "frequency"), f"mode {mode!r}")
-    _require(cert.get("seedless") is True, "certificate is not seedless")
+    mode = cert["mode"]
 
     claimed = Distribution()
     for term_text, prob_text in cert["distribution"]:
@@ -349,11 +501,18 @@ def replay_certificate(
             _parse(term_text, parsed), surface.parse_rational_text(prob_text)
         )
 
-    judgments = [judgment_from_json(obj, parsed) for obj in cert["witnesses"]]
-    table = _StepTable(env, registry)
+    judgments = [_judgment_from_json(obj, parsed) for obj in cert["witnesses"]]
+    table = _StepTable(env, registry, fuel)
     by_target: dict[str, Fraction] = {}
-    for judgment in judgments:
-        check_trace(env, judgment.witness, judgment, registry, table)
+    for index, judgment in enumerate(judgments):
+        try:
+            check_trace(env, judgment.witness, judgment, registry, table)
+        except OlamError as err:
+            raise type(err)(
+                err.code,
+                f"witness {index} (outcome {judgment.target}): {err.message}",
+                err.span,
+            ) from err
         key = term_key(judgment.target)
         by_target[key] = by_target.get(key, Fraction(0)) + judgment.prob
     _require(
@@ -410,12 +569,12 @@ def replay_certificate(
             recomputed.passed == row["passed"], f"check for {outcome} differs"
         )
     _require(
-        report.verdict == cert.get("verdict"),
+        report.verdict == cert["verdict"],
         f"recomputed verdict {report.verdict}, "
-        f"certificate says {cert.get('verdict')!r}",
+        f"certificate says {cert['verdict']!r}",
     )
     _require(
-        str(report.total) == cert.get("totality"),
+        str(report.total) == cert["totality"],
         "recomputed totality differs",
     )
     return report

@@ -347,6 +347,22 @@ def test_missing_program_file_is_io_error(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_non_utf8_input_is_usage_error(project, capsys, tmp_path):
+    prog, orc = project("choose[1/3]{a}{b}!")
+    bad = tmp_path / "bad.olam"
+    bad.write_bytes(b"\xff\xfe main = a\n")
+    for argv in (
+        ["check", str(bad), "--oracles", orc],
+        ["dist", prog, "--oracles", str(bad)],
+        ["trust", prog, "--oracles", orc, "--target", str(bad), "--epsilon", "1/100"],
+    ):
+        code, out, err = run(argv, capsys)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error:") and "not UTF-8" in err
+        assert err.count("\n") == 1
+
+
 def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as e:
         main(["frobnicate", "x.olam"])

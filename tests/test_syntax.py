@@ -98,6 +98,29 @@ def test_alpha_eq_renames_binders():
     assert not alpha_eq(s, Lam("y", A, Var("x")))
 
 
+def test_alpha_eq_of_one_object_makes_no_walk(monkeypatch):
+    t = Lam("x", A, Pair(Var("x"), Force(Choice(Var("a"), Fraction(1, 2), Var("b")))))
+    copy = Lam("y", A, Pair(Var("y"), Force(Choice(Var("a"), Fraction(1, 2), Var("b")))))
+    calls = []
+    walk = syntax._alpha
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(syntax, "_alpha", counted)
+    assert alpha_eq(t, t)
+    assert calls == []
+    assert alpha_eq(t, copy)
+    assert calls
+    # below a binder one shared object can mean two things: x is bound by
+    # the outer lambda on the left and by the inner one on the right
+    shared = Var("x")
+    assert not alpha_eq(
+        Lam("x", A, Lam("y", A, shared)), Lam("y", A, Lam("x", A, shared))
+    )
+
+
 def test_alpha_eq_distinguishes_probabilities():
     # every field that is not a child is data: changing it breaks equality
     l, r = Var("a"), Var("b")

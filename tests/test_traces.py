@@ -27,7 +27,7 @@ from olam.traces import (
     oracle_frequency,
     produced_sequence,
 )
-from olam.traces import _merge_sums, _step_candidates, _StepTable
+from olam.traces import _achievable, _merge_sums, _step_candidates, _StepTable
 from olam.syntax import (
     App,
     Choice,
@@ -624,6 +624,99 @@ def test_enumerated_evidence_rechecks(seed):
         assert check_trace(env, j.witness, j, registry=reg)
         mass += j.prob
     assert mass == 1
+
+
+def test_enumerate_paths_records_redex_paths():
+    env, reg = signature()
+    t = surface.parse_term(f"<a, {COIN}>")
+    paths = enumerate_paths(env, t, reg)
+    assert [[(q.path, q.label) for q in quads] for _, quads in paths] == [
+        [((1,), "left")],
+        [((1,), "right")],
+    ]
+
+
+def test_labelled_merge_rejects_what_the_pass_cannot_split():
+    env, reg = signature()
+    t = surface.parse_term("choose[1/2]{a}{a}!")
+    left, right = ((), "left"), ((), "right")
+
+    def check(w):
+        return check_trace(
+            env, w, MapstoJudgment(w.source, w.target, w.prob, w), reg
+        )
+
+    def merge(*labels):
+        branches = ((),) * len(labels)
+        return MergeTerm(t, branches, Var("a"), Fraction(1), labels)
+
+    assert check(merge((left,), (right,)))
+    for w, code in (
+        # two branches that never part
+        (merge((left,), (left,)), "NDConditionViolated"),
+        # three branches from one choice
+        (merge((left,), (right,), (left,)), "NDConditionViolated"),
+        # a label list per branch, a label per step
+        (MergeTerm(t, ((), ()), Var("a"), Fraction(1), ((left,),)), "LabelMismatch"),
+        (merge((left,), ()), "LabelMismatch"),
+        # a label naming no redex of its term
+        (merge((left,), (((0,), "right"),)), "LabelMismatch"),
+    ):
+        with pytest.raises(TraceError) as e:
+            check(w)
+        assert e.value.code == code
+    # the two sides of one choice, not of two choices at two paths
+    pair = surface.parse_term("<choose[1/2]{a}{a}!, choose[1/2]{a}{a}!>")
+    aa = surface.parse_term("<a, a>")
+    w = MergeTerm(
+        pair,
+        ((surface.parse_term("<a, choose[1/2]{a}{a}!>"),),
+         (surface.parse_term("<choose[1/2]{a}{a}!, a>"),)),
+        aa, Fraction(1, 2),
+        ((((0,), "left"), ((1,), "left")), (((1,), "right"), ((0,), "left"))),
+    )
+    with pytest.raises(TraceError) as e:
+        check(w)
+    assert e.value.code == "NDConditionViolated"
+    # a branch sharing another's label must share its next term: the left
+    # side of s is x, never z, though z then steps to a as x does
+    s = surface.parse_term("choose[1/3]{choose[1/2]{a}{b}!}{choose[1/2]{b}{a}!}!")
+    x = surface.parse_term("choose[1/2]{a}{b}!")
+    z = surface.parse_term("choose[1/2]{b}{a}!")
+    w = MergeTerm(
+        s, ((x,), (z,)), Var("a"), Fraction(1, 3), ((left, left), (left, right))
+    )
+    with pytest.raises(TraceError) as e:
+        check(w)
+    assert e.value.code == "RuleMismatch"
+    # oracle steps never merge, with or without labels
+    o = surface.parse_term("choose[1/2]{#c!}{#c!}!")
+    forced = (surface.parse_term("#c!"),)
+    oracle = ((), "oracle")
+    w = MergeTerm(
+        o, (forced, forced), Var("a"), Fraction(1),
+        ((left, oracle), (right, oracle)),
+    )
+    with pytest.raises(TraceError) as e:
+        check(w)
+    assert e.value.code == "NDConditionViolated"
+
+
+@given(st.integers(0, 700))
+@settings(max_examples=60, deadline=None)
+def test_labels_give_a_probability_the_search_finds(seed):
+    env, reg = signature()
+    t = gen_closed_term(seed)
+    _, judgments = enumerate_distribution(env, t, registry=reg)
+    for j in judgments:
+        w = j.witness
+        assert w.labels is not None
+        assert _achievable(w, _StepTable(env, reg)) == {j.prob}
+        if isinstance(w, MergeTerm):
+            bare = MergeTerm(w.source, w.branches, w.target, w.prob)
+        else:
+            bare = TraceTerm(w.steps, w.prob)
+        assert j.prob in _achievable(bare, _StepTable(env, reg))
 
 
 @given(st.integers(0, 700))

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from generators import signature
 from olam import surface, traces
-from olam.errors import TraceError, TrustError
+from olam.errors import ReductionError, TraceError, TrustError
 from olam.oracles import OracleRegistry
-from olam.syntax import Var, alpha_eq
-from olam.traces import enumerate_distribution
+from olam.syntax import TraceTerm, Var, alpha_eq
+from olam.traces import MapstoJudgment, check_trace, enumerate_distribution
 from olam.trust import (
     TrustSpec,
     build_certificate,
@@ -333,6 +333,163 @@ def test_collapse_certificates_replay_within_bound():
     assert time.perf_counter() - start < 10
 
 
+def collapse(n):
+    """n nested applications of a fair choice between two equal sides."""
+    src = "a"
+    for _ in range(n):
+        src = f"(\\x:A. choose[1/2]{{x}}{{x}}!) ({src})"
+    return src
+
+
+def strip_labels(cert):
+    """A copy of cert in the paper's form: witnesses without step labels."""
+    bare = copy.deepcopy(cert)
+    for w in bare["witnesses"]:
+        del w["witness"]["labels"]
+    return bare
+
+
+def test_collapse_8_replays_within_two_seconds():
+    env, reg, cert = exact_certificate(collapse(8))
+    assert len(cert["witnesses"][0]["witness"]["labels"]) == 2**8
+    start = time.perf_counter()
+    assert replay_certificate(env, reg, cert).verdict == "trusted"
+    assert time.perf_counter() - start < 2
+
+
+def test_replay_checks_labels():
+    env, reg, coin_cert = exact_certificate(COIN)
+    _, _, merge_cert = exact_certificate(collapse(1))
+    annotated = "(\\y:P ((\\z:A. z) a). b) (u ((\\z:A. z) a))"
+    _, _, annotated_cert = exact_certificate(annotated)
+    assert coin_cert["witnesses"][0]["witness"]["labels"] == ["left"]
+    assert merge_cert["witnesses"][0]["witness"]["labels"] == [
+        ["beta", "left"],
+        ["beta", "right"],
+    ]
+    assert annotated_cert["witnesses"][0]["witness"]["labels"] == ["beta"]
+    for cert, labels, code in (
+        # the flipped side leads elsewhere, or merges two branches on one
+        (coin_cert, ["right"], "RuleMismatch"),
+        (merge_cert, [["beta", "left"], ["beta", "left"]], "NDConditionViolated"),
+        # the choice sits below the force at the root, not at its path
+        (coin_cert, ["left 0"], "LabelMismatch"),
+        # a beta redex of the type annotation is no term redex
+        (annotated_cert, ["beta 0 0 1"], "LabelMismatch"),
+    ):
+        replay_certificate(env, reg, copy.deepcopy(cert))
+        broken = copy.deepcopy(cert)
+        broken["witnesses"][0]["witness"]["labels"] = labels
+        with pytest.raises(TraceError) as e:
+            replay_certificate(env, reg, broken)
+        assert e.value.code == code
+    # firing the annotation's redex reaches the next term, but the label
+    # still points at no redex the reduction rules may fire
+    t = surface.parse_term(annotated)
+    reduced = surface.parse_term("(\\y:P a. b) (u ((\\z:A. z) a))")
+    w = TraceTerm(
+        (t, reduced, Var("b")), Fraction(1), (((0, 0, 1), "beta"), ((), "beta"))
+    )
+    with pytest.raises(TraceError) as e:
+        check_trace(env, w, MapstoJudgment(t, Var("b"), Fraction(1), w), reg)
+    assert e.value.code == "LabelMismatch"
+
+
+def test_unlabelled_certificates_replay_through_the_search(monkeypatch):
+    calls = Counter()
+    count_calls(monkeypatch, calls, traces, "_labelled_step")
+    count_calls(monkeypatch, calls, traces, "_step_candidates")
+    for src in (COIN, f"<{COIN}, {COIN}>", collapse(3)):
+        env, reg, cert = exact_certificate(src)
+        assert replay_certificate(env, reg, strip_labels(cert)).verdict == "trusted"
+    assert calls["_labelled_step"] == 0
+    assert calls["_step_candidates"] > 0
+
+
+def test_unlabelled_merge_search_spends_fuel():
+    env, reg, cert = exact_certificate(collapse(8))
+    with pytest.raises(ReductionError) as e:
+        replay_certificate(env, reg, strip_labels(cert), fuel=200)
+    assert e.value.code == "FuelExhausted"
+    # the search ran out, not the derivation that follows the witnesses
+    assert "witness 0" in str(e.value)
+
+
+def test_malformed_certificates_fail_with_a_code():
+    env, reg, cert = exact_certificate(f"<{COIN}, {COIN}>")
+    _, _, merge_cert = exact_certificate(collapse(1))
+
+    def drop(key):
+        return lambda c: c.pop(key)
+
+    def put(value, *path):
+        def mutate(c):
+            for key in path[:-1]:
+                c = c[key]
+            c[path[-1]] = value
+
+        return mutate
+
+    def witness(i, key, value):
+        return put(value, "witnesses", i, "witness", key)
+
+    mutations = [
+        drop("witnesses"),
+        drop("program"),
+        lambda c: c["witnesses"][0].pop("source"),
+        witness(0, "terms", 5),
+        witness(0, "terms", ["a", 5]),
+        witness(0, "kind", "tree"),
+        witness(0, "probability", 1),
+        put([["a", "1/9", "x"]], "distribution"),
+        put("yes", "threshold_checks", 0, "passed"),
+        put(True, "schema"),
+        # step labels: wrong length, unknown rule, non-integer paths
+        witness(0, "labels", ["left"]),
+        witness(0, "labels", ["left", "left 1", "left"]),
+        witness(0, "labels", ["left 0", "sideways 1"]),
+        witness(0, "labels", ["left 0", "left x"]),
+        witness(0, "labels", ["left 0", "left 1.5"]),
+        witness(0, "labels", ["left 0", "left -1"]),
+        witness(0, "labels", ["left 0", "left  1"]),
+        witness(0, "labels", "left 0"),
+    ]
+    merge_mutations = [
+        witness(0, "labels", [["beta", "left"]]),
+        witness(0, "labels", [["beta", "left"], ["beta"]]),
+        witness(0, "labels", ["beta", "left"]),
+        witness(0, "branches", [["a"], 5]),
+    ]
+    replay_certificate(env, reg, copy.deepcopy(cert))
+    replay_certificate(env, reg, copy.deepcopy(merge_cert))
+    for original, mutate in [(cert, m) for m in mutations] + [
+        (merge_cert, m) for m in merge_mutations
+    ]:
+        broken = copy.deepcopy(original)
+        mutate(broken)
+        with pytest.raises(TrustError) as e:
+            replay_certificate(env, reg, broken)
+        assert e.value.code == "CertificateMismatch"
+    for not_a_certificate in ([], "cert", None):
+        with pytest.raises(TrustError) as e:
+            replay_certificate(env, reg, not_a_certificate)
+        assert e.value.code == "CertificateMismatch"
+    with pytest.raises(TrustError) as e:
+        judgment_from_json({"source": "a"})
+    assert e.value.code == "CertificateMismatch"
+
+
+def test_replay_error_names_the_witness():
+    env, reg, _, cert = trusted_coin_certificate()
+    bare = strip_labels(cert)
+    for broken in (cert, bare):
+        broken["witnesses"][1]["witness"]["terms"][-1] = "a"
+        with pytest.raises(TraceError) as e:
+            replay_certificate(env, reg, broken)
+        assert e.value.code == "BrokenChain"
+        assert str(e.value).startswith("[BrokenChain] witness 1 (outcome b): ")
+
+
 def test_replay_rejects_flipped_verdict():
     env, reg, _, cert = trusted_coin_certificate()
     cert["verdict"] = "untrusted"
@@ -383,7 +540,8 @@ def test_replay_rejects_tampered_witness_steps():
 
 def test_replay_parses_and_checks_each_distinct_step_once(monkeypatch):
     """The eight traces of a three-coin tuple share their prefixes: replay
-    parses each distinct text once and reads each distinct step once."""
+    parses each distinct text once and checks each distinct labelled step
+    once."""
     env, reg, cert = exact_certificate(f"<{COIN}, <{COIN}, {COIN}>>")
     witnesses = cert["witnesses"]
     assert len(witnesses) == 8
@@ -394,12 +552,13 @@ def test_replay_parses_and_checks_each_distinct_step_once(monkeypatch):
     for w in witnesses:
         terms = w["witness"]["terms"]
         texts.update((w["source"], w["target"], *terms))
-        steps.update(zip(terms, terms[1:]))
+        steps.update(zip(terms, terms[1:], w["witness"]["labels"]))
     calls = Counter()
     count_calls(monkeypatch, calls, surface, "parse_term")
+    count_calls(monkeypatch, calls, traces, "_labelled_step")
     count_calls(monkeypatch, calls, traces, "_step_candidates")
     assert replay_certificate(env, reg, cert).verdict == "trusted"
-    assert calls == {"parse_term": len(texts), "_step_candidates": len(steps)}
+    assert calls == {"parse_term": len(texts), "_labelled_step": len(steps)}
 
 
 def test_replay_rejects_tampered_threshold_row():
