@@ -28,10 +28,10 @@ class Fuel:
     def __init__(self, steps: int = DEFAULT_FUEL):
         self.left = steps
 
-    def spend(self) -> None:
-        if self.left <= 0:
+    def spend(self, units: int = 1) -> None:
+        if self.left < units:
             raise ReductionError("FuelExhausted", "step budget exhausted")
-        self.left -= 1
+        self.left -= units
 
 
 class Node:

@@ -17,7 +17,7 @@ from itertools import product
 from typing import Sequence
 
 from .checker import Environment, infer_type
-from .errors import TraceError
+from .errors import OlamError, TraceError
 from .oracles import OracleRegistry
 from .printer import term_key
 from .reducer import (
@@ -151,8 +151,8 @@ def not_equiv_nd(
     to opposite branches.
 
     Requires oracle-free paths with the same start; the first differing
-    steps must share a before-term and take the two sides of one choice,
-    with complementary probabilities.
+    steps must share a before-term and take the two sides of the choice at
+    one redex path, with complementary probabilities.
     """
     if any(q.label == "oracle" for q in (*path1, *path2)):
         return False
@@ -161,84 +161,77 @@ def not_equiv_nd(
     if not alpha_eq(path1[0].before, path2[0].before):
         return False
     for q1, q2 in zip(path1, path2):
-        if (
-            alpha_eq(q1.before, q2.before)
-            and alpha_eq(q1.after, q2.after)
-            and q1.prob == q2.prob
-            and q1.label == q2.label
+        r1, r2 = (q1.prob, (q1.path, q1.label)), (q2.prob, (q2.path, q2.label))
+        if r1 == r2 and alpha_eq(q1.before, q2.before) and alpha_eq(
+            q1.after, q2.after
         ):
             continue
-        r1, r2 = (q1.prob, q1.label), (q2.prob, q2.label)
         return alpha_eq(q1.before, q2.before) and (
             _sides_of_one_choice(r1, r2) or _sides_of_one_choice(r2, r1)
         )
     return False
 
 
-def _sides_of_one_choice(
-    left: tuple[Rational, str], right: tuple[Rational, str]
-) -> bool:
-    """Whether two (probability, label) readings take the left and the
-    right side of one choice, with complementary probabilities."""
-    return left[1] == "left" and right[1] == "right" and left[0] + right[0] == 1
+# A reading of one step: its probability, and the redex path and rule
+# that take the step.
+_Reading = tuple[Fraction, StepLabel]
 
 
-# ------------------------------------------------------- step candidates
+def _sides_of_one_choice(left: _Reading, right: _Reading) -> bool:
+    """Whether two readings take the left and the right side of the choice
+    at one redex path, with complementary probabilities."""
+    (p, (path1, rule1)), (q, (path2, rule2)) = left, right
+    return (
+        rule1 == "left" and rule2 == "right" and path1 == path2 and p + q == 1
+    )
 
 
-def _step_candidates(
-    u: Term, v: Term, registry: OracleRegistry | None
-) -> list[tuple[Fraction, str]]:
-    """All (probability, label) readings of u stepping to v in one move."""
-    found: list[tuple[Fraction, str]] = []
-    for redex in find_redexes(u):
+# ------------------------------------------------------------ step readings
+
+
+def _readings(
+    u: Term, v: Term, label: StepLabel | None, registry: OracleRegistry | None
+) -> list[_Reading]:
+    """Every reading of u stepping to v in one move, or with a label the
+    labelled one alone.
+
+    A label is checked, not trusted: its redex must be one of u's, and
+    firing that redex alone must take the labelled side to v.
+    """
+    redexes = find_redexes(u)
+    if label is not None:
+        path, rule = label
+        redexes = [
+            r for r in redexes if r.path == path and r.kind == RULE_KIND.get(rule)
+        ]
+        if not redexes:
+            raise TraceError(
+                "LabelMismatch",
+                f"no {rule} redex at position {list(path)} of {u}",
+            )
+    found: list[_Reading] = []
+    for redex in redexes:
         if redex.kind == "oracle" and registry is None:
-            continue
-        for outcome in step(u, redex, registry):
-            if outcome.prob == 0:
+            if label is None:
                 continue
-            entry = (Fraction(outcome.prob), outcome.label)
-            if entry not in found and alpha_eq(outcome.term, v):
-                found.append(entry)
+            raise TraceError(
+                "MissingRegistry",
+                f"cannot replay oracle {redex.oracle} without a registry",
+            )
+        for outcome in step(u, redex, registry):
+            reading = (Fraction(outcome.prob), (redex.path, outcome.label))
+            if (
+                outcome.prob != 0
+                and label in (None, reading[1])
+                and reading not in found
+                and alpha_eq(outcome.term, v)
+            ):
+                found.append(reading)
     if found:
         return found
     _diagnose_failed_step(u, v, registry)
-    raise TraceError(
-        "RuleMismatch", f"no rule steps {u} to {v}"
-    )
-
-
-def _labelled_step(
-    u: Term, v: Term, label: StepLabel, registry: OracleRegistry | None
-) -> Fraction:
-    """The probability of u stepping to v by the labelled redex and rule.
-
-    The label is checked, not trusted: its redex must be one of u's, and
-    firing that redex alone must take the labelled side to v.
-    """
-    path, rule = label
-    kind = RULE_KIND.get(rule)
-    redex = next(
-        (r for r in find_redexes(u) if r.path == path and r.kind == kind),
-        None,
-    )
-    if redex is None:
-        raise TraceError(
-            "LabelMismatch", f"no {rule} redex at position {list(path)} of {u}"
-        )
-    if kind == "oracle" and registry is None:
-        raise TraceError(
-            "MissingRegistry",
-            f"cannot replay oracle {redex.oracle} without a registry",
-        )
-    for outcome in step(u, redex, registry):
-        if (
-            outcome.label == rule
-            and outcome.prob != 0
-            and alpha_eq(outcome.term, v)
-        ):
-            return Fraction(outcome.prob)
-    _diagnose_failed_step(u, v, registry)
+    if label is None:
+        raise TraceError("RuleMismatch", f"no rule steps {u} to {v}")
     raise TraceError(
         "RuleMismatch",
         f"the {rule} step at position {list(path)} does not take {u} to {v}",
@@ -277,19 +270,19 @@ def _diagnose_failed_step(
 
 class _StepTable:
     """What one run of checks has already established, keyed by the terms
-    it was computed for: the readings of a step, the probability of a
-    labelled step, the oracle rewrite of a term, and the type of a term.
+    it was computed for: the readings of a step, the oracle rewrite of a
+    term, and the type of a term.
 
-    Bound to one environment and registry, and to the fuel that searches
-    over unlabelled merges spend.  Node dataclasses are frozen, so
-    structurally equal terms share an entry.  Only successes are kept: a
-    check that fails raises again each time it is asked.
+    Bound to one environment and registry, and to the fuel that the search
+    over readings spends.  Steps are keyed by the identity of their terms,
+    which evidence shares along common prefixes; an entry holds its terms,
+    so their ids stay unique while it lives.  Rewrites and types are keyed
+    by structure: node dataclasses are frozen, so equal terms share an
+    entry.  Only successes are kept: a check that fails raises again each
+    time it is asked.
     """
 
-    __slots__ = (
-        "env", "registry", "fuel", "_readings", "_labelled", "_rewrites",
-        "_types",
-    )
+    __slots__ = ("env", "registry", "fuel", "_steps", "_rewrites", "_types")
 
     def __init__(
         self,
@@ -300,29 +293,24 @@ class _StepTable:
         self.env = env
         self.registry = registry
         self.fuel = fuel if isinstance(fuel, Fuel) else Fuel(fuel)
-        self._readings: dict[
-            tuple[Term, Term], list[tuple[Fraction, str]]
+        self._steps: dict[
+            tuple[int, int, StepLabel | None],
+            tuple[Term, Term, list[_Reading]],
         ] = {}
-        self._labelled: dict[tuple[Term, Term, StepLabel], Fraction] = {}
         self._rewrites: dict[tuple[str, Term], Term] = {}
         self._types: dict[Term, TypeCon] = {}
 
-    def readings(self, u: Term, v: Term) -> list[tuple[Fraction, str]]:
-        """All (probability, label) readings of u stepping to v."""
-        found = self._readings.get((u, v))
+    def readings(
+        self, u: Term, v: Term, label: StepLabel | None
+    ) -> list[_Reading]:
+        """The readings of u stepping to v, along the label if one is given."""
+        key = (id(u), id(v), label)
+        found = self._steps.get(key)
         if found is None:
-            found = _step_candidates(u, v, self.registry)
-            self._readings[(u, v)] = found
-        return found
-
-    def labelled(self, u: Term, v: Term, label: StepLabel) -> Fraction:
-        """The probability of u stepping to v by the labelled step."""
-        key = (u, v, label)
-        found = self._labelled.get(key)
-        if found is None:
-            found = _labelled_step(u, v, label, self.registry)
-            self._labelled[key] = found
-        return found
+            found = self._steps[key] = (
+                u, v, _readings(u, v, label, self.registry)
+            )
+        return found[2]
 
     def rewrite(self, name: str, t: Term) -> Term:
         """t after the registry's simultaneous rewrite of oracle name."""
@@ -340,184 +328,144 @@ class _StepTable:
         return found
 
 
-def _chain_probs(seq: Sequence[Term], table: _StepTable) -> set[Fraction]:
-    """Achievable probabilities of the step chain through seq."""
-    probs = {Fraction(1)}
-    for u, v in zip(seq, seq[1:]):
-        step_probs = {p for p, _ in table.readings(u, v)}
-        probs = {acc * p for acc in probs for p in step_probs}
-    return probs
+# ------------------------------------------------------------------ search
+
+# Live branches: (class, count) pairs, classes in increasing order.
+_Live = tuple[tuple[int, int], ...]
 
 
-def _labelled_sum(
-    sequences: list[tuple[Term, ...]],
-    labels: Sequence[Sequence[StepLabel]],
+def _sums(
+    sequences: Sequence[tuple[Term, ...]],
+    labels: Sequence[Sequence[StepLabel]] | None,
     table: _StepTable,
-) -> Fraction:
-    """The probability of labelled evidence, one term sequence for a trace
-    and one per branch for a merge, in one pass over their trie.
+) -> set[Fraction]:
+    """Every probability a trace (one term sequence) or a merge (one per
+    branch) supports, over the readings of its steps or along its labels.
 
-    The live branches at a trie node stand on one term.  Either they all
-    take one labelled step, or they split into exactly two groups that take
-    the two sides of the choice at one path; a leaf holds one branch.  A
-    merge of several branches takes no oracle step.  The probability is
-    the sum over leaves of the product of the steps above them.
+    Readings under which every two branches diverge form a binary tree: at
+    each step the live branches either all take one reading, or split
+    into two nonempty sides that take the left and the right of the
+    choice at one path; a leaf holds one branch.  A merge of several
+    branches takes no oracle step.  Branches with alpha-equal terms and
+    equal labels are interchangeable, so the search counts the live
+    branches of each such class instead of naming them: a class with
+    only one of the two sides' readings goes to that side, one with both
+    may divide its count.  A labelled step has one reading, so labelled
+    evidence has one way through.  The search spends one unit of the
+    table's fuel per state, per split and per product or sum it forms,
+    loops along the steps where no split is possible and recurses only
+    at splits.
     """
-    if len(labels) != len(sequences) or any(
+    if labels is None:
+        labels = [None] * len(sequences)
+    elif len(labels) != len(sequences) or any(
         len(ls) != len(s) - 1 for ls, s in zip(labels, sequences)
     ):
         raise TraceError(
             "LabelMismatch", "labels do not match the steps of the evidence"
         )
-    if len(sequences) > 1 and any(
-        rule == "oracle" for branch in labels for _, rule in branch
-    ):
-        raise TraceError(
-            "NDConditionViolated", "merged paths take an oracle step"
-        )
-    total = Fraction(0)
-    stack = [(tuple(range(len(sequences))), 0, Fraction(1))]
-    while stack:
-        live, depth, prob = stack.pop()
-        if len(live) == 1:
-            seq, branch = sequences[live[0]], labels[live[0]]
-            for i in range(depth, len(seq) - 1):
-                prob *= table.labelled(seq[i], seq[i + 1], branch[i])
-            total += prob
-            continue
-        groups: dict[StepLabel, list[int]] = {}
-        for b in live:
-            if depth + 1 == len(sequences[b]):
-                raise TraceError(
-                    "NDConditionViolated",
-                    "merged paths reach the target before they diverge",
-                )
-            groups.setdefault(labels[b][depth], []).append(b)
-        readings = []
-        for label, members in groups.items():
-            u, v = sequences[members[0]][depth : depth + 2]
-            p = table.labelled(u, v, label)
-            for b in members[1:]:
-                # one redex takes one term to one term, so a branch that
-                # differs here fails its own step check
-                w = sequences[b][depth + 1]
-                if not alpha_eq(w, v):
-                    table.labelled(u, w, label)
-            readings.append((p, label))
-            stack.append((tuple(members), depth + 1, prob * p))
-        if len(readings) == 1:
-            continue
-        if len(readings) == 2:
-            (p, (path1, rule1)), (q, (path2, rule2)) = readings
-            r1, r2 = (p, rule1), (q, rule2)
-            if path1 == path2 and (
-                _sides_of_one_choice(r1, r2) or _sides_of_one_choice(r2, r1)
-            ):
-                continue
-        raise TraceError(
-            "NDConditionViolated",
-            "merged paths do not split at the two sides of one choice",
-        )
-    return total
-
-
-def _merge_sums(
-    sequences: list[tuple[Term, ...]], table: _StepTable
-) -> set[Fraction]:
-    """Achievable total probabilities of a merge: over every assignment of
-    labeled readings to branches under which all branch pairs resolve a
-    common divergence point oppositely.  Each search state spends one unit
-    of the table's fuel.
-
-    Readings that satisfy the pairwise condition necessarily organize
-    into a binary tree: at each step the live branches either all carry
-    the same labeled step, or split into a left and a right side, each
-    on one next term, that take the two sides of one choice; every leaf
-    holds exactly one branch.  Branches with alpha-equal term sequences
-    are interchangeable, so the search counts the live branches of each
-    such class instead of naming them, and a merge of k identical
-    branches is searched in time polynomial in k.
-    """
-    classes: dict[tuple[str, ...], list[tuple[Term, ...]]] = {}
-    for seq in sequences:
-        classes.setdefault(tuple(term_key(t) for t in seq), []).append(seq)
-    keys = list(classes)
+    # classes of branches with equal labels and alpha-equal terms; the
+    # branches of replayed or enumerated evidence share their term objects
+    by_labels: dict[object, list[list[int]]] = {}
+    for b, (seq, ls) in enumerate(zip(sequences, labels)):
+        group = by_labels.setdefault(ls, [])
+        for members in group:
+            first = sequences[members[0]]
+            if len(first) == len(seq) and all(map(alpha_eq, first, seq)):
+                members.append(b)
+                break
+        else:
+            group.append([b])
+    classes = [members for group in by_labels.values() for members in group]
     allow_oracle = len(sequences) == 1
-    # live branches agree on every term up to the next one, so the
-    # readings of any one of them are the readings of all of them
-    readings = [
-        [
-            {c for c in table.readings(u, v)
-             if allow_oracle or c[1] != "oracle"}
-            for u, v in zip(seq, seq[1:])
-        ]
-        for seq, *_ in classes.values()
-    ]
-    memo: dict[tuple[tuple[int, ...], int], frozenset[Fraction]] = {}
+    readings: list[list[list[_Reading]]] = []
+    for b, *_ in classes:
+        seq, ls = sequences[b], labels[b]
+        rows = []
+        for i in range(len(seq) - 1):
+            try:
+                row = table.readings(
+                    seq[i], seq[i + 1], None if ls is None else ls[i]
+                )
+            except OlamError as err:
+                place = "" if allow_oracle else f"branch {b}, "
+                raise type(err)(
+                    err.code, f"{place}step {i}: {err.message}", err.span
+                ) from err
+            if not allow_oracle:
+                row = [r for r in row if r[1][1] != "oracle"]
+            rows.append(row)
+        readings.append(rows)
+    fuel = table.fuel
+    memo: dict[tuple[_Live, int], set[Fraction]] = {}
 
-    def solve(live: tuple[int, ...], depth: int) -> frozenset[Fraction]:
-        """Sums of per-branch products over steps from depth on, over
-        every completion in which the live branches pairwise diverge;
-        live[c] counts the live branches of class c."""
-        cached = memo.get((live, depth))
-        if cached is not None:
-            return cached
-        table.fuel.spend()
-        members = [c for c, n in enumerate(live) if n]
-        out: set[Fraction] = set()
-        if sum(live) == 1:
-            out.add(Fraction(1))
-            for step_readings in readings[members[0]][depth:]:
-                out = {a * p for a in out for p, _ in step_readings}
-        # two branches whose readings never diverge are indistinguishable,
-        # so live branches must still have steps ahead
-        elif all(depth < len(readings[c]) for c in members):
-            sides: dict[str, list[int]] = {}
-            for c in members:
-                sides.setdefault(keys[c][depth + 1], []).append(c)
-            if len(sides) == 1:
-                for p in {p for p, _ in readings[members[0]][depth]}:
-                    out.update(p * s for s in solve(live, depth + 1))
-            for left, right in _splits(live, list(sides.values())):
-                lc = next(c for c in members if left[c])
-                rc = next(c for c in members if right[c])
-                for r in readings[lc][depth]:
-                    for s in readings[rc][depth]:
-                        if not _sides_of_one_choice(r, s):
-                            continue
-                        for a in solve(left, depth + 1):
-                            out.update(
-                                r[0] * a + s[0] * b
-                                for b in solve(right, depth + 1)
-                            )
-        memo[(live, depth)] = frozenset(out)
-        return memo[(live, depth)]
+    def solve(live: _Live, depth: int) -> set[Fraction]:
+        """Sums over the steps from depth on of the live branches' products,
+        over every reading under which they pairwise diverge."""
+        levels = []
+        out = memo.get((live, depth))
+        while out is None:
+            fuel.spend()
+            if len(live) == 1 and live[0][1] == 1:
+                out = {Fraction(1)}
+                for row in readings[live[0][0]][depth:]:
+                    fuel.spend(len(out) * len(row))
+                    out = {a * p for a in out for p, _ in row}
+                memo[(live, depth)] = out
+                break
+            if any(depth == len(readings[c]) for c, _ in live):
+                # branches that reach the target together never diverge
+                out = set()
+                break
+            rows = [readings[c][depth] for c, _ in live]
+            union: list[_Reading] = []
+            for row in rows:
+                union.extend(r for r in row if r not in union)
+            sums: set[Fraction] = set()
+            for r, s in product(union, union):
+                if not _sides_of_one_choice(r, s):
+                    continue
+                for left, right in _splits(live, rows, r, s):
+                    lo, ro = solve(left, depth + 1), solve(right, depth + 1)
+                    # one unit for the split, one for each sum it forms
+                    fuel.spend(1 + len(lo) * len(ro))
+                    sums |= {r[0] * a + s[0] * b for a in lo for b in ro}
+            shared = {r[0] for r in union if all(r in row for row in rows)}
+            levels.append((depth, shared, sums))
+            depth += 1
+            out = memo.get((live, depth)) if shared else set()
+        for d, shared, sums in reversed(levels):
+            fuel.spend(len(shared) * len(out))
+            out = {p * a for p in shared for a in out} | sums
+            memo[(live, d)] = out
+        return out
 
-    sums = set(solve(tuple(len(c) for c in classes.values()), 0))
-    if not sums:
+    found = solve(tuple(enumerate(map(len, classes))), 0)
+    if not found:
         raise TraceError(
             "NDConditionViolated",
-            "no labeling makes the merged paths pairwise distinguishable",
+            "no reading makes the merged paths pairwise distinguishable",
         )
-    return sums
+    return found
 
 
 def _splits(
-    live: tuple[int, ...], sides: list[list[int]]
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every split of the live counts into a nonzero left and right part,
-    each on one next term; sides groups the live classes by next term."""
-    if len(sides) == 1:
-        for left in product(*(range(n + 1) for n in live)):
-            if any(left) and left != live:
-                yield left, tuple(n - m for n, m in zip(live, left))
-    elif len(sides) == 2:
-        a, b = (
-            tuple(n if c in side else 0 for c, n in enumerate(live))
-            for side in sides
-        )
-        yield a, b
-        yield b, a
+    live: _Live, rows: list[list[_Reading]], left: _Reading, right: _Reading
+) -> Iterator[tuple[_Live, _Live]]:
+    """Every division of the live branches into two nonempty sides taking
+    the readings left and right; rows holds each live class's readings."""
+    ways = []
+    for (c, n), row in zip(live, rows):
+        to_left, to_right = left in row, right in row
+        if not (to_left or to_right):
+            return
+        # how many of the class go left: all, none, or any number
+        ways.append(range(0 if to_right else n, (n if to_left else 0) + 1))
+    for ks in product(*ways):
+        lefts = tuple((c, k) for (c, _), k in zip(live, ks) if k)
+        rights = tuple((c, n - k) for (c, n), k in zip(live, ks) if k < n)
+        if lefts and rights:
+            yield lefts, rights
 
 
 # ------------------------------------------------------ judgment checking
@@ -603,20 +551,17 @@ def _endpoints(witness: Term) -> tuple[Term, Term, Rational | None]:
 
 def _achievable(witness: Term, table: _StepTable) -> set[Fraction]:
     """Every probability a trace or merge supports: the one its labels
-    give, or else every one over the labeled readings of its steps."""
+    give, or else every one over the readings of its steps."""
     if isinstance(witness, TraceTerm):
-        if witness.labels is None:
-            return _chain_probs(witness.steps, table)
-        return {_labelled_sum([witness.steps], [witness.labels], table)}
+        labels = None if witness.labels is None else [witness.labels]
+        return _sums([witness.steps], labels, table)
     assert isinstance(witness, MergeTerm)
     if not witness.branches:
         raise TraceError("IncompleteWitnesses", "merge carries no paths")
     sequences = [
         (witness.source, *b, witness.target) for b in witness.branches
     ]
-    if witness.labels is None:
-        return _merge_sums(sequences, table)
-    return {_labelled_sum(sequences, witness.labels, table)}
+    return _sums(sequences, witness.labels, table)
 
 
 def _check_evidence(
@@ -683,15 +628,15 @@ def check_trace(
     """Recheck a claimed judgment against its evidence.
 
     Every consecutive pair of a trace must be one reduction step; a merge
-    additionally needs a labeling of its branches under which every pair
-    resolves its first divergence point to opposite sides of one choice.
-    The claimed probability must be achievable, and for a frequency table
-    it must equal the target's share of the rewritten tuple.  Labelled
-    evidence is checked step by step and a labelled merge in one pass;
-    evidence without labels is searched, spending the table's fuel
-    (DEFAULT_FUEL in a fresh table).  Checks of several witnesses may
-    share one table made for the same env and registry, so a step they
-    have in common is checked once.
+    additionally needs a reading of its branches under which every pair
+    resolves its first divergence point to opposite sides of the choice at
+    one redex path.  The claimed probability must be achievable, and for a
+    frequency table it must equal the target's share of the rewritten
+    tuple.  Labelled and unlabelled evidence go through one search, which
+    spends the table's fuel (DEFAULT_FUEL in a fresh table); a labelled
+    step has one reading, so labelled evidence has one way through.
+    Checks of several witnesses may share one table made for the same env
+    and registry, so a step they have in common is checked once.
     """
     if table is None:
         table = _StepTable(env, registry)

@@ -3,6 +3,7 @@ frequency tables, and exact enumeration with witnesses."""
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from generators import gen_closed_term, signature
 from olam import surface
 from olam.checker import type_of_trace_term
 from olam.errors import CheckError, TraceError
-from olam.reducer import deterministic_strategy, run_sample, step
+from olam.reducer import find_redexes, run_sample, step
 from olam.traces import (
     Distribution,
     MapstoJudgment,
@@ -27,7 +28,7 @@ from olam.traces import (
     oracle_frequency,
     produced_sequence,
 )
-from olam.traces import _achievable, _merge_sums, _step_candidates, _StepTable
+from olam.traces import _achievable, _readings, _StepTable, _sums
 from olam.syntax import (
     App,
     Choice,
@@ -36,6 +37,7 @@ from olam.syntax import (
     MergeTerm,
     OracleCall,
     OracleRef,
+    Pair,
     TraceTerm,
     TypeName,
     Var,
@@ -522,17 +524,18 @@ def test_oracle_frequency_argument_typechecked():
 
 
 def brute_force_merge_sums(sequences, registry):
-    """Independent reference: cross every labeled reading per branch and
-    keep assignments whose paths pairwise diverge oppositely."""
+    """Independent reference: cross every reading per branch, each step
+    with its redex path, and keep assignments whose paths pairwise
+    diverge oppositely."""
 
     def branch_readings(seq):
         pairs = list(zip(seq, seq[1:]))
-        candidate_sets = [_step_candidates(u, v, registry) for u, v in pairs]
+        candidate_sets = [_readings(u, v, None, registry) for u, v in pairs]
         readings = []
         for combo in itertools.product(*candidate_sets):
             quads = tuple(
-                TraceQuadruple(u, v, p, label)
-                for (u, v), (p, label) in zip(pairs, combo)
+                TraceQuadruple(u, v, p, rule, path)
+                for (u, v), (p, (path, rule)) in zip(pairs, combo)
             )
             if quads not in readings:
                 readings.append(quads)
@@ -566,6 +569,12 @@ def random_choice_term(rng, depth):
     if depth == 0:
         return Var(rng.choice("ab"))
     r = rng.random()
+    if r < 0.15:
+        # two choices side by side can split at different paths
+        return Pair(
+            random_choice_term(rng, depth - 1),
+            random_choice_term(rng, depth - 1),
+        )
     if r < 0.65:
         return Force(
             Choice(
@@ -582,13 +591,15 @@ def random_choice_term(rng, depth):
 
 
 def random_walk(rng, t, registry):
+    """A reduction path of t that fires a random redex at each step, so
+    two walks may take the choices of a pair in either order."""
     seq = [t]
-    while True:
-        redex = deterministic_strategy(seq[-1])
-        if redex is None:
-            return tuple(seq)
-        outs = [o for o in step(seq[-1], redex, registry) if o.prob > 0]
+    while redexes := find_redexes(seq[-1]):
+        outs = [
+            o for o in step(seq[-1], rng.choice(redexes), registry) if o.prob > 0
+        ]
         seq.append(rng.choice(outs).term)
+    return tuple(seq)
 
 
 @given(st.integers(0, 600))
@@ -605,7 +616,7 @@ def test_merge_search_matches_brute_force(trial):
     except TraceError as e:
         expected = ("err", e.code)
     try:
-        got = ("ok", _merge_sums(sequences, _StepTable(env, reg)))
+        got = ("ok", _sums(sequences, None, _StepTable(env, reg)))
     except TraceError as e:
         got = ("err", e.code)
     assert got == expected
@@ -700,6 +711,85 @@ def test_labelled_merge_rejects_what_the_pass_cannot_split():
     with pytest.raises(TraceError) as e:
         check(w)
     assert e.value.code == "NDConditionViolated"
+
+
+def test_merge_of_two_different_choices_is_rejected():
+    """Left at one choice and right at another are overlapping events:
+    <a, b> has probability 1/4, not the 1/2 that summing them gives."""
+    env, reg = signature()
+    coin = "choose[1/2]{a}{b}!"
+    t = surface.parse_term(f"<{coin}, {coin}>")
+    ab = surface.parse_term("<a, b>")
+    branches = (
+        (surface.parse_term(f"<a, {coin}>"),),
+        (surface.parse_term(f"<{coin}, b>"),),
+    )
+    dist, _ = enumerate_distribution(env, t, reg)
+    assert dist.prob_of(ab) == Fraction(1, 4)
+    w = MergeTerm(t, branches, ab, HALF)
+    with pytest.raises(TraceError) as e:
+        check_trace(env, w, MapstoJudgment(t, ab, HALF, w), reg)
+    assert e.value.code == "NDConditionViolated"
+    with pytest.raises(TraceError) as e:
+        derive_judgment(env, MergeTerm(t, branches, ab), reg)
+    assert e.value.code == "NDConditionViolated"
+
+
+def test_alpha_equal_branches_are_interchangeable():
+    """The 32 branches of a five-fold collapse, each written out on its
+    own, share no term objects; alpha-equal ones still form one class, so
+    the search divides counts instead of naming 32 branches."""
+    env, reg = signature()
+    src = "a"
+    for _ in range(5):
+        src = f"(\\x:A. choose[1/2]{{x}}{{x}}!) ({src})"
+    _, (j,) = enumerate_distribution(env, surface.parse_term(src), reg)
+    branches = tuple(
+        tuple(surface.parse_term(str(t)) for t in branch)
+        for branch in j.witness.branches
+    )
+    assert len(branches) == 32
+    w = MergeTerm(surface.parse_term(src), branches, Var("a"))
+    assert derive_judgment(env, w, reg).prob == 1
+
+
+def balanced_tuple(parts):
+    """The parts, left to right, as the leaves of a balanced pair tree."""
+    if len(parts) == 1:
+        return parts[0]
+    half = len(parts) // 2
+    return Pair(balanced_tuple(parts[:half]), balanced_tuple(parts[half:]))
+
+
+def test_shared_steps_take_no_stack():
+    """Two branches share 160 beta steps before the choice that parts
+    them.  The check loops over shared steps, labelled or not, so a stack
+    that a check of a shallow term needs is enough; a search recursing
+    once per shared step would need 160 frames more."""
+    env, reg = signature()
+    five_betas = surface.parse_term(
+        "(\\x:A. \\y:A. \\z:A. \\u:A. \\w:A. x) a a a a a"
+    )
+    choice = surface.parse_term("choose[1/2]{a}{a}!")
+    t = balanced_tuple([five_betas] * 32 + [choice])
+    (_, left), (_, right) = enumerate_paths(env, t, reg)
+    assert len(left) == len(right) == 161
+    middle = tuple(q.after for q in left[:-1])
+    target = left[-1].after
+    labels = tuple(tuple((q.path, q.label) for q in p) for p in (left, right))
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        for w in (
+            MergeTerm(t, (middle, middle), target, None, labels),
+            MergeTerm(t, (middle, middle), target),
+        ):
+            assert derive_judgment(env, w, reg).prob == 1
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 @given(st.integers(0, 700))

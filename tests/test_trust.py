@@ -396,23 +396,29 @@ def test_replay_checks_labels():
 
 
 def test_unlabelled_certificates_replay_through_the_search(monkeypatch):
-    calls = Counter()
-    count_calls(monkeypatch, calls, traces, "_labelled_step")
-    count_calls(monkeypatch, calls, traces, "_step_candidates")
+    labels = []
+    readings = traces._readings
+
+    def recorded(u, v, label, registry):
+        labels.append(label)
+        return readings(u, v, label, registry)
+
+    monkeypatch.setattr(traces, "_readings", recorded)
     for src in (COIN, f"<{COIN}, {COIN}>", collapse(3)):
         env, reg, cert = exact_certificate(src)
         assert replay_certificate(env, reg, strip_labels(cert)).verdict == "trusted"
-    assert calls["_labelled_step"] == 0
-    assert calls["_step_candidates"] > 0
+    assert labels and all(label is None for label in labels)
 
 
 def test_unlabelled_merge_search_spends_fuel():
     env, reg, cert = exact_certificate(collapse(8))
-    with pytest.raises(ReductionError) as e:
-        replay_certificate(env, reg, strip_labels(cert), fuel=200)
-    assert e.value.code == "FuelExhausted"
-    # the search ran out, not the derivation that follows the witnesses
-    assert "witness 0" in str(e.value)
+    # the search also pays for each split and sum, far beyond 4600 units
+    for fuel in (200, 4600):
+        with pytest.raises(ReductionError) as e:
+            replay_certificate(env, reg, strip_labels(cert), fuel=fuel)
+        assert e.value.code == "FuelExhausted"
+        # the search ran out, not the derivation that follows the witnesses
+        assert "witness 0" in str(e.value)
 
 
 def test_malformed_certificates_fail_with_a_code():
@@ -488,6 +494,29 @@ def test_replay_error_names_the_witness():
             replay_certificate(env, reg, broken)
         assert e.value.code == "BrokenChain"
         assert str(e.value).startswith("[BrokenChain] witness 1 (outcome b): ")
+    # a failing step is named by its index, and in a merge by its branch
+    _, _, pair_cert = exact_certificate(f"<{COIN}, {COIN}>")
+    _, _, merge_cert = exact_certificate(collapse(1))
+    assert pair_cert["witnesses"][0]["witness"]["terms"][1] == f"<a, {COIN}>"
+    for cert, mutate, prefix in (
+        (pair_cert, retarget_first_witness, "witness 0 (outcome <b, b>): step 1: "),
+        (merge_cert, swap_second_branch, "witness 0 (outcome a): branch 1, step 0: "),
+    ):
+        for broken in (copy.deepcopy(cert), strip_labels(cert)):
+            mutate(broken["witnesses"][0])
+            with pytest.raises(TraceError) as e:
+                replay_certificate(env, reg, broken)
+            assert str(e.value).startswith(f"[RuleMismatch] {prefix}")
+
+
+def retarget_first_witness(w):
+    """Make the last step of a two-step witness lead to <b, b>."""
+    w["target"] = w["witness"]["terms"][-1] = "<b, b>"
+
+
+def swap_second_branch(w):
+    """Replace the one middle term of a merge's second branch."""
+    w["witness"]["branches"][1] = ["choose[1/2]{b}{a}!"]
 
 
 def test_replay_rejects_flipped_verdict():
@@ -555,10 +584,10 @@ def test_replay_parses_and_checks_each_distinct_step_once(monkeypatch):
         steps.update(zip(terms, terms[1:], w["witness"]["labels"]))
     calls = Counter()
     count_calls(monkeypatch, calls, surface, "parse_term")
-    count_calls(monkeypatch, calls, traces, "_labelled_step")
-    count_calls(monkeypatch, calls, traces, "_step_candidates")
+    count_calls(monkeypatch, calls, traces, "_readings")
     assert replay_certificate(env, reg, cert).verdict == "trusted"
-    assert calls == {"parse_term": len(texts), "_labelled_step": len(steps)}
+    assert len(steps) == 14
+    assert calls == {"parse_term": len(texts), "_readings": len(steps)}
 
 
 def test_replay_rejects_tampered_threshold_row():
