@@ -102,7 +102,7 @@ def _enter_binder(
     env: Environment, var: str, var_type: TypeCon, body: Node
 ) -> tuple[Environment, str, Node]:
     """Bind var:var_type, renaming the binder if the name is taken."""
-    if var in env.all_names():
+    if var in env._cons or var in env._terms:
         var2 = fresh_name(var, env.all_names() | free_term_vars(body))
         body = substitute(body, var, Var(var2))
         var = var2
@@ -344,8 +344,8 @@ class CheckedProgram:
 
 def check_program(source, oracle_defs, require_main: bool = True) -> CheckedProgram:
     """Check declarations in order, validate oracles against the signature,
-    then check each definition and inline earlier definitions into later
-    ones; main comes out closed over the signature."""
+    then check each definition and inline into it the earlier definitions
+    it mentions; main comes out closed over the signature."""
     env = Environment()
     for decl in source.atoms:
         if isinstance(decl.classifier, Kind):
@@ -365,6 +365,7 @@ def check_program(source, oracle_defs, require_main: bool = True) -> CheckedProg
     def_env = env
     def_types: dict[str, TypeCon] = {}
     inlined: dict[str, Term] = {}
+    rank: dict[str, int] = {}
     main_term: Term | None = None
     for d in source.definitions:
         inferred = infer_type(def_env, d.term, registry)
@@ -380,8 +381,17 @@ def check_program(source, oracle_defs, require_main: bool = True) -> CheckedProg
         def_types[d.name] = inferred
         def_env = def_env.with_term(d.name, inferred)
         body = d.term
-        for earlier, replacement in inlined.items():
-            body = substitute(body, earlier, replacement)  # type: ignore[assignment]
+        if inlined:
+            # An inlined body mentions no definition: every earlier one was
+            # substituted into it, and no definition is named like an atom.
+            # So substituting a name that is not free is the identity (no
+            # binder is renamed in it), and substituting, in definition
+            # order, only the earlier definitions free in d.term gives the
+            # same term as substituting all of them.
+            mentioned = free_term_vars(body) & inlined.keys()
+            for earlier in sorted(mentioned, key=rank.__getitem__):
+                body = substitute(body, earlier, inlined[earlier])  # type: ignore[assignment]
+        rank[d.name] = len(rank)
         inlined[d.name] = body
         if d.name == "main":
             main_term = body

@@ -75,6 +75,12 @@ def _is_ident_char(c: str) -> bool:
     return c.isalnum() or c == "_"
 
 
+def _is_digit(c: str) -> bool:
+    # ASCII only: str.isdigit also admits digits such as "²" that int()
+    # rejects
+    return "0" <= c <= "9"
+
+
 def _lex_line(text: str, line_no: int, out: list[Token]) -> None:
     i = 0
     n = len(text)
@@ -125,9 +131,9 @@ def _lex_line(text: str, line_no: int, out: list[Token]) -> None:
             out.append(Token("STRING", text[i + 1 : j], line_no, col))
             i = j + 1
             continue
-        if c.isdigit():
+        if _is_digit(c):
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and _is_digit(text[j]):
                 j += 1
             out.append(Token("INT", text[i:j], line_no, col))
             i = j
@@ -209,6 +215,18 @@ class _Stream:
         t = self.peek()
         return t is not None and t.kind == "IDENT" and t.value == word
 
+    def numeral(self) -> tuple[int, Token]:
+        """The value of the next token, which must be a numeral."""
+        t = self.expect("INT")
+        try:
+            return int(t.value), t
+        except ValueError as exc:  # longer than int() accepts
+            raise ParseError(
+                "MalformedNumeral",
+                f"numeral of {len(t.value)} digits is too long",
+                (t.line, t.col),
+            ) from exc
+
     def ident(self) -> str:
         t = self.expect("IDENT")
         if t.value in KEYWORDS:
@@ -236,16 +254,18 @@ def parse_rational_text(text: str) -> Fraction:
 
 
 def _rational(ts: _Stream) -> Fraction:
-    num = ts.expect("INT")
+    num, _ = ts.numeral()
     if ts.peek() is not None and ts.peek().kind == "SLASH":
         ts.next()
-        den = ts.expect("INT")
-        if int(den.value) == 0:
+        den, den_tok = ts.numeral()
+        if den == 0:
             raise ParseError(
-                "MalformedRational", "zero denominator", (den.line, den.col)
+                "MalformedRational",
+                "zero denominator",
+                (den_tok.line, den_tok.col),
             )
-        return Fraction(int(num.value), int(den.value))
-    return Fraction(int(num.value))
+        return Fraction(num, den)
+    return Fraction(num)
 
 
 def _probability(ts: _Stream) -> Fraction:
@@ -596,8 +616,7 @@ def parse_oracle_file(text: str) -> list[oracles.OracleDef]:
         ts.keyword("oracle")
         name = ts.ident()
         ts.keyword("arity")
-        arity_tok = ts.expect("INT")
-        arity = int(arity_tok.value)
+        arity, arity_tok = ts.numeral()
         if arity not in (0, 1):
             raise ParseError(
                 "Syntax",
@@ -637,10 +656,9 @@ def _guard(ts: _Stream, arity: int) -> oracles.Guard:
         ts.next()
         if ts.at_keyword("mod"):
             ts.next()
-            k_tok = ts.expect("INT")
+            k, k_tok = ts.numeral()
             ts.expect("EQ")
-            r_tok = ts.expect("INT")
-            k, r = int(k_tok.value), int(r_tok.value)
+            r, _ = ts.numeral()
             if k < 1 or not 0 <= r < k:
                 raise ParseError(
                     "MalformedGuard",
@@ -652,14 +670,14 @@ def _guard(ts: _Stream, arity: int) -> oracles.Guard:
         ts.expect("LBRACE")
         indices: list[int] = []
         while True:
-            i_tok = ts.expect("INT")
-            if int(i_tok.value) < 1:
+            index, i_tok = ts.numeral()
+            if index < 1:
                 raise ParseError(
                     "MalformedGuard",
                     "hole indices start at 1",
                     (i_tok.line, i_tok.col),
                 )
-            indices.append(int(i_tok.value))
+            indices.append(index)
             if ts.peek() is not None and ts.peek().kind == "COMMA":
                 ts.next()
                 continue

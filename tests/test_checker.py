@@ -1,5 +1,6 @@
 """Kind and type assignment, program checking, skeleton invariants."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,7 @@ from olam.syntax import (
     TypeName,
     Var,
     alpha_eq,
+    substitute,
 )
 
 
@@ -391,6 +393,165 @@ def test_check_program_unknown_use():
     with pytest.raises(OracleError) as e:
         check_program(surface.parse_program(src), [])
     assert e.value.code == "UnknownOracle"
+
+
+# --------------------------------------------- inlining earlier definitions
+
+
+def inline_every_earlier(source):
+    """Reference inliner: substitute every earlier definition into each
+    body, mentioned or not."""
+    inlined = {}
+    for d in source.definitions:
+        body = d.term
+        for earlier, replacement in inlined.items():
+            body = substitute(body, earlier, replacement)
+        inlined[d.name] = body
+    return inlined["main"]
+
+
+# a1 is also the first fresh name for a binder a, so the names inlining
+# picks depend on the order it substitutes in
+CHAIN_SIGNATURE = (
+    "atom A : *\natom a : A\natom a1 : A\natom b : A\natom g : A -> A\n"
+)
+
+
+def _chain_value(rng, scope, depth):
+    """Text of a term of type A over scope (name -> "A" or "A->A")."""
+    values = [n for n, t in scope.items() if t == "A"]
+    funs = [n for n, t in scope.items() if t == "A->A"]
+    r = rng.random()
+    if depth <= 0 or r < 0.25 or not funs:
+        return rng.choice(values)
+    if r < 0.5:
+        return f"{rng.choice(funs)} ({_chain_value(rng, scope, depth - 1)})"
+    if r < 0.75:
+        fun = _chain_fun(rng, scope, depth - 1)
+        return f"({fun}) ({_chain_value(rng, scope, depth - 1)})"
+    left = _chain_value(rng, scope, depth - 1)
+    right = _chain_value(rng, scope, depth - 1)
+    return f"<{left}, {right}>.{rng.randrange(2)}"
+
+
+def _chain_fun(rng, scope, depth):
+    """Text of a term of type A -> A; binders take names of atoms and of
+    definitions in scope, so inlining must rename them."""
+    funs = [n for n, t in scope.items() if t == "A->A"]
+    if funs and (depth <= 0 or rng.random() < 0.3):
+        return rng.choice(funs)
+    var = rng.choice(["x", "y", "a", "b", "g", *scope])
+    inner = {**scope, var: "A"}
+    return f"\\{var}:A. {_chain_value(rng, inner, depth - 1)}"
+
+
+def chain_program(seed, count):
+    """count definitions, each mentioning earlier ones, then main."""
+    rng = random.Random(seed)
+    scope = {"a": "A", "a1": "A", "b": "A", "g": "A->A"}
+    lines = []
+    for i in range(count):
+        kind = rng.choice(["A", "A->A"])
+        make = _chain_value if kind == "A" else _chain_fun
+        lines.append(f"d{i} = {make(rng, scope, 3)}")
+        scope[f"d{i}"] = kind
+    lines.append(f"main = {_chain_fun(rng, scope, 4)}")
+    return CHAIN_SIGNATURE + "\n".join(lines) + "\n"
+
+
+def wide_sampling_program(seed, n):
+    """Shaped like the benchmark's wide sampling programs: 2n definitions
+    of redexes, some through earlier ones and some under ascriptions, n of
+    them inlined into a tuple beside one coin."""
+    rng = random.Random(seed)
+    atoms = [f"a{i}" for i in range(8)]
+    lines = ["atom A : *", *(f"atom {x} : A" for x in atoms), "atom g : A -> A"]
+    lines += [
+        "f0 = \\x:A. x",
+        "f1 = \\x:A. g x",
+        "f2 : (\\\\y:A. A -> A) a0 = \\x:A. <x, a1>.0",
+    ]
+    for i in range(2 * n):
+        arg = rng.choice(atoms if i == 0 or rng.random() < 0.5 else
+                         [f"v{j}" for j in range(i)])
+        body = (
+            f"(\\x:A. g x) {arg}",
+            f"<{arg}, {rng.choice(atoms)}>.0",
+            f"f{rng.randrange(3)} {arg}",
+            f"(\\x:A. x) {arg}",
+        )[i % 4]
+        ascription = " : (\\\\y:A. A) a0" if i % 4 == 3 else ""
+        lines.append(f"v{i}{ascription} = {body}")
+    parts = [f"v{i}" for i in sorted(rng.sample(range(2 * n), n))]
+    parts.append("choose[1/3]{(\\x:A. x) a2}{<a3, a4>.1}!")
+    main = parts[-1]
+    for part in reversed(parts[:-1]):
+        main = f"<{part}, {main}>"
+    lines.append(f"main = {main}")
+    return "\n".join(lines) + "\n"
+
+
+# bodies whose binders capture a name the inlined definitions mention;
+# in the last, substituting h before f would name the binder a11, not a2
+CAPTURE_PROGRAMS = [
+    CHAIN_SIGNATURE + "f = \\x:A. a\nmain = \\a:A. f\n",
+    CHAIN_SIGNATURE + "f = \\x:A. a\nh = \\a:A. f a\nmain = \\f:A. h f\n",
+    CHAIN_SIGNATURE + "f = g a\nh = \\a:A. \\a1:A. g f\nmain = \\h:A. h\n",
+    CHAIN_SIGNATURE + "f = g a1\nh = g a\nmain = \\a:A. <f, h>.0\n",
+]
+
+
+@pytest.mark.parametrize(
+    "text",
+    CAPTURE_PROGRAMS
+    + [chain_program(seed, 12) for seed in range(40)]
+    + [wide_sampling_program(seed, 12) for seed in range(3)],
+)
+def test_inlining_matches_substituting_every_earlier_definition(text):
+    source = surface.parse_program(text)
+    checked = check_program(source, [])
+    expected = inline_every_earlier(source)
+    # equality of trees, not alpha-equality: binder names and so the
+    # printed output stay exactly as they were
+    assert checked.main_term == expected
+    assert str(checked.main_term) == str(expected)
+
+
+def test_capture_cases_rename_the_shadowing_binder():
+    checked = check_program(surface.parse_program(CAPTURE_PROGRAMS[0]), [])
+    assert str(checked.main_term) == "\\a1:A. \\x:A. a"
+
+
+def test_inlining_substitutes_only_the_mentioned_definitions(monkeypatch):
+    defs = "".join(f"v{i} = a\n" for i in range(200))
+    source = surface.parse_program(CHAIN_SIGNATURE + defs + "main = <v3, v150>\n")
+    calls = []
+
+    def counting(node, name, replacement):
+        calls.append(name)
+        return substitute(node, name, replacement)
+
+    monkeypatch.setattr("olam.checker.substitute", counting)
+    checked = check_program(source, [])
+    assert calls == ["v3", "v150"]
+    assert str(checked.main_term) == "<a, a>"
+
+
+def test_fresh_binders_do_not_build_the_name_set(monkeypatch):
+    calls = []
+    all_names = Environment.all_names
+
+    def counting(self):
+        calls.append(1)
+        return all_names(self)
+
+    monkeypatch.setattr(Environment, "all_names", counting)
+    fresh = CHAIN_SIGNATURE + "f = \\x:A. g x\nmain = \\y:A. f y\n"
+    check_program(surface.parse_program(fresh), [])
+    assert calls == []
+    shadowing = CHAIN_SIGNATURE + "main = \\a:A. g a\n"
+    check_program(surface.parse_program(shadowing), [])
+    assert calls
 
 
 @given(st.integers(0, 3000))

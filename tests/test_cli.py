@@ -1,6 +1,7 @@
 """Command line behavior: output text, JSON payloads, exit codes."""
 
 import json
+import sys
 
 import pytest
 
@@ -385,3 +386,38 @@ def test_fuel_exhaustion_is_domain_error(project, capsys):
     )
     assert code == 1
     assert "FuelExhausted" in err
+
+
+def _one_error_line(err):
+    return err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "main_term, oracle_text",
+    [
+        ("choose[²/3]{a}{b}!", ORACLE_TEXT),
+        ("a", "oracle c arity ² type Sigma A\n  default -> a\n"),
+        ("a", ORACLE_TEXT.replace("mod 3 = 1", "mod ² = 1")),
+    ],
+)
+def test_non_ascii_digits_are_stray_characters(
+    main_term, oracle_text, capsys, tmp_path
+):
+    program = tmp_path / "prog.olam"
+    program.write_text(PROGRAM_HEADER + f"main = {main_term}\n", encoding="utf-8")
+    oracles = tmp_path / "oracles.olam"
+    oracles.write_text(oracle_text, encoding="utf-8")
+    code, out, err = run(["dist", str(program), "--oracles", str(oracles)], capsys)
+    assert code == 1
+    assert out == ""
+    assert _one_error_line(err) and "[Lexical]" in err and "²" in err
+
+
+def test_numerals_longer_than_int_accepts_are_parse_errors(project, capsys):
+    prog, orc = project("choose[" + "1" * 5000 + "/3]{a}{b}!")
+    code, out, err = run(["dist", prog, "--oracles", orc], capsys)
+    assert code == 1
+    assert out == ""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    expected = "MalformedNumeral" if 0 < limit < 5000 else "ProbabilityOutOfRange"
+    assert _one_error_line(err) and f"[{expected}]" in err
