@@ -6,6 +6,7 @@ current item.  Comments run from `--` to end of line.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,7 +64,7 @@ _PUNCT = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Token:
     kind: str
     value: str
@@ -71,14 +72,10 @@ class Token:
     col: int
 
 
-def _is_ident_char(c: str) -> bool:
-    return c.isalnum() or c == "_"
-
-
-def _is_digit(c: str) -> bool:
-    # ASCII only: str.isdigit also admits digits such as "²" that int()
-    # rejects
-    return "0" <= c <= "9"
+# \w is exactly str.isalnum() or "_" on every code point; numerals are ASCII
+# only, because str.isdigit also admits digits such as "²" that int() rejects
+_NAME = re.compile(r"\w+")
+_NUMERAL = re.compile(r"[0-9]+")
 
 
 def _lex_line(text: str, line_no: int, out: list[Token]) -> None:
@@ -90,6 +87,32 @@ def _lex_line(text: str, line_no: int, out: list[Token]) -> None:
             i += 1
             continue
         col = i + 1
+        kind = _PUNCT.get(c)
+        if kind is not None:
+            out.append(Token(kind, c, line_no, col))
+            i += 1
+            continue
+        if c.isalpha() or c == "_":
+            j = _NAME.match(text, i).end()
+            out.append(Token("IDENT", text[i:j], line_no, col))
+            i = j
+            continue
+        if "0" <= c <= "9":
+            j = _NUMERAL.match(text, i).end()
+            out.append(Token("INT", text[i:j], line_no, col))
+            i = j
+            continue
+        if c == ".":
+            # .0 and .1 project unless a name goes on; any other dot, also
+            # one that ends the line, is a binder's
+            nxt = text[i + 1 : i + 2]
+            if (nxt == "0" or nxt == "1") and not _NAME.match(text, i + 2):
+                out.append(Token("PROJ", nxt, line_no, col))
+                i += 2
+            else:
+                out.append(Token("DOT", ".", line_no, col))
+                i += 1
+            continue
         if c == "-":
             if text.startswith("--", i):
                 return
@@ -114,16 +137,6 @@ def _lex_line(text: str, line_no: int, out: list[Token]) -> None:
                 out.append(Token("LAM", "\\", line_no, col))
                 i += 1
             continue
-        if c == ".":
-            nxt = text[i + 1] if i + 1 < n else ""
-            after = text[i + 2] if i + 2 < n else ""
-            if nxt in "01" and not _is_ident_char(after):
-                out.append(Token("PROJ", nxt, line_no, col))
-                i += 2
-            else:
-                out.append(Token("DOT", ".", line_no, col))
-                i += 1
-            continue
         if c == '"':
             j = text.find('"', i + 1)
             if j < 0:
@@ -131,31 +144,13 @@ def _lex_line(text: str, line_no: int, out: list[Token]) -> None:
             out.append(Token("STRING", text[i + 1 : j], line_no, col))
             i = j + 1
             continue
-        if _is_digit(c):
-            j = i
-            while j < n and _is_digit(text[j]):
-                j += 1
-            out.append(Token("INT", text[i:j], line_no, col))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            out.append(Token("IDENT", text[i:j], line_no, col))
-            i = j
-            continue
-        if c in _PUNCT:
-            out.append(Token(_PUNCT[c], c, line_no, col))
-            i += 1
-            continue
         raise ParseError("Lexical", f"stray {c!r}", (line_no, col))
 
 
-def tokenize(text: str, first_line: int = 1) -> list[Token]:
+def tokenize(text: str) -> list[Token]:
     out: list[Token] = []
     for k, line in enumerate(text.split("\n")):
-        _lex_line(line, first_line + k, out)
+        _lex_line(line, k + 1, out)
     return out
 
 
@@ -175,45 +170,47 @@ def logical_lines(text: str) -> list[list[Token]]:
 
 
 class _Stream:
+    """The tokens of one item, then an END token at the last token's place
+    (line 0 when there are none), which is never consumed."""
+
+    __slots__ = ("tokens", "pos")
+
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+        line, col = (tokens[-1].line, tokens[-1].col) if tokens else (0, 0)
+        self.tokens = [*tokens, Token("END", "end of input", line, col)]
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Token | None:
-        i = self.pos + ahead
-        return self.tokens[i] if i < len(self.tokens) else None
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def span(self) -> tuple[int, int] | None:
-        t = self.peek() or (self.tokens[-1] if self.tokens else None)
-        return (t.line, t.col) if t else None
+        t = self.tokens[self.pos]
+        return (t.line, t.col) if t.line else None
 
     def error(self, message: str, code: str = "Syntax") -> ParseError:
         return ParseError(code, message, self.span())
 
-    def next(self) -> Token:
-        t = self.peek()
-        if t is None:
-            raise self.error("unexpected end of input")
+    def next(self) -> None:
+        """Consume the current token, which the caller has seen is not END."""
+        self.pos += 1
+
+    def expect(self, kind: str) -> Token:
+        t = self.tokens[self.pos]
+        if t.kind != kind:
+            raise self.error(f"expected {kind}, found {t.value!r}")
         self.pos += 1
         return t
 
-    def expect(self, kind: str) -> Token:
-        t = self.peek()
-        if t is None or t.kind != kind:
-            found = t.value if t else "end of input"
-            raise self.error(f"expected {kind}, found {found!r}")
-        return self.next()
-
     def keyword(self, word: str) -> Token:
-        t = self.peek()
-        if t is None or t.kind != "IDENT" or t.value != word:
-            found = t.value if t else "end of input"
-            raise self.error(f"expected {word!r}, found {found!r}")
-        return self.next()
+        t = self.tokens[self.pos]
+        if t.kind != "IDENT" or t.value != word:
+            raise self.error(f"expected {word!r}, found {t.value!r}")
+        self.pos += 1
+        return t
 
     def at_keyword(self, word: str) -> bool:
-        t = self.peek()
-        return t is not None and t.kind == "IDENT" and t.value == word
+        t = self.tokens[self.pos]
+        return t.kind == "IDENT" and t.value == word
 
     def numeral(self) -> tuple[int, Token]:
         """The value of the next token, which must be a numeral."""
@@ -236,8 +233,8 @@ class _Stream:
         return t.value
 
     def done(self) -> None:
-        t = self.peek()
-        if t is not None:
+        t = self.tokens[self.pos]
+        if t.kind != "END":
             raise self.error(f"trailing input starting at {t.value!r}")
 
 
@@ -255,7 +252,7 @@ def parse_rational_text(text: str) -> Fraction:
 
 def _rational(ts: _Stream) -> Fraction:
     num, _ = ts.numeral()
-    if ts.peek() is not None and ts.peek().kind == "SLASH":
+    if ts.peek().kind == "SLASH":
         ts.next()
         den, den_tok = ts.numeral()
         if den == 0:
@@ -281,20 +278,17 @@ def _probability(ts: _Stream) -> Fraction:
 
 
 _TERM_START = ("LPAR", "LT", "HASH")
+_NOT_TERM_ATOM = KEYWORDS - {"choose", "efq"}
 
 
-def _starts_term_atom(t: Token | None) -> bool:
-    if t is None:
-        return False
-    if t.kind in _TERM_START:
-        return True
-    return t.kind == "IDENT" and (
-        t.value not in KEYWORDS or t.value in ("choose", "efq")
-    )
+def _starts_term_atom(t: Token) -> bool:
+    if t.kind == "IDENT":
+        return t.value not in _NOT_TERM_ATOM
+    return t.kind in _TERM_START
 
 
 def _term(ts: _Stream) -> Term:
-    if ts.peek() is not None and ts.peek().kind == "LAM":
+    if ts.peek().kind == "LAM":
         ts.next()
         x = ts.ident()
         ts.expect("COLON")
@@ -313,16 +307,16 @@ def _term(ts: _Stream) -> Term:
 
 def _postfix(ts: _Stream) -> Term:
     t = _atom(ts)
-    while ts.peek() is not None and ts.peek().kind in ("BANG", "PROJ"):
-        tok = ts.next()
+    tok = ts.peek()
+    while tok.kind == "BANG" or tok.kind == "PROJ":
         t = Force(t) if tok.kind == "BANG" else Proj(t, int(tok.value))
+        ts.next()
+        tok = ts.peek()
     return t
 
 
 def _atom(ts: _Stream) -> Term:
     tok = ts.peek()
-    if tok is None:
-        raise ts.error("expected a term")
     if tok.kind == "IDENT":
         if tok.value == "choose":
             ts.next()
@@ -360,6 +354,8 @@ def _atom(ts: _Stream) -> Term:
         inner = _term(ts)
         ts.expect("RPAR")
         return inner
+    if tok.kind == "END":
+        raise ts.error("expected a term")
     raise ts.error(f"expected a term, found {tok.value!r}")
 
 
@@ -371,7 +367,7 @@ def _type(ts: _Stream) -> TypeCon:
         a = _type(ts)
         ts.expect("DOT")
         return Forall(x, a, _type(ts))
-    if ts.peek() is not None and ts.peek().kind == "CONLAM":
+    if ts.peek().kind == "CONLAM":
         ts.next()
         x = ts.ident()
         ts.expect("COLON")
@@ -379,7 +375,7 @@ def _type(ts: _Stream) -> TypeCon:
         ts.expect("DOT")
         return TypeAbs(x, a, _type(ts))
     left = _conj(ts)
-    if ts.peek() is not None and ts.peek().kind == "ARROW":
+    if ts.peek().kind == "ARROW":
         ts.next()
         right = _type(ts)
         return Forall(fresh_name("_", free_term_vars(right)), left, right)
@@ -388,7 +384,7 @@ def _type(ts: _Stream) -> TypeCon:
 
 def _conj(ts: _Stream) -> TypeCon:
     left = _unary(ts)
-    if ts.peek() is not None and ts.peek().kind == "AND":
+    if ts.peek().kind == "AND":
         ts.next()
         return Conj(left, _conj(ts))
     return left
@@ -413,8 +409,6 @@ def _tyapp(ts: _Stream) -> TypeCon:
 
 def _tyatom(ts: _Stream) -> TypeCon:
     tok = ts.peek()
-    if tok is None:
-        raise ts.error("expected a type")
     if tok.kind == "IDENT" and tok.value == "Bot":
         ts.next()
         return Bottom()
@@ -425,11 +419,13 @@ def _tyatom(ts: _Stream) -> TypeCon:
         inner = _type(ts)
         ts.expect("RPAR")
         return inner
+    if tok.kind == "END":
+        raise ts.error("expected a type")
     raise ts.error(f"expected a type, found {tok.value!r}")
 
 
 def _kind(ts: _Stream) -> Kind:
-    if ts.peek() is not None and ts.peek().kind == "STAR":
+    if ts.peek().kind == "STAR":
         ts.next()
         return Star()
     if ts.at_keyword("pi"):
@@ -443,10 +439,7 @@ def _kind(ts: _Stream) -> Kind:
 
 
 def _starts_kind(ts: _Stream) -> bool:
-    t = ts.peek()
-    return t is not None and (
-        t.kind == "STAR" or (t.kind == "IDENT" and t.value == "pi")
-    )
+    return ts.peek().kind == "STAR" or ts.at_keyword("pi")
 
 
 def parse_term(text: str) -> Term:
@@ -522,7 +515,7 @@ def parse_program(text: str) -> SourceFile:
         else:
             name = ts.ident()
             ascription = None
-            if ts.peek() is not None and ts.peek().kind == "COLON":
+            if ts.peek().kind == "COLON":
                 ts.next()
                 ascription = _type(ts)
             ts.expect("EQ")
@@ -627,7 +620,7 @@ def parse_oracle_file(text: str) -> list[oracles.OracleDef]:
         assoc = _type(ts)
         rules: list[oracles.OracleRule] = []
         saw_default = False
-        while ts.peek() is not None:
+        while ts.peek().kind != "END":
             if ts.at_keyword("rule"):
                 if saw_default:
                     raise ts.error("rules may not follow the default")
@@ -678,7 +671,7 @@ def _guard(ts: _Stream, arity: int) -> oracles.Guard:
                     (i_tok.line, i_tok.col),
                 )
             indices.append(index)
-            if ts.peek() is not None and ts.peek().kind == "COMMA":
+            if ts.peek().kind == "COMMA":
                 ts.next()
                 continue
             break

@@ -137,6 +137,26 @@ def test_dist_json(project, capsys):
     assert payload["total"] == "1"
 
 
+def test_dist_rejects_trailing_dot(project, capsys):
+    # a "." at the end of a line once lexed as a projection with no index
+    prog, orc = project("a.")
+    code, out, err = run(["dist", prog, "--oracles", orc], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: [Syntax]")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_dist_binder_dot_may_end_a_line(project, capsys):
+    prog, orc = project("(\\x:A.\n  x) a")
+    code, out, err = run(["dist", prog, "--oracles", orc], capsys)
+    assert (code, err) == (0, "")
+    one_line, _ = project("(\\x:A. x) a")
+    assert run(["dist", one_line, "--oracles", orc], capsys)[1] == out
+    assert out == "a = 1\n"
+
+
 def test_dist_output_feeds_trust_as_target(project, capsys, tmp_path):
     prog, orc = project("choose[1/3]{a}{b}!")
     _, out, _ = run(["dist", prog, "--oracles", orc], capsys)
