@@ -296,28 +296,18 @@ def validate_oracle(odef: OracleDef, env) -> None:
         if isinstance(rule.guard, GuardArg):
             _check_output_shape(odef, rule.guard.pattern, signature)
     if odef.arity == 0:
-        expected = odef.value_type()
         for rule in odef.rules:
+            _check_output_type(odef, rule.output, None, env)
+        return
+    _, dom, _ = odef.dependent_type()
+    for rule in odef.rules:
+        if isinstance(rule.guard, GuardArg):
+            pattern = rule.guard.pattern
             try:
-                checker.check_type(env, rule.output, expected)
+                checker.check_type(env, pattern, dom)
             except Exception as exc:
                 raise OracleError(
                     "OutputIllTyped",
-                    f"oracle {odef.name} output {rule.output}: {exc}",
+                    f"oracle {odef.name} rule for {pattern}: {exc}",
                 ) from exc
-    else:
-        var, dom, result = odef.dependent_type()
-        for rule in odef.rules:
-            if isinstance(rule.guard, GuardArg):
-                try:
-                    checker.check_type(env, rule.guard.pattern, dom)
-                    checker.check_type(
-                        env,
-                        rule.output,
-                        substitute(result, var, rule.guard.pattern),  # type: ignore[arg-type]
-                    )
-                except Exception as exc:
-                    raise OracleError(
-                        "OutputIllTyped",
-                        f"oracle {odef.name} rule for {rule.guard.pattern}: {exc}",
-                    ) from exc
+            _check_output_type(odef, rule.output, pattern, env)

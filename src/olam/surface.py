@@ -7,10 +7,11 @@ current item.  Comments run from `--` to end of line.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import oracles, syntax
+from . import oracles
 from .errors import ParseError
 from .printer import term_key
 from .syntax import (
@@ -24,6 +25,7 @@ from .syntax import (
     KindPi,
     Kind,
     Lam,
+    Node,
     OpaqueType,
     OracleCall,
     OracleRef,
@@ -171,14 +173,22 @@ def logical_lines(text: str) -> list[list[Token]]:
 
 class _Stream:
     """The tokens of one item, then an END token at the last token's place
-    (line 0 when there are none), which is never consumed."""
+    (line 0 when there are none), which is never consumed.
 
-    __slots__ = ("tokens", "pos")
+    In a program file the stream carries the names in scope, keyed "term",
+    "type" and "oracle", and every name is resolved where it is read; the
+    "term" set also holds the binders open at the current token.  Other
+    text is parsed without a scope and resolves nothing."""
 
-    def __init__(self, tokens: list[Token]):
+    __slots__ = ("tokens", "pos", "scope")
+
+    def __init__(
+        self, tokens: list[Token], scope: dict[str, set[str]] | None = None
+    ):
         line, col = (tokens[-1].line, tokens[-1].col) if tokens else (0, 0)
         self.tokens = [*tokens, Token("END", "end of input", line, col)]
         self.pos = 0
+        self.scope = scope
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -231,6 +241,26 @@ class _Stream:
                 "Syntax", f"{t.value!r} is a reserved word", (t.line, t.col)
             )
         return t.value
+
+    def declared(self, space: str, unbound: str) -> str:
+        """The next identifier, which must be in the scope's space when
+        there is a scope; unbound, formatted with it, says it is not."""
+        t = self.tokens[self.pos]
+        name = self.ident()
+        if self.scope is not None and name not in self.scope[space]:
+            raise ParseError(
+                "UnboundName", unbound.format(name), (t.line, t.col)
+            )
+        return name
+
+    def new_name(self, taken: set[str], twice: str) -> str:
+        """The next identifier, which must not be in taken; it is added."""
+        t = self.tokens[self.pos]
+        name = self.ident()
+        if name in taken:
+            raise ParseError("DuplicateName", twice.format(name), (t.line, t.col))
+        taken.add(name)
+        return name
 
     def done(self) -> None:
         t = self.tokens[self.pos]
@@ -287,14 +317,26 @@ def _starts_term_atom(t: Token) -> bool:
     return t.kind in _TERM_START
 
 
+def _binder(ts: _Stream, body: Callable[[_Stream], Node]) -> tuple:
+    """The name, annotation and body after a binder's keyword; the name is
+    in scope in the body, not in the annotation."""
+    x = ts.ident()
+    ts.expect("COLON")
+    a = _type(ts)
+    ts.expect("DOT")
+    names = None if ts.scope is None else ts.scope["term"]
+    if names is None or x in names:
+        return x, a, body(ts)
+    names.add(x)
+    b = body(ts)
+    names.remove(x)
+    return x, a, b
+
+
 def _term(ts: _Stream) -> Term:
     if ts.peek().kind == "LAM":
         ts.next()
-        x = ts.ident()
-        ts.expect("COLON")
-        a = _type(ts)
-        ts.expect("DOT")
-        return Lam(x, a, _term(ts))
+        return Lam(*_binder(ts, _term))
     head = _postfix(ts)
     while _starts_term_atom(ts.peek()):
         arg = _postfix(ts)
@@ -338,10 +380,12 @@ def _atom(ts: _Stream) -> Term:
             target = _type(ts)
             ts.expect("RPAR")
             return Efq(body, target)
-        return Var(ts.ident())
+        return Var(ts.declared("term", "unbound name {!r}"))
     if tok.kind == "HASH":
         ts.next()
-        return OracleRef(ts.ident())
+        return OracleRef(
+            ts.declared("oracle", "oracle {0!r} not imported (add `use {0}`)")
+        )
     if tok.kind == "LT":
         ts.next()
         left = _term(ts)
@@ -362,18 +406,10 @@ def _atom(ts: _Stream) -> Term:
 def _type(ts: _Stream) -> TypeCon:
     if ts.at_keyword("forall"):
         ts.next()
-        x = ts.ident()
-        ts.expect("COLON")
-        a = _type(ts)
-        ts.expect("DOT")
-        return Forall(x, a, _type(ts))
+        return Forall(*_binder(ts, _type))
     if ts.peek().kind == "CONLAM":
         ts.next()
-        x = ts.ident()
-        ts.expect("COLON")
-        a = _type(ts)
-        ts.expect("DOT")
-        return TypeAbs(x, a, _type(ts))
+        return TypeAbs(*_binder(ts, _type))
     left = _conj(ts)
     if ts.peek().kind == "ARROW":
         ts.next()
@@ -413,7 +449,7 @@ def _tyatom(ts: _Stream) -> TypeCon:
         ts.next()
         return Bottom()
     if tok.kind == "IDENT" and tok.value not in KEYWORDS:
-        return TypeName(ts.ident())
+        return TypeName(ts.declared("type", "unbound type atom {!r}"))
     if tok.kind == "LPAR":
         ts.next()
         inner = _type(ts)
@@ -430,11 +466,7 @@ def _kind(ts: _Stream) -> Kind:
         return Star()
     if ts.at_keyword("pi"):
         ts.next()
-        x = ts.ident()
-        ts.expect("COLON")
-        a = _type(ts)
-        ts.expect("DOT")
-        return KindPi(x, a, _kind(ts))
+        return KindPi(*_binder(ts, _kind))
     raise ts.error("expected a kind")
 
 
@@ -491,29 +523,35 @@ class SourceFile:
 
 
 def parse_program(text: str) -> SourceFile:
+    """A program file; every name must be declared earlier in the file."""
     atoms: list[AtomDecl] = []
     uses: list[tuple[str, int]] = []
     defs: list[Definition] = []
+    scope: dict[str, set[str]] = {"term": set(), "type": set(), "oracle": set()}
+    seen: set[str] = set()
     for toks in logical_lines(text):
-        ts = _Stream(toks)
+        ts = _Stream(toks, scope)
         line = toks[0].line
         if ts.at_keyword("atom"):
             if defs or uses:
                 raise ts.error("atom declarations must precede oracle imports")
             ts.next()
-            name = ts.ident()
+            name = ts.new_name(seen, "{!r} declared twice")
             ts.expect("COLON")
             classifier = _kind(ts) if _starts_kind(ts) else _type(ts)
             ts.done()
             atoms.append(AtomDecl(name, classifier, line))
+            scope["type" if isinstance(classifier, Kind) else "term"].add(name)
         elif ts.at_keyword("use"):
             if defs:
                 raise ts.error("oracle imports must precede definitions")
             ts.next()
-            uses.append((ts.ident(), line))
+            uses.append(
+                (ts.new_name(scope["oracle"], "oracle {!r} imported twice"), line)
+            )
             ts.done()
         else:
-            name = ts.ident()
+            name = ts.new_name(seen, "{!r} declared twice")
             ascription = None
             if ts.peek().kind == "COLON":
                 ts.next()
@@ -522,81 +560,8 @@ def parse_program(text: str) -> SourceFile:
             term = _term(ts)
             ts.done()
             defs.append(Definition(name, ascription, term, line))
-    source = SourceFile(tuple(atoms), tuple(uses), tuple(defs))
-    _resolve(source)
-    return source
-
-
-def _resolve(source: SourceFile) -> None:
-    """Every referenced name must be declared earlier in the file."""
-    con_names: set[str] = set()
-    term_names: set[str] = set()
-    oracle_names = {name for name, _ in source.oracle_uses}
-    seen: set[str] = set()
-    for decl in source.atoms:
-        if decl.name in seen:
-            raise ParseError(
-                "DuplicateName", f"{decl.name!r} declared twice", (decl.line, 1)
-            )
-        _check_names(decl.classifier, set(), con_names, term_names, set(), decl.line)
-        seen.add(decl.name)
-        if isinstance(decl.classifier, Kind):
-            con_names.add(decl.name)
-        else:
-            term_names.add(decl.name)
-    seen_uses: set[str] = set()
-    for name, line in source.oracle_uses:
-        if name in seen_uses:
-            raise ParseError(
-                "DuplicateName", f"oracle {name!r} imported twice", (line, 1)
-            )
-        seen_uses.add(name)
-    for d in source.definitions:
-        if d.name in seen:
-            raise ParseError(
-                "DuplicateName", f"{d.name!r} declared twice", (d.line, 1)
-            )
-        if d.ascription is not None:
-            _check_names(d.ascription, set(), con_names, term_names, oracle_names, d.line)
-        _check_names(d.term, set(), con_names, term_names, oracle_names, d.line)
-        seen.add(d.name)
-        term_names.add(d.name)
-
-
-def _check_names(
-    node: syntax.Node,
-    bound: set[str],
-    con_names: set[str],
-    term_names: set[str],
-    oracle_names: set[str],
-    line: int,
-) -> None:
-    match node:
-        case Var(n):
-            if n not in bound and n not in term_names:
-                raise ParseError("UnboundName", f"unbound name {n!r}", (line, 1))
-        case TypeName(n):
-            if n not in con_names:
-                raise ParseError(
-                    "UnboundName", f"unbound type atom {n!r}", (line, 1)
-                )
-        case OracleRef(o) | OracleCall(o, _):
-            if o not in oracle_names:
-                raise ParseError(
-                    "UnboundName",
-                    f"oracle {o!r} not imported (add `use {o}`)",
-                    (line, 1),
-                )
-            for c in syntax.children(node):
-                _check_names(c, bound, con_names, term_names, oracle_names, line)
-        case syntax.Lam(x, a, b) | syntax.TypeAbs(x, a, b) | syntax.Forall(
-            x, a, b
-        ) | syntax.KindPi(x, a, b):
-            _check_names(a, bound, con_names, term_names, oracle_names, line)
-            _check_names(b, bound | {x}, con_names, term_names, oracle_names, line)
-        case _:
-            for c in syntax.children(node):
-                _check_names(c, bound, con_names, term_names, oracle_names, line)
+            scope["term"].add(name)
+    return SourceFile(tuple(atoms), tuple(uses), tuple(defs))
 
 
 # ------------------------------------------------------------ oracle files

@@ -423,24 +423,30 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
 def substitute(node: Node, name: str, replacement: Term) -> Node:
     """Capture-avoiding substitution of a term for a free term variable, at
     any of the three levels."""
-    match node:
-        case Var(n):
-            return replacement if n == name else node
-        case Lam(x, a, b) | TypeAbs(x, a, b) | Forall(x, a, b) | KindPi(x, a, b):
-            a2 = substitute(a, name, replacement)
-            if x == name:
-                return type(node)(x, a2, b)
-            if x in free_term_vars(replacement) and name in free_term_vars(b):
-                x2 = fresh_name(
-                    x, free_term_vars(replacement) | free_term_vars(b) | {name}
-                )
-                b = substitute(b, x, Var(x2))
-                x = x2
-            return type(node)(x, a2, substitute(b, name, replacement))
-        case _:
-            return _map_children(
-                node, lambda _, c: substitute(c, name, replacement)
-            )
+    # the replacement's free names, read at the first binder that tests
+    # for capture: a binder-free node never walks the replacement
+    free: frozenset[str] | None = None
+
+    def walk(node: Node) -> Node:
+        nonlocal free
+        match node:
+            case Var(n):
+                return replacement if n == name else node
+            case Lam(x, a, b) | TypeAbs(x, a, b) | Forall(x, a, b) | KindPi(x, a, b):
+                a2 = walk(a)
+                if x == name:
+                    return type(node)(x, a2, b)
+                if free is None:
+                    free = free_term_vars(replacement)
+                if x in free and name in free_term_vars(b):
+                    x2 = fresh_name(x, free | free_term_vars(b) | {name})
+                    b = substitute(b, x, Var(x2))
+                    x = x2
+                return type(node)(x, a2, walk(b))
+            case _:
+                return _map_children(node, lambda _, c: walk(c))
+
+    return walk(node)
 
 
 # --------------------------------------------------------- alpha-equality

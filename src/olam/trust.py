@@ -432,11 +432,10 @@ def _judgment_from_json(obj: dict, parsed: dict[str, Term]) -> MapstoJudgment:
     )
 
 
-def build_certificate(env: Environment, t: Term, report: TrustReport) -> dict:
-    """Self-contained record of a trust verdict: the program, its derived
-    distribution, all evidence, and every threshold comparison.  Each
-    distinct term is printed once."""
-    shown: dict[Term, str] = {}
+def _verdict_fields(t: Term, report: TrustReport, shown: dict[Term, str]) -> dict:
+    """Every certificate field but the witnesses: a function of the
+    program and the trust check alone, written for build_certificate and
+    recomputed by replay_certificate."""
     return {
         "schema": 1,
         "program": _show(t, shown),
@@ -449,7 +448,6 @@ def build_certificate(env: Environment, t: Term, report: TrustReport) -> dict:
             [_show(rep, shown), str(prob)]
             for rep, prob in report.distribution.items()
         ],
-        "witnesses": [judgment_to_json(j, shown) for j in report.judgments],
         "threshold_checks": [
             {
                 "outcome": _show(row.outcome, shown),
@@ -461,6 +459,18 @@ def build_certificate(env: Environment, t: Term, report: TrustReport) -> dict:
             for row in report.rows
         ],
     }
+
+
+def build_certificate(env: Environment, t: Term, report: TrustReport) -> dict:
+    """Self-contained record of a trust verdict: the program, its derived
+    distribution, all evidence, and every threshold comparison.  Each
+    distinct term is printed once."""
+    shown: dict[Term, str] = {}
+    cert = _verdict_fields(t, report, shown)
+    cert["witnesses"] = [judgment_to_json(j, shown) for j in report.judgments]
+    # the key order is part of the written bytes: threshold checks go last
+    cert["threshold_checks"] = cert.pop("threshold_checks")
+    return cert
 
 
 def _require(condition: bool, detail: str) -> None:
@@ -476,10 +486,10 @@ def replay_certificate(
 ) -> TrustReport:
     """Recheck a certificate from scratch.
 
-    Every witness is rechecked and witness masses must add up to the
-    claimed distribution.  The distribution is then derived once, by the
-    same trust_check that recomputes the threshold checks and the
-    verdict, and all of it is compared with the certificate.  Any
+    Every witness is rechecked, and the distribution is derived once by
+    the same trust_check that wrote the certificate.  Witness masses must
+    add up to that distribution, and every field but the witnesses must
+    equal what build_certificate writes for the recomputed verdict.  Any
     disagreement raises instead of returning.
 
     Witnesses share prefixes, so the replay parses each distinct text
@@ -487,20 +497,12 @@ def replay_certificate(
     checked against its own claim.  A labelled witness is checked along
     its labels; one without labels is searched, spending fuel.  A
     certificate of the wrong JSON shape is rejected before it is read,
-    and a witness that fails its check is named in the error.
+    which also keeps the comparison from equating 1 with True, and a
+    witness that fails its check is named in the error.
     """
     _require_shape(cert, _CERTIFICATE, "certificate")
     parsed: dict[str, Term] = {}
     t = _parse(cert["program"], parsed)
-    epsilon = surface.parse_rational_text(cert["epsilon"])
-    mode = cert["mode"]
-
-    claimed = Distribution()
-    for term_text, prob_text in cert["distribution"]:
-        claimed.add(
-            _parse(term_text, parsed), surface.parse_rational_text(prob_text)
-        )
-
     judgments = [_judgment_from_json(obj, parsed) for obj in cert["witnesses"]]
     table = _StepTable(env, registry, fuel)
     by_target: dict[str, Fraction] = {}
@@ -515,12 +517,8 @@ def replay_certificate(
             ) from err
         key = term_key(judgment.target)
         by_target[key] = by_target.get(key, Fraction(0)) + judgment.prob
-    _require(
-        by_target == claimed.as_key_map(),
-        "witness masses do not add up to the claimed distribution",
-    )
     _require(judgments != [], "no witnesses")
-    if mode == "enumerate":
+    if cert["mode"] == "enumerate":
         _require(
             all(alpha_eq(j.source, t) for j in judgments),
             "witnesses do not start at the program",
@@ -534,47 +532,24 @@ def replay_certificate(
         )
         width = len(pair_spine(first.steps[0]))
 
-    rows = cert["threshold_checks"]
     spec = TrustSpec(
         tuple(
             (
                 _parse(row["outcome"], parsed),
                 surface.parse_rational_text(row["target"]),
             )
-            for row in rows
+            for row in cert["threshold_checks"]
         ),
-        epsilon,
+        surface.parse_rational_text(cert["epsilon"]),
     )
     report = trust_check(env, t, spec, registry, fuel, width)
     _require(
-        report.mode == mode,
-        f"recomputed mode {report.mode}, certificate says {mode}",
+        by_target == report.distribution.as_key_map(),
+        "witness masses do not add up to the re-derived distribution",
     )
-    _require(
-        report.distribution == claimed,
-        "re-derived distribution differs from the claimed one",
-    )
-    for row, recomputed in zip(rows, report.rows):
-        outcome = recomputed.outcome
+    for field, value in _verdict_fields(t, report, {}).items():
         _require(
-            recomputed.derived == surface.parse_rational_text(row["derived"]),
-            f"derived mass for {outcome} differs",
+            cert[field] == value,
+            f"certificate field {field!r} differs from the recomputed one",
         )
-        _require(
-            recomputed.deviation
-            == surface.parse_rational_text(row["deviation"]),
-            f"deviation for {outcome} differs",
-        )
-        _require(
-            recomputed.passed == row["passed"], f"check for {outcome} differs"
-        )
-    _require(
-        report.verdict == cert["verdict"],
-        f"recomputed verdict {report.verdict}, "
-        f"certificate says {cert['verdict']!r}",
-    )
-    _require(
-        str(report.total) == cert["totality"],
-        "recomputed totality differs",
-    )
     return report

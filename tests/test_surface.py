@@ -310,7 +310,7 @@ ORACLE_HEAD = "oracle e arity 0 type Sigma A\n"
             PROGRAM_HEAD + "main = x\u00b2",
             "UnboundName",
             "unbound name 'x\u00b2'",
-            (3, 1),
+            (3, 8),
         ),
         (
             "parse_oracle_file",
@@ -349,6 +349,58 @@ ORACLE_HEAD = "oracle e arity 0 type Sigma A\n"
             (1, 3),
         ),
         ("parse_term", "", "Syntax", "expected a term", None),
+        # a name error points at the name
+        (
+            "parse_program",
+            "atom A : *\natom a : B",
+            "UnboundName",
+            "unbound type atom 'B'",
+            (2, 10),
+        ),
+        (
+            "parse_program",
+            PROGRAM_HEAD + "main = #c!",
+            "UnboundName",
+            "oracle 'c' not imported (add `use c`)",
+            (3, 9),
+        ),
+        # a binder's name is in scope in its body only: not in its own
+        # annotation, and not after the body
+        (
+            "parse_program",
+            PROGRAM_HEAD + "atom P : pi y:A. *\nmain = \\x:P x. x",
+            "UnboundName",
+            "unbound name 'x'",
+            (4, 13),
+        ),
+        (
+            "parse_program",
+            PROGRAM_HEAD + "main = <\\x:A. x, x>",
+            "UnboundName",
+            "unbound name 'x'",
+            (3, 18),
+        ),
+        (
+            "parse_program",
+            "atom A : *\natom A : *",
+            "DuplicateName",
+            "'A' declared twice",
+            (2, 6),
+        ),
+        (
+            "parse_program",
+            PROGRAM_HEAD + "use c\nuse c",
+            "DuplicateName",
+            "oracle 'c' imported twice",
+            (4, 5),
+        ),
+        (
+            "parse_program",
+            PROGRAM_HEAD + "a = a",
+            "DuplicateName",
+            "'a' declared twice",
+            (3, 1),
+        ),
     ],
 )
 def test_lexer_rejects_stray_characters(parse, text, code, message, span):

@@ -86,6 +86,33 @@ def test_substitute_inside_type_annotation():
     assert substitute(t, "x", Var("a")) == t
 
 
+def test_substitute_reads_the_replacement_free_names_once(monkeypatch):
+    replacement = Var("a")
+    for _ in range(100):
+        replacement = App(Var("g"), replacement)
+    inner = Proj(Pair(Var("f"), Var("a")), 0)
+    body = inner
+    for i in reversed(range(50)):
+        body = Lam(f"y{i}", A, body)
+    calls = []
+    walk = syntax.free_term_vars
+
+    def counted(node):
+        calls.append(type(node).__name__)
+        return walk(node)
+
+    monkeypatch.setattr(syntax, "free_term_vars", counted)
+    out = substitute(body, "f", replacement)
+    # one walk of the 201 nodes of the replacement, not one per binder
+    assert len(calls) <= 250
+    for _ in range(50):
+        out = out.body
+    assert out == Proj(Pair(replacement, Var("a")), 0)
+    calls.clear()
+    assert substitute(inner, "f", replacement) == out
+    assert calls == []
+
+
 def test_free_term_vars():
     t = Lam("x", A, App(Var("x"), App(Var("y"), Var("z"))))
     assert free_term_vars(t) == frozenset({"y", "z"})

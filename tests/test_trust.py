@@ -631,6 +631,33 @@ def test_replay_rejects_mode_swap():
         assert e.value.code == "CertificateMismatch"
 
 
+def test_replay_requires_the_text_trust_writes():
+    """Every field but the witnesses must equal what trust writes: rows in
+    another order, an equal fraction or an equivalent program text is a
+    different certificate, and the error names the field."""
+    env, reg, _, cert = trusted_coin_certificate()
+    swapped = copy.deepcopy(cert)
+    swapped["distribution"].reverse()
+    unreduced_mass = copy.deepcopy(cert)
+    unreduced_mass["distribution"][0][1] = "2/6"
+    unreduced_derived = copy.deepcopy(cert)
+    unreduced_derived["threshold_checks"][0]["derived"] = "2/6"
+    bracketed = copy.deepcopy(cert)
+    bracketed["program"] = "choose[1/3]{(a)}{b}!"
+    for broken, field in (
+        (swapped, "distribution"),
+        (unreduced_mass, "distribution"),
+        (unreduced_derived, "threshold_checks"),
+        (bracketed, "program"),
+    ):
+        with pytest.raises(TrustError) as e:
+            replay_certificate(env, reg, broken)
+        assert e.value.code == "CertificateMismatch"
+        assert repr(field) in e.value.message
+    assert replay_certificate(env, reg, copy.deepcopy(cert)).verdict == "trusted"
+    assert replay_certificate(env, reg, strip_labels(cert)).verdict == "trusted"
+
+
 def test_replay_survives_json_round_trip():
     env, reg, _, cert = trusted_coin_certificate()
     wire = json.loads(json.dumps(cert))
