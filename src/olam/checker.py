@@ -91,9 +91,6 @@ class Environment:
     def term_names(self) -> list[str]:
         return list(self._terms)
 
-    def con_names(self) -> list[str]:
-        return list(self._cons)
-
     def all_names(self) -> frozenset[str]:
         return frozenset(self._cons) | frozenset(self._terms)
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import checker, surface, trust
 from .checker import CheckedProgram
-from .errors import OlamError
+from .errors import OlamError, TraceError
 from .printer import show, show_label, term_key
 from .reducer import run_sample, sample_seed
 from .syntax import Term
@@ -335,12 +335,9 @@ def _cmd_freq(args: argparse.Namespace) -> int:
     checked = _load(args)
     oracle = forced_oracle_form(checked.main_term)
     if oracle is None:
-        print(
-            "error: [NotAnOracleProgram] oracle-freq needs a forced oracle "
-            "as main",
-            file=sys.stderr,
+        raise TraceError(
+            "NotAnOracleProgram", "oracle-freq needs a forced oracle as main"
         )
-        return 1
     name, arg = oracle
     dist, _ = oracle_frequency(
         checked.env, name, arg, args.samples, checked.registry
@@ -367,7 +364,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except OlamError as err:
+    except (OlamError, RecursionError) as err:
+        if isinstance(err, RecursionError):
+            # the recursive walks ran out of stack on deeply nested input
+            err = OlamError("DepthExceeded", "input is nested too deeply")
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (OSError, _UsageError) as err:

@@ -87,10 +87,6 @@ def normalize_kind(kind: Kind, fuel: Fuel | int = DEFAULT_FUEL) -> Kind:
     return normalize_node(kind, LEFTMOST_OUTERMOST, fuel)  # type: ignore[return-value]
 
 
-def is_normal_con(node: Node) -> bool:
-    return not find_con_redexes(node)
-
-
 def con_equiv(a: Node, b: Node, fuel: Fuel | int = DEFAULT_FUEL) -> bool:
     """Conversion check: both sides reduce to alpha-equal normal forms."""
     return alpha_eq(

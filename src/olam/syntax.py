@@ -281,8 +281,12 @@ _REBUILD: dict[type, Callable[[Node, tuple[Node, ...]], Node]] = {
     TraceTerm: lambda node, kids: TraceTerm(tuple(kids), node.prob),
     MergeTerm: _merge_rebuild,
 }
-# the fields that are not children, compared with == by alpha-equality
-_DATA: dict[type, Callable[[Node], tuple]] = {}
+# the fields that are not children, compared with == by alpha-equality;
+# for evidence, also the shape its children are read in
+_DATA: dict[type, Callable[[Node], tuple]] = {
+    TraceTerm: lambda node: (node.prob, len(node.steps)),
+    MergeTerm: lambda node: (node.prob, tuple(map(len, node.branches))),
+}
 
 
 def _getter(names: list[str]) -> Callable[[Node], tuple]:
@@ -480,24 +484,6 @@ def _alpha(a: Node, b: Node, env_a: dict, env_b: dict, counter: list[int]) -> bo
             ea[x] = counter[0]
             eb[b.var] = counter[0]  # type: ignore[union-attr]
             return _alpha(body, b.body, ea, eb, counter)  # type: ignore
-        case TraceTerm(steps, p):
-            return (
-                p == b.prob
-                and len(steps) == len(b.steps)
-                and all(
-                    _alpha(s, t, env_a, env_b, counter)
-                    for s, t in zip(steps, b.steps)
-                )
-            )
-        case MergeTerm(_, branches, _, p):
-            if p != b.prob or tuple(len(x) for x in branches) != tuple(
-                len(x) for x in b.branches
-            ):
-                return False
-            ka, kb = children(a), children(b)
-            return all(
-                _alpha(x, y, env_a, env_b, counter) for x, y in zip(ka, kb)
-            )
         case _:
             data = _DATA[type(a)]
             if data(a) != data(b):
@@ -577,12 +563,14 @@ class HoleContext:
         return go(self.skeleton)  # type: ignore[return-value]
 
 
-def _is_oracle_redex(node: Node, oracle: str) -> bool:
-    match node:
-        case Force(OracleRef(o)) | Force(OracleCall(o, _)):
-            return o == oracle
-        case _:
-            return False
+def forced_oracle_form(t: Term) -> tuple[str, Term | None] | None:
+    """Oracle name and argument when t is a forced oracle, else None."""
+    match t:
+        case Force(OracleRef(o)):
+            return o, None
+        case Force(OracleCall(o, arg)):
+            return o, arg
+    return None
 
 
 def decompose_oracle_context(
@@ -593,11 +581,10 @@ def decompose_oracle_context(
     identity."""
     occurrences: list[OracleOccurrence] = []
 
-    def go(node: Node, path: tuple[int, ...]) -> Node:
-        if isinstance(node, Term) and _is_oracle_redex(node, oracle):
-            body = node.body  # type: ignore[union-attr]
-            arg = body.arg if isinstance(body, OracleCall) else None
-            occurrences.append(OracleOccurrence(len(occurrences) + 1, arg, path))
+    def go(node: Term, path: tuple[int, ...]) -> Node:
+        form = forced_oracle_form(node)
+        if form is not None and form[0] == oracle:
+            occurrences.append(OracleOccurrence(len(occurrences) + 1, form[1], path))
             return Hole(len(occurrences))
         if isinstance(node, (TraceTerm, MergeTerm)):
             return node
@@ -607,12 +594,6 @@ def decompose_oracle_context(
 
     skeleton = go(t, ())
     return HoleContext(skeleton, len(occurrences)), tuple(occurrences)  # type: ignore[arg-type]
-
-
-def original_redex(oracle: str, occ: OracleOccurrence) -> Term:
-    if occ.arg is None:
-        return Force(OracleRef(oracle))
-    return Force(OracleCall(oracle, occ.arg))
 
 
 # ---------------------------------------------------------------- tuples

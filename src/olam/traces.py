@@ -41,6 +41,7 @@ from .syntax import (
     TypeCon,
     alpha_eq,
     decompose_oracle_context,
+    forced_oracle_form,
     make_tuple,
     pair_spine,
     subnode_at,
@@ -270,19 +271,18 @@ def _diagnose_failed_step(
 
 class _StepTable:
     """What one run of checks has already established, keyed by the terms
-    it was computed for: the readings of a step, the oracle rewrite of a
-    term, and the type of a term.
+    it was computed for: the readings of a step, and the type of a term.
 
     Bound to one environment and registry, and to the fuel that the search
     over readings spends.  Steps are keyed by the identity of their terms,
     which evidence shares along common prefixes; an entry holds its terms,
-    so their ids stay unique while it lives.  Rewrites and types are keyed
-    by structure: node dataclasses are frozen, so equal terms share an
-    entry.  Only successes are kept: a check that fails raises again each
-    time it is asked.
+    so their ids stay unique while it lives.  Types are keyed by
+    structure: node dataclasses are frozen, so equal terms share an entry.
+    Only successes are kept: a check that fails raises again each time it
+    is asked.
     """
 
-    __slots__ = ("env", "registry", "fuel", "_steps", "_rewrites", "_types")
+    __slots__ = ("env", "registry", "fuel", "_steps", "_types")
 
     def __init__(
         self,
@@ -297,7 +297,6 @@ class _StepTable:
             tuple[int, int, StepLabel | None],
             tuple[Term, Term, list[_Reading]],
         ] = {}
-        self._rewrites: dict[tuple[str, Term], Term] = {}
         self._types: dict[Term, TypeCon] = {}
 
     def readings(
@@ -311,15 +310,6 @@ class _StepTable:
                 u, v, _readings(u, v, label, self.registry)
             )
         return found[2]
-
-    def rewrite(self, name: str, t: Term) -> Term:
-        """t after the registry's simultaneous rewrite of oracle name."""
-        result = self._rewrites.get((name, t))
-        if result is None:
-            assert self.registry is not None
-            _, result = self.registry.rewrite(name, t)
-            self._rewrites[(name, t)] = result
-        return result
 
     def type_of(self, t: Term) -> TypeCon:
         found = self._types.get(t)
@@ -471,16 +461,6 @@ def _splits(
 # ------------------------------------------------------ judgment checking
 
 
-def forced_oracle_form(t: Term) -> tuple[str, Term | None] | None:
-    """Oracle name and argument when t is a forced oracle, else None."""
-    match t:
-        case Force(OracleRef(o)):
-            return o, None
-        case Force(OracleCall(o, arg)):
-            return o, arg
-    return None
-
-
 def _frequency_shape(witness: Term, source: Term) -> int | None:
     """Width n when the witness reads as a frequency table for source."""
     if forced_oracle_form(source) is None:
@@ -495,32 +475,27 @@ def _frequency_shape(witness: Term, source: Term) -> int | None:
 
 def _check_frequency(
     witness: TraceTerm,
-    source: Term,
     target: Term,
     prob: Rational | None,
     width: int,
     table: _StepTable,
 ) -> Rational:
-    """Replay a frequency table and return the target's share of it, which
-    a claimed prob must equal."""
-    if table.registry is None:
-        raise TraceError(
-            "MissingRegistry", "cannot replay an oracle without a registry"
-        )
+    """Check a frequency table's one step, the oracle step at the tuple's
+    first call site, and return the target's share of the rewritten tuple,
+    which a claimed prob must equal."""
     if witness.prob is not None and witness.prob != 1:
         raise TraceError(
             "ProbabilityMismatch",
             f"frequency evidence carries probability {witness.prob}, not 1",
         )
-    forced = forced_oracle_form(source)
-    assert forced is not None
-    name, _ = forced
-    result = table.rewrite(name, witness.steps[0])
-    if not alpha_eq(result, witness.steps[1]):
-        raise TraceError(
-            "OracleReplayMismatch",
-            f"oracle {name} does not produce {witness.steps[1]}",
-        )
+    calls, result = witness.steps
+    try:
+        table.readings(calls, result, (() if width == 1 else (0,), "oracle"))
+    except TraceError as err:
+        # the step is the oracle's, whatever the shape of the result
+        if err.code != "RuleMismatch":
+            raise
+        raise TraceError("OracleReplayMismatch", err.message) from err
     hits = sum(
         1
         for part in tuple_components(result, width)
@@ -588,7 +563,7 @@ def _check_evidence(
     width = _frequency_shape(witness, source)
     if width is not None:
         assert isinstance(witness, TraceTerm)
-        return _check_frequency(witness, source, target, prob, width, table)
+        return _check_frequency(witness, target, prob, width, table)
     first, last, annotated = _endpoints(witness)
     if annotated is not None:
         if prob is not None and annotated != prob:

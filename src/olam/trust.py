@@ -28,11 +28,11 @@ from .syntax import (
     Term,
     TraceTerm,
     alpha_eq,
-    pair_spine,
 )
 from .traces import (
     Distribution,
     MapstoJudgment,
+    _frequency_shape,
     _StepTable,
     check_trace,
     enumerate_distribution,
@@ -413,13 +413,10 @@ def judgment_to_json(
     }
 
 
-def judgment_from_json(
-    obj: dict, parsed: dict[str, Term] | None = None
-) -> MapstoJudgment:
-    """A judgment read from certificate JSON; judgments read through one
-    parsed dict parse each distinct text once."""
+def judgment_from_json(obj: dict) -> MapstoJudgment:
+    """A judgment read from certificate JSON."""
     _require_shape(obj, _JUDGMENT, "judgment")
-    return _judgment_from_json(obj, {} if parsed is None else parsed)
+    return _judgment_from_json(obj, {})
 
 
 def _judgment_from_json(obj: dict, parsed: dict[str, Term]) -> MapstoJudgment:
@@ -525,12 +522,8 @@ def replay_certificate(
         )
         width = None
     else:
-        first = judgments[0].witness
-        _require(
-            isinstance(first, TraceTerm) and len(first.steps) == 2,
-            "malformed frequency evidence",
-        )
-        width = len(pair_spine(first.steps[0]))
+        width = _frequency_shape(judgments[0].witness, t)
+        _require(width is not None, "malformed frequency evidence")
 
     spec = TrustSpec(
         tuple(

@@ -359,7 +359,9 @@ def test_oracle_freq_rejects_plain_programs(project, capsys):
     code, out, err = run(["oracle-freq", prog, "--oracles", orc], capsys)
     assert code == 1
     assert out == ""
-    assert "NotAnOracleProgram" in err
+    assert err == (
+        "error: [NotAnOracleProgram] oracle-freq needs a forced oracle as main\n"
+    )
 
 
 def test_missing_program_file_is_io_error(capsys, tmp_path):
@@ -441,3 +443,24 @@ def test_numerals_longer_than_int_accepts_are_parse_errors(project, capsys):
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     expected = "MalformedNumeral" if 0 < limit < 5000 else "ProbabilityOutOfRange"
     assert _one_error_line(err) and f"[{expected}]" in err
+
+
+def test_deep_input_is_a_coded_error(project, capsys, tmp_path):
+    """Input nested past the recursion limit ends in one coded error line,
+    not a traceback."""
+    prog, orc = project("#c!")
+    deep = tmp_path / "deep.olam"
+    deep.write_text(
+        "atom A : *\natom a : A\natom g : A -> A\n"
+        f"main = {'g (' * 300}a{')' * 300}\n"
+    )
+    for argv in (
+        ["oracle-freq", prog, "--oracles", orc, "--samples", "300"],
+        ["dist", str(deep)],
+    ):
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: [DepthExceeded]")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err

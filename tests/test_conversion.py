@@ -39,7 +39,7 @@ def test_normalize_leaves_term_redexes_alone():
     # term-level beta inside a type argument is not a constructor redex
     c = surface.parse_type("P ((\\x:A. x) a)")
     assert conversion.normalize_con(c) == c
-    assert conversion.is_normal_con(c)
+    assert not conversion.find_con_redexes(c)
 
 
 def test_find_con_redexes_positions():
@@ -52,8 +52,8 @@ def test_find_con_redexes_positions():
 
 
 def test_is_normal_con():
-    assert conversion.is_normal_con(surface.parse_type("forall x:A. P x"))
-    assert not conversion.is_normal_con(surface.parse_type("(\\\\x:A. P x) a"))
+    assert not conversion.find_con_redexes(surface.parse_type("forall x:A. P x"))
+    assert conversion.find_con_redexes(surface.parse_type("(\\\\x:A. P x) a"))
 
 
 def test_con_equiv():
@@ -90,7 +90,7 @@ def test_strategies_agree(seed):
     lo = conversion.normalize_con(c, strategy=conversion.LEFTMOST_OUTERMOST)
     ri = conversion.normalize_con(c, strategy=conversion.RIGHTMOST_INNERMOST)
     assert alpha_eq(lo, ri)
-    assert conversion.is_normal_con(lo)
+    assert not conversion.find_con_redexes(lo)
 
 
 @given(st.integers(0, 2000))

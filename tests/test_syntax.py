@@ -44,7 +44,6 @@ from olam.syntax import (
     free_term_vars,
     fresh_name,
     make_tuple,
-    original_redex,
     pair_spine,
     rebuild,
     replace_at,
@@ -161,6 +160,7 @@ def test_alpha_eq_distinguishes_probabilities():
         (Choice(l, half, r), Choice(l, third, r)),
         (TraceTerm((l, r), half), TraceTerm((l, r), third)),
         (TraceTerm((l, r), half), TraceTerm((l, r), None)),
+        (TraceTerm((l, r), half), TraceTerm((l, r, r), half)),
         (MergeTerm(l, ((l,),), r, half), MergeTerm(l, ((l,),), r, third)),
         (MergeTerm(l, ((l, r), (l,)), r), MergeTerm(l, ((l,), (r, l)), r)),
     ]
@@ -275,7 +275,12 @@ def test_decompose_fill_identity():
     assert ctx.count == 2
     assert subnode_at(ctx.skeleton, (0,)) == Hole(1)
     refilled = ctx.fill(
-        {occ.index: original_redex("c", occ) for occ in occs}
+        {
+            occ.index: Force(OracleRef("c"))
+            if occ.arg is None
+            else Force(OracleCall("c", occ.arg))
+            for occ in occs
+        }
     )
     assert refilled == t
 

@@ -42,6 +42,7 @@ from olam.syntax import (
     TypeName,
     Var,
     alpha_eq,
+    make_tuple,
 )
 
 HALF = Fraction(1, 2)
@@ -334,6 +335,37 @@ def test_check_trace_frequency_tampered_result():
     bad = MapstoJudgment(j.source, j.target, Fraction(1), tampered)
     with pytest.raises(TraceError) as e:
         check_trace(env, tampered, bad, reg)
+    assert e.value.code == "OracleReplayMismatch"
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_check_trace_frequency_step_is_the_oracle_step(width):
+    """A beta step inside the call's argument does not stand in for the
+    oracle step of a frequency table."""
+    env, reg = signature()
+    src = surface.parse_term("(#d ((\\x:A. x) a))!")
+    stepped = surface.parse_term("(#d a)!")
+    w = TraceTerm(
+        (
+            make_tuple([src] * width),
+            make_tuple([stepped] + [src] * (width - 1)),
+        ),
+        Fraction(1),
+    )
+    claim = MapstoJudgment(src, stepped, Fraction(1, width), w)
+    with pytest.raises(TraceError) as e:
+        check_trace(env, w, claim, reg)
+    assert e.value.code == "OracleReplayMismatch"
+
+
+def test_check_trace_frequency_result_of_another_shape():
+    """A table whose result is not a tuple of its width fails as a wrong
+    oracle answer."""
+    env, reg = signature()
+    src = surface.parse_term("#c!")
+    w = TraceTerm((make_tuple([src] * 3), Var("a")), Fraction(1))
+    with pytest.raises(TraceError) as e:
+        check_trace(env, w, MapstoJudgment(src, Var("a"), Fraction(1, 3), w), reg)
     assert e.value.code == "OracleReplayMismatch"
 
 

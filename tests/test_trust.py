@@ -298,6 +298,26 @@ def test_frequency_certificate_replays(monkeypatch):
     assert calls["rewrite"] == 2
 
 
+def test_frequency_certificate_step_is_read_as_one_oracle_step(monkeypatch):
+    """A frequency table's one step goes through the step reader once per
+    replay, labelled as the oracle step at the tuple's first call site."""
+    env, reg = signature()
+    t = surface.parse_term("#c!")
+    spec = spec_ab(Fraction(2, 3), Fraction(1, 3), Fraction(1, 100))
+    cert = build_certificate(env, t, trust_check(env, t, spec, reg, freq_width=3))
+    assert len(cert["witnesses"]) == 2
+    labels = []
+    readings = traces._readings
+
+    def recorded(u, v, label, registry):
+        labels.append(label)
+        return readings(u, v, label, registry)
+
+    monkeypatch.setattr(traces, "_readings", recorded)
+    assert replay_certificate(env, reg, cert).verdict == "trusted"
+    assert labels == [((0,), "oracle")]
+
+
 def test_replay_rejects_schema_change():
     env, reg, _, cert = trusted_coin_certificate()
     cert["schema"] = 2
