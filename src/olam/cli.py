@@ -22,7 +22,7 @@ from .checker import CheckedProgram
 from .errors import OlamError, TraceError
 from .printer import show, show_label, term_key
 from .reducer import run_sample, sample_seed
-from .syntax import Term
+from .syntax import DEFAULT_FUEL, Term
 from .traces import (
     enumerate_distribution,
     enumerate_paths,
@@ -76,8 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--fuel",
         type=_at_least(0),
-        default=100_000,
-        help="step budget (default 100000)",
+        default=DEFAULT_FUEL,
+        help=f"step budget (default {DEFAULT_FUEL})",
     )
     common.add_argument(
         "--format",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import OracleError
+from .errors import OlamError, OracleError
 from .syntax import (
     Forall,
     HoleContext,
@@ -225,7 +225,7 @@ def _check_output_type(
         expected = substitute(result, var, arg)  # type: ignore[assignment]
     try:
         checker.check_type(env, output, expected)
-    except Exception as exc:
+    except OlamError as exc:
         raise OracleError(
             "OutputIllTyped",
             f"oracle {odef.name} output {output} fails its obligation "
@@ -276,7 +276,7 @@ def validate_oracle(odef: OracleDef, env) -> None:
         )
     try:
         kind = checker.infer_kind(env, odef.assoc_type)
-    except Exception as exc:
+    except OlamError as exc:
         raise OracleError(
             "OracleTypeInvalid",
             f"oracle {odef.name} type {odef.assoc_type}: {exc}",
@@ -305,7 +305,7 @@ def validate_oracle(odef: OracleDef, env) -> None:
             pattern = rule.guard.pattern
             try:
                 checker.check_type(env, pattern, dom)
-            except Exception as exc:
+            except OlamError as exc:
                 raise OracleError(
                     "OutputIllTyped",
                     f"oracle {odef.name} rule for {pattern}: {exc}",

@@ -270,12 +270,10 @@ class _Stream:
 
 def parse_rational_text(text: str) -> Fraction:
     try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            frac = Fraction(int(num), int(den))
-        else:
-            frac = Fraction(int(text))
-    except (ValueError, ZeroDivisionError) as exc:
+        ts = _Stream(tokenize(text))
+        frac = _rational(ts)
+        ts.done()
+    except ParseError as exc:
         raise ParseError("MalformedRational", f"bad rational {text!r}") from exc
     return frac
 

@@ -212,13 +212,6 @@ def _readings(
             )
     found: list[_Reading] = []
     for redex in redexes:
-        if redex.kind == "oracle" and registry is None:
-            if label is None:
-                continue
-            raise TraceError(
-                "MissingRegistry",
-                f"cannot replay oracle {redex.oracle} without a registry",
-            )
         for outcome in step(u, redex, registry):
             reading = (Fraction(outcome.prob), (redex.path, outcome.label))
             if (
@@ -230,18 +223,16 @@ def _readings(
                 found.append(reading)
     if found:
         return found
-    _diagnose_failed_step(u, v, registry)
     if label is None:
+        _diagnose_failed_step(u, v)
         raise TraceError("RuleMismatch", f"no rule steps {u} to {v}")
     raise TraceError(
-        "RuleMismatch",
+        "OracleReplayMismatch" if rule == "oracle" else "RuleMismatch",
         f"the {rule} step at position {list(path)} does not take {u} to {v}",
     )
 
 
-def _diagnose_failed_step(
-    u: Term, v: Term, registry: OracleRegistry | None
-) -> None:
+def _diagnose_failed_step(u: Term, v: Term) -> None:
     """Tell apart a wrong oracle answer from a step that fits no rule: if
     v has the shape of an oracle rewrite of u, the replay must have
     disagreed on the filled values."""
@@ -258,11 +249,6 @@ def _diagnose_failed_step(
             continue
         if not alpha_eq(context.fill(guess), v):
             continue
-        if registry is None:
-            raise TraceError(
-                "MissingRegistry",
-                f"cannot replay oracle {name} without a registry",
-            )
         raise TraceError(
             "OracleReplayMismatch",
             f"oracle {name} does not produce {v} from {u}",
@@ -489,13 +475,7 @@ def _check_frequency(
             f"frequency evidence carries probability {witness.prob}, not 1",
         )
     calls, result = witness.steps
-    try:
-        table.readings(calls, result, (() if width == 1 else (0,), "oracle"))
-    except TraceError as err:
-        # the step is the oracle's, whatever the shape of the result
-        if err.code != "RuleMismatch":
-            raise
-        raise TraceError("OracleReplayMismatch", err.message) from err
+    table.readings(calls, result, (() if width == 1 else (0,), "oracle"))
     hits = sum(
         1
         for part in tuple_components(result, width)

@@ -9,6 +9,7 @@ certificate can be replayed from scratch against the program it names.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -149,10 +150,6 @@ def trust_check(
     listed = _validate_spec(env, spec, subject_type, registry)
     oracle = forced_oracle_form(t)
     if freq_width is not None and oracle is not None:
-        if registry is None:
-            raise TrustError(
-                "MissingRegistry", "oracle frequency needs a registry"
-            )
         name, arg = oracle
         dist, judgments = oracle_frequency(env, name, arg, freq_width, registry)
         mode = "frequency"
@@ -241,11 +238,11 @@ class _OneOf:
         self.shapes = shapes
 
 
-# The JSON shape of certificates, checked before anything is read.  A type
-# is matched with isinstance, a one-item list by every item of a list, a
-# tuple by a list of its length item by item, a dict field by field (a
-# missing field reads as None), a function as a predicate, and anything
-# else by equal value and type.
+# The JSON shape of what replay reads of a certificate, checked before it
+# is read; every other field is only compared with the text trust writes.
+# A type is matched with isinstance, a one-item list by every item of a
+# list, a dict field by field (a missing field reads as None), a function
+# as a predicate, and anything else by equal value and type.
 _OPTIONAL_TEXT = _OneOf(None, str)
 _WITNESS = _OneOf(
     {
@@ -273,21 +270,9 @@ _CERTIFICATE = {
     "schema": 1,
     "program": str,
     "mode": _OneOf("enumerate", "frequency"),
-    "seedless": True,
     "epsilon": str,
-    "verdict": str,
-    "totality": str,
-    "distribution": [(str, str)],
     "witnesses": [_JUDGMENT],
-    "threshold_checks": [
-        {
-            "outcome": str,
-            "target": str,
-            "derived": str,
-            "deviation": str,
-            "passed": bool,
-        }
-    ],
+    "threshold_checks": [{"outcome": str, "target": str}],
 }
 
 
@@ -299,13 +284,11 @@ def _departure(value: object, shape: object) -> list[str] | None:
         return None if fits else []
     if isinstance(shape, type):
         return None if isinstance(value, shape) else []
-    if isinstance(shape, (list, tuple)):
-        if not isinstance(value, list) or (
-            isinstance(shape, tuple) and len(value) != len(shape)
-        ):
+    if isinstance(shape, list):
+        if not isinstance(value, list):
             return []
         for i, v in enumerate(value):
-            bad = _departure(v, shape[i if isinstance(shape, tuple) else 0])
+            bad = _departure(v, shape[0])
             if bad is not None:
                 return [*bad, f"[{i}]"]
         return None
@@ -398,19 +381,26 @@ def _witness_from_json(obj: dict, parsed: dict[str, Term]) -> Term:
     )
 
 
-def judgment_to_json(
-    judgment: MapstoJudgment, shown: dict[Term, str] | None = None
-) -> dict:
-    """A judgment as certificate JSON; judgments printed through one
-    shown dict print each distinct term once."""
-    if shown is None:
-        shown = {}
+def _claim(judgment: MapstoJudgment, shown: dict[Term, str]) -> dict:
+    """What a judgment claims, as certificate JSON: its source, target and
+    probability."""
     return {
         "source": _show(judgment.source, shown),
         "target": _show(judgment.target, shown),
         "probability": str(judgment.prob),
-        "witness": _witness_to_json(judgment.witness, shown),
     }
+
+
+def judgment_to_json(
+    judgment: MapstoJudgment, shown: dict[Term, str] | None = None
+) -> dict:
+    """A judgment as certificate JSON, its claim and its witness; judgments
+    printed through one shown dict print each distinct term once."""
+    if shown is None:
+        shown = {}
+    out = _claim(judgment, shown)
+    out["witness"] = _witness_to_json(judgment.witness, shown)
+    return out
 
 
 def judgment_from_json(obj: dict) -> MapstoJudgment:
@@ -430,9 +420,10 @@ def _judgment_from_json(obj: dict, parsed: dict[str, Term]) -> MapstoJudgment:
 
 
 def _verdict_fields(t: Term, report: TrustReport, shown: dict[Term, str]) -> dict:
-    """Every certificate field but the witnesses: a function of the
-    program and the trust check alone, written for build_certificate and
-    recomputed by replay_certificate."""
+    """The certificate without its evidence: every field, with each
+    witness's claim but not its witness.  A function of the program and the
+    trust check alone, written for build_certificate and recomputed by
+    replay_certificate."""
     return {
         "schema": 1,
         "program": _show(t, shown),
@@ -445,6 +436,7 @@ def _verdict_fields(t: Term, report: TrustReport, shown: dict[Term, str]) -> dic
             [_show(rep, shown), str(prob)]
             for rep, prob in report.distribution.items()
         ],
+        "witnesses": [_claim(j, shown) for j in report.judgments],
         "threshold_checks": [
             {
                 "outcome": _show(row.outcome, shown),
@@ -460,13 +452,12 @@ def _verdict_fields(t: Term, report: TrustReport, shown: dict[Term, str]) -> dic
 
 def build_certificate(env: Environment, t: Term, report: TrustReport) -> dict:
     """Self-contained record of a trust verdict: the program, its derived
-    distribution, all evidence, and every threshold comparison.  Each
-    distinct term is printed once."""
+    distribution, every outcome's claim with its evidence, and every
+    threshold comparison.  Each distinct term is printed once."""
     shown: dict[Term, str] = {}
     cert = _verdict_fields(t, report, shown)
-    cert["witnesses"] = [judgment_to_json(j, shown) for j in report.judgments]
-    # the key order is part of the written bytes: threshold checks go last
-    cert["threshold_checks"] = cert.pop("threshold_checks")
+    for claim, judgment in zip(cert["witnesses"], report.judgments):
+        claim["witness"] = _witness_to_json(judgment.witness, shown)
     return cert
 
 
@@ -483,26 +474,25 @@ def replay_certificate(
 ) -> TrustReport:
     """Recheck a certificate from scratch.
 
-    Every witness is rechecked, and the distribution is derived once by
-    the same trust_check that wrote the certificate.  Witness masses must
-    add up to that distribution, and every field but the witnesses must
-    equal what build_certificate writes for the recomputed verdict.  Any
-    disagreement raises instead of returning.
+    Every witness's evidence is checked against its claim, and the verdict
+    is derived once more by the same trust_check that wrote the
+    certificate.  Every field, and the claim of every witness, must then
+    be the text that trust writes for that verdict: compared as JSON
+    values, so 1 is not true and list order counts, but the key order of
+    an object does not.  Any disagreement raises instead of returning.
 
-    Witnesses share prefixes, so the replay parses each distinct text
-    once and checks each distinct step once; every witness is still
-    checked against its own claim.  A labelled witness is checked along
-    its labels; one without labels is searched, spending fuel.  A
-    certificate of the wrong JSON shape is rejected before it is read,
-    which also keeps the comparison from equating 1 with True, and a
-    witness that fails its check is named in the error.
+    Only what replay reads is shape-checked before it is read.  Witnesses
+    share prefixes, so the replay parses each distinct text once and
+    checks each distinct step once; every witness is still checked against
+    its own claim.  A labelled witness is checked along its labels; one
+    without labels is searched, spending fuel.  A witness that fails its
+    check is named in the error.
     """
     _require_shape(cert, _CERTIFICATE, "certificate")
     parsed: dict[str, Term] = {}
     t = _parse(cert["program"], parsed)
     judgments = [_judgment_from_json(obj, parsed) for obj in cert["witnesses"]]
     table = _StepTable(env, registry, fuel)
-    by_target: dict[str, Fraction] = {}
     for index, judgment in enumerate(judgments):
         try:
             check_trace(env, judgment.witness, judgment, registry, table)
@@ -512,16 +502,9 @@ def replay_certificate(
                 f"witness {index} (outcome {judgment.target}): {err.message}",
                 err.span,
             ) from err
-        key = term_key(judgment.target)
-        by_target[key] = by_target.get(key, Fraction(0)) + judgment.prob
-    _require(judgments != [], "no witnesses")
-    if cert["mode"] == "enumerate":
-        _require(
-            all(alpha_eq(j.source, t) for j in judgments),
-            "witnesses do not start at the program",
-        )
-        width = None
-    else:
+    width = None
+    if cert["mode"] == "frequency":
+        _require(judgments != [], "no witnesses")
         width = _frequency_shape(judgments[0].witness, t)
         _require(width is not None, "malformed frequency evidence")
 
@@ -536,13 +519,15 @@ def replay_certificate(
         surface.parse_rational_text(cert["epsilon"]),
     )
     report = trust_check(env, t, spec, registry, fuel, width)
-    _require(
-        by_target == report.distribution.as_key_map(),
-        "witness masses do not add up to the re-derived distribution",
-    )
+    claims = [
+        {k: w[k] for k in ("source", "target", "probability")}
+        for w in cert["witnesses"]
+    ]
     for field, value in _verdict_fields(t, report, {}).items():
+        written = claims if field == "witnesses" else cert.get(field)
         _require(
-            cert[field] == value,
+            json.dumps(written, sort_keys=True)
+            == json.dumps(value, sort_keys=True),
             f"certificate field {field!r} differs from the recomputed one",
         )
     return report

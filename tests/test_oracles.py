@@ -4,7 +4,7 @@ fingerprints, and static validation against the program signature."""
 import pytest
 
 from generators import signature
-from olam import printer, surface
+from olam import checker, printer, surface
 from olam.errors import OracleError
 from olam.oracles import (
     GuardArg,
@@ -65,6 +65,21 @@ def test_registry_rejects_duplicates():
     with pytest.raises(OracleError) as e:
         OracleRegistry.load(env, [d, d])
     assert e.value.code == "DuplicateName"
+
+
+def test_validation_lets_faults_outside_the_language_through(monkeypatch):
+    """Only language errors from the checker become oracle errors."""
+    env, _ = signature()
+    e = OracleDef(
+        "e", 0, OpaqueType(TypeName("A")), (OracleRule(GuardDefault(), Var("a")),)
+    )
+
+    def broken(*args):
+        raise ZeroDivisionError
+
+    monkeypatch.setattr(checker, "check_type", broken)
+    with pytest.raises(ZeroDivisionError):
+        OracleRegistry.load(env, [e])
 
 
 def test_guard_index_forms():

@@ -273,6 +273,12 @@ def test_parse_rational_text():
     assert e.value.code == "MalformedRational"
     with pytest.raises(ParseError):
         surface.parse_rational_text("1/0")
+    # numerals are ASCII digits, unsigned, without separators
+    for text in ("1_0/3", "+1/2", "\u0663/\u0664", "-1/2", "1/-2"):
+        with pytest.raises(ParseError) as e:
+            surface.parse_rational_text(text)
+        assert e.value.code == "MalformedRational"
+    assert surface.parse_rational_text(" 1/2 ") == Fraction(1, 2)
 
 
 PROGRAM_HEAD = "atom A : *\natom a : A\n"

@@ -246,6 +246,19 @@ def test_check_trace_oracle_replay_mismatch():
     assert e.value.code == "OracleReplayMismatch"
 
 
+def test_labelled_oracle_step_with_a_wrong_answer():
+    """A failed labelled oracle step is a wrong oracle answer, whatever the
+    shape of the term it claims to reach."""
+    env, reg = signature()
+    src = surface.parse_term("<#c!, #c!>")
+    mid = surface.parse_term("(\\y:A. <y, y>) a")
+    end = surface.parse_term("<a, a>")
+    w = TraceTerm((src, mid, end), None, (((0,), "oracle"), ((), "beta")))
+    with pytest.raises(TraceError) as e:
+        check_trace(env, w, MapstoJudgment(src, end, Fraction(1), w), reg)
+    assert e.value.code == "OracleReplayMismatch"
+
+
 def test_check_trace_oracle_step_replays():
     env, reg = signature()
     src = surface.parse_term("#c!")

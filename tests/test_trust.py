@@ -479,6 +479,9 @@ def test_malformed_certificates_fail_with_a_code():
         witness(0, "labels", ["left 0", "left -1"]),
         witness(0, "labels", ["left 0", "left  1"]),
         witness(0, "labels", "left 0"),
+        # a compare-only field is missing, or true written as 1
+        drop("verdict"),
+        put(1, "threshold_checks", 0, "passed"),
     ]
     merge_mutations = [
         witness(0, "labels", [["beta", "left"]]),
@@ -676,6 +679,28 @@ def test_replay_requires_the_text_trust_writes():
         assert repr(field) in e.value.message
     assert replay_certificate(env, reg, copy.deepcopy(cert)).verdict == "trusted"
     assert replay_certificate(env, reg, strip_labels(cert)).verdict == "trusted"
+
+
+def test_replay_requires_the_witness_claims_trust_writes():
+    """Each witness's claim must be the text trust writes, in its order:
+    witnesses reordered or repeated, or a target in brackets, is a
+    different certificate even when every witness checks."""
+    env, reg, _, cert = trusted_coin_certificate()
+    reordered = copy.deepcopy(cert)
+    reordered["witnesses"].reverse()
+    repeated = copy.deepcopy(cert)
+    repeated["witnesses"].append(copy.deepcopy(cert["witnesses"][0]))
+    bracketed = copy.deepcopy(cert)
+    bracketed["witnesses"][0]["target"] = "(a)"
+    for broken in (reordered, repeated, bracketed):
+        with pytest.raises(TrustError) as e:
+            replay_certificate(env, reg, broken)
+        assert e.value.code == "CertificateMismatch"
+        assert repr("witnesses") in e.value.message
+    # the key order of an object is no part of the comparison
+    resorted = json.loads(json.dumps(cert, sort_keys=True))
+    assert list(resorted) != list(cert)
+    assert replay_certificate(env, reg, resorted).verdict == "trusted"
 
 
 def test_replay_survives_json_round_trip():
