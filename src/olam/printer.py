@@ -17,45 +17,86 @@ def show(node: s.Node) -> str:
     return show_kind(node)
 
 
+def term_key(t: s.Term) -> str:
+    """Canonical alpha-class key: t printed with its bound variables renamed
+    as syntax.canonicalize renames them, in one walk."""
+    return show_term(t, 0, _Renaming())
+
+
+class _Renaming:
+    """Canonical names for bound term variables while printing: binders are
+    numbered from 0 in printed order, each after its annotation and before
+    its body, and binder k prints as ?k.
+
+    `?` is not an identifier character, so canonical names cannot collide
+    with free names."""
+
+    __slots__ = ("names", "count")
+
+    def __init__(self) -> None:
+        self.names: dict[str, str] = {}
+        self.count = 0
+
+
+def _bound(x: str, body, show_body, ren: _Renaming | None) -> tuple[str, str]:
+    """A binder's printed name and the text of its body, printed at
+    precedence 0 under the binder's canonical name if renaming."""
+    if ren is None:
+        return x, show_body(body, 0)
+    name = f"?{ren.count}"
+    ren.count += 1
+    outer = ren.names
+    ren.names = {**outer, x: name}
+    text = show_body(body, 0, ren)
+    ren.names = outer
+    return name, text
+
+
 def _wrap(text: str, need: bool) -> str:
     return f"({text})" if need else text
 
 
-def show_term(t: s.Term, prec: int = 0) -> str:
+def show_term(t: s.Term, prec: int = 0, ren: _Renaming | None = None) -> str:
     match t:
         case s.Var(n):
-            return n
+            return n if ren is None else ren.names.get(n, n)
         case s.OracleRef(o):
             return f"#{o}"
         case s.OracleCall(o, arg):
-            return _wrap(f"#{o} {show_term(arg, 2)}", prec > 1)
+            return _wrap(f"#{o} {show_term(arg, 2, ren)}", prec > 1)
         case s.Lam(x, a, b):
-            return _wrap(f"\\{x}:{show_type(a, 0)}. {show_term(b, 0)}", prec > 0)
+            ann = show_type(a, 0, ren)
+            x, body = _bound(x, b, show_term, ren)
+            return _wrap(f"\\{x}:{ann}. {body}", prec > 0)
         case s.App(f, a):
-            return _wrap(f"{show_term(f, 1)} {show_term(a, 2)}", prec > 1)
+            return _wrap(
+                f"{show_term(f, 1, ren)} {show_term(a, 2, ren)}", prec > 1
+            )
         case s.Choice(l, p, r):
-            return f"choose[{p}]{{{show_term(l, 0)}}}{{{show_term(r, 0)}}}"
+            return (
+                f"choose[{p}]{{{show_term(l, 0, ren)}}}"
+                f"{{{show_term(r, 0, ren)}}}"
+            )
         case s.Force(b):
-            return f"{show_term(b, 2)}!"
+            return f"{show_term(b, 2, ren)}!"
         case s.Pair(l, r):
-            return f"<{show_term(l, 0)}, {show_term(r, 0)}>"
+            return f"<{show_term(l, 0, ren)}, {show_term(r, 0, ren)}>"
         case s.Proj(b, i):
-            return f"{show_term(b, 2)}.{i}"
+            return f"{show_term(b, 2, ren)}.{i}"
         case s.Efq(b, a):
-            return f"efq({show_term(b, 0)} : {show_type(a, 0)})"
+            return f"efq({show_term(b, 0, ren)} : {show_type(a, 0, ren)})"
         case s.Hole(i):
             return f"[_{i}]"
         case s.TraceTerm(steps, p):
-            inner = ", ".join(show_term(u, 0) for u in steps)
+            inner = ", ".join(show_term(u, 0, ren) for u in steps)
             return f"[{inner}]{_prob_suffix(p)}"
         case s.MergeTerm(src, branches, tgt, p):
+            head = show_term(src, 0, ren)
             mid = " / ".join(
-                ", ".join(show_term(u, 0) for u in br) for br in branches
+                ", ".join(show_term(u, 0, ren) for u in br) for br in branches
             )
-            return (
-                f"[{show_term(src, 0)}, [{mid}], {show_term(tgt, 0)}]"
-                f"{_prob_suffix(p)}"
-            )
+            tail = show_term(tgt, 0, ren)
+            return f"[{head}, [{mid}], {tail}]{_prob_suffix(p)}"
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -63,26 +104,33 @@ def _prob_suffix(p) -> str:
     return "" if p is None else f"^{p}"
 
 
-def show_type(c: s.TypeCon, prec: int = 0) -> str:
+def show_type(c: s.TypeCon, prec: int = 0, ren: _Renaming | None = None) -> str:
     match c:
         case s.TypeName(n):
             return n
         case s.Bottom():
             return "Bot"
         case s.Forall(x, a, b):
-            if x not in s.free_term_vars(b):
-                return _wrap(f"{show_type(a, 1)} -> {show_type(b, 0)}", prec > 0)
-            return _wrap(f"forall {x}:{show_type(a, 0)}. {show_type(b, 0)}", prec > 0)
+            arrow = x not in s.free_term_vars(b)
+            ann = show_type(a, 1 if arrow else 0, ren)
+            x, body = _bound(x, b, show_type, ren)
+            if arrow:
+                return _wrap(f"{ann} -> {body}", prec > 0)
+            return _wrap(f"forall {x}:{ann}. {body}", prec > 0)
         case s.TypeAbs(x, a, b):
-            return _wrap(f"\\\\{x}:{show_type(a, 0)}. {show_type(b, 0)}", prec > 0)
+            ann = show_type(a, 0, ren)
+            x, body = _bound(x, b, show_type, ren)
+            return _wrap(f"\\\\{x}:{ann}. {body}", prec > 0)
         case s.Conj(l, r):
-            return _wrap(f"{show_type(l, 2)} /\\ {show_type(r, 1)}", prec > 1)
+            return _wrap(
+                f"{show_type(l, 2, ren)} /\\ {show_type(r, 1, ren)}", prec > 1
+            )
         case s.ChoiceType(b):
-            return _wrap(f"Oplus {show_type(b, 2)}", prec > 2)
+            return _wrap(f"Oplus {show_type(b, 2, ren)}", prec > 2)
         case s.OpaqueType(b):
-            return _wrap(f"Sigma {show_type(b, 2)}", prec > 2)
+            return _wrap(f"Sigma {show_type(b, 2, ren)}", prec > 2)
         case s.TypeApp(f, a):
-            return f"{show_type(f, 3)} {show_term(a, 2)}"
+            return f"{show_type(f, 3, ren)} {show_term(a, 2, ren)}"
     raise TypeError(f"not a type constructor: {c!r}")
 
 
@@ -93,11 +141,6 @@ def show_kind(k: s.Kind) -> str:
         case s.KindPi(x, a, b):
             return f"pi {x}:{show_type(a, 0)}. {show_kind(b)}"
     raise TypeError(f"not a kind: {k!r}")
-
-
-def term_key(t: s.Term) -> str:
-    """Canonical alpha-class key: print after canonical bound renaming."""
-    return show(s.canonicalize(t))
 
 
 # reduction step labels, displayed exactly as the calculus writes them

@@ -201,12 +201,18 @@ def _parse(text: str, parsed: dict[str, Term]) -> Term:
     return term
 
 
-def _show(term: Term, shown: dict[Term, str]) -> str:
-    """The text of term, printed on its first visit to shown."""
-    text = shown.get(term)
-    if text is None:
-        text = shown[term] = show(term)
-    return text
+# Printed terms keyed by identity: evidence shares its term objects along
+# common prefixes, and an entry holds its term, so its id stays unique
+# while the entry lives.
+_Shown = dict[int, tuple[Term, str]]
+
+
+def _show(term: Term, shown: _Shown) -> str:
+    """The text of term, printed on the first visit of the object to shown."""
+    entry = shown.get(id(term))
+    if entry is None:
+        entry = shown[id(term)] = (term, show(term))
+    return entry[1]
 
 
 # A step label is written as its rule followed by the redex path, all
@@ -313,7 +319,7 @@ def _require_shape(value: object, shape: object, name: str) -> None:
         )
 
 
-def _witness_to_json(witness: Term, shown: dict[Term, str]) -> dict:
+def _witness_to_json(witness: Term, shown: _Shown) -> dict:
     match witness:
         case TraceTerm(steps, prob, labels):
             out = {
@@ -381,7 +387,7 @@ def _witness_from_json(obj: dict, parsed: dict[str, Term]) -> Term:
     )
 
 
-def _claim(judgment: MapstoJudgment, shown: dict[Term, str]) -> dict:
+def _claim(judgment: MapstoJudgment, shown: _Shown) -> dict:
     """What a judgment claims, as certificate JSON: its source, target and
     probability."""
     return {
@@ -392,10 +398,10 @@ def _claim(judgment: MapstoJudgment, shown: dict[Term, str]) -> dict:
 
 
 def judgment_to_json(
-    judgment: MapstoJudgment, shown: dict[Term, str] | None = None
+    judgment: MapstoJudgment, shown: _Shown | None = None
 ) -> dict:
     """A judgment as certificate JSON, its claim and its witness; judgments
-    printed through one shown dict print each distinct term once."""
+    printed through one shown dict print each term object once."""
     if shown is None:
         shown = {}
     out = _claim(judgment, shown)
@@ -419,7 +425,7 @@ def _judgment_from_json(obj: dict, parsed: dict[str, Term]) -> MapstoJudgment:
     )
 
 
-def _verdict_fields(t: Term, report: TrustReport, shown: dict[Term, str]) -> dict:
+def _verdict_fields(t: Term, report: TrustReport, shown: _Shown) -> dict:
     """The certificate without its evidence: every field, with each
     witness's claim but not its witness.  A function of the program and the
     trust check alone, written for build_certificate and recomputed by
@@ -453,8 +459,8 @@ def _verdict_fields(t: Term, report: TrustReport, shown: dict[Term, str]) -> dic
 def build_certificate(env: Environment, t: Term, report: TrustReport) -> dict:
     """Self-contained record of a trust verdict: the program, its derived
     distribution, every outcome's claim with its evidence, and every
-    threshold comparison.  Each distinct term is printed once."""
-    shown: dict[Term, str] = {}
+    threshold comparison.  Each term object is printed once."""
+    shown: _Shown = {}
     cert = _verdict_fields(t, report, shown)
     for claim, judgment in zip(cert["witnesses"], report.judgments):
         claim["witness"] = _witness_to_json(judgment.witness, shown)
@@ -507,6 +513,11 @@ def replay_certificate(
         _require(judgments != [], "no witnesses")
         width = _frequency_shape(judgments[0].witness, t)
         _require(width is not None, "malformed frequency evidence")
+        for index, judgment in enumerate(judgments):
+            _require(
+                _frequency_shape(judgment.witness, t) == width,
+                f"witness {index} is not a width-{width} frequency table",
+            )
 
     spec = TrustSpec(
         tuple(

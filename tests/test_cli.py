@@ -452,7 +452,7 @@ def test_deep_input_is_a_coded_error(project, capsys, tmp_path):
     deep = tmp_path / "deep.olam"
     deep.write_text(
         "atom A : *\natom a : A\natom g : A -> A\n"
-        f"main = {'g (' * 300}a{')' * 300}\n"
+        f"main = {'g (' * 3000}a{')' * 3000}\n"
     )
     for argv in (
         ["oracle-freq", prog, "--oracles", orc, "--samples", "300"],

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from generators import gen_closed_con, gen_closed_term, gen_substitution_instance
-from olam import syntax
+from olam import printer, syntax
 from olam.errors import ReductionError
 from olam.syntax import (
     App,
@@ -174,6 +174,40 @@ def test_canonicalize_is_alpha_invariant():
     s = Lam("x", A, Lam("y", A, App(Var("x"), Var("y"))))
     t = Lam("u", A, Lam("v", A, App(Var("u"), Var("v"))))
     assert canonicalize(s) == canonicalize(t)
+
+
+def test_term_key_prints_the_canonical_form():
+    """term_key renames while it prints; it must print what canonicalize
+    builds: binders numbered after their annotations, a shadowing binder
+    renamed only in its own body, and a Forall that prints as an arrow
+    numbered all the same."""
+    P = TypeName("P")
+    dependent = Forall("y", A, TypeApp(P, Var("y")))
+    arrow = Forall("y", A, A)
+    context, _ = decompose_oracle_context(
+        App(
+            Lam("x", arrow, Pair(Force(OracleRef("c")), Var("x"))),
+            Force(OracleCall("c", Var("a"))),
+        ),
+        "c",
+    )
+    assert "[_2]" in printer.term_key(context.skeleton)
+    x = Var("x")
+    shadowed = Lam("x", A, Lam("x", A, App(x, x)))
+    terms = [
+        Lam("x", A, Pair(shadowed, x)),
+        Lam("x", TypeApp(P, x), Lam("y", A, x)),
+        Lam("f", arrow, Lam("g", dependent, App(Var("g"), Var("f")))),
+        Lam("f", Forall("x", arrow, dependent), Efq(Var("f"), arrow)),
+        Lam("f", TypeApp(TypeAbs("x", A, TypeApp(P, x)), x), Var("f")),
+        Lam("x", A, TraceTerm((x, shadowed), Fraction(1))),
+        MergeTerm(shadowed, ((Lam("x", arrow, x),),), x),
+        context.skeleton,
+    ]
+    terms += [gen_closed_term(seed) for seed in range(1000)]
+    terms += [Lam("k", gen_closed_con(seed), Var("k")) for seed in range(1000)]
+    for t in terms:
+        assert printer.term_key(t) == printer.show(canonicalize(t))
 
 
 def test_children_and_rebuild_round_trip():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import signature
-from olam import surface, traces
+from olam import surface, syntax, traces, trust
 from olam.errors import ReductionError, TraceError, TrustError
 from olam.oracles import OracleRegistry
 from olam.syntax import TraceTerm, Var, alpha_eq
@@ -271,6 +271,48 @@ def count_calls(monkeypatch, calls, owner, name):
     monkeypatch.setattr(owner, name, counted)
 
 
+def node_classes(cls=syntax.Node):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from node_classes(sub)
+
+
+def test_certificate_prints_each_term_object_once(monkeypatch):
+    """Writing a certificate prints every term object of the report once,
+    and keys them by identity: no node is hashed."""
+    env, reg = signature()
+    t = syntax.make_tuple([surface.parse_term("choose[1/2]{a}{b}!")] * 6)
+    dist, _ = enumerate_distribution(env, t, registry=reg)
+    spec = TrustSpec(tuple(dist.items()), Fraction(1, 100))
+    report = trust_check(env, t, spec, reg)
+    assert len(report.judgments) == 64
+    terms = [t, *report.distribution.support()]
+    terms += [row.outcome for row in report.rows]
+    for j in report.judgments:
+        terms += [j.source, j.target, *j.witness.steps]
+    printed = []
+    show = trust.show
+    monkeypatch.setattr(
+        trust, "show", lambda term: printed.append(term) or show(term)
+    )
+    hashed = Counter()
+    for cls in node_classes():
+        if "__hash__" in vars(cls) and cls.__hash__ is not None:
+            original = cls.__hash__
+
+            def counted(node, original=original):
+                hashed[type(node).__name__] += 1
+                return original(node)
+
+            monkeypatch.setattr(cls, "__hash__", counted)
+    hash(Var("a"))
+    assert hashed == Counter({"Var": 1})
+    hashed.clear()
+    build_certificate(env, t, report)
+    assert sorted(map(id, printed)) == sorted(set(map(id, terms)))
+    assert hashed == Counter()
+
+
 def exact_certificate(src):
     """Certificate for the program src against its own distribution."""
     env, reg = signature()
@@ -316,6 +358,29 @@ def test_frequency_certificate_step_is_read_as_one_oracle_step(monkeypatch):
     monkeypatch.setattr(traces, "_readings", recorded)
     assert replay_certificate(env, reg, cert).verdict == "trusted"
     assert labels == [((0,), "oracle")]
+
+
+def test_frequency_witnesses_must_share_one_width():
+    """A width-6 table's witness for b claims what the width-3 one does (2
+    of 6 is 1/3), but a certificate reads one table, not one per witness."""
+    env, reg = signature()
+    t = surface.parse_term("#c!")
+    spec = spec_ab(Fraction(2, 3), Fraction(1, 3), Fraction(1, 100))
+    narrow, wide = (
+        build_certificate(env, t, trust_check(env, t, spec, reg, freq_width=n))
+        for n in (3, 6)
+    )
+    assert [w["target"] for w in narrow["witnesses"]] == ["a", "b"]
+    assert narrow["witnesses"][1]["probability"] == "1/3"
+    mixed = copy.deepcopy(narrow)
+    mixed["witnesses"][1] = copy.deepcopy(wide["witnesses"][1])
+    assert mixed["witnesses"][1]["probability"] == "1/3"
+    with pytest.raises(TrustError) as e:
+        replay_certificate(env, reg, mixed)
+    assert e.value.code == "CertificateMismatch"
+    assert "witness 1" in e.value.message
+    for cert in (narrow, wide):
+        assert replay_certificate(env, reg, cert).verdict == "trusted"
 
 
 def test_replay_rejects_schema_change():
