@@ -17,7 +17,6 @@ from .checker import (
     connective_skeleton,
     infer_kind,
     infer_type,
-    type_of_trace_term,
 )
 from .conversion import (
     LEFTMOST_OUTERMOST,
@@ -35,7 +34,7 @@ from .errors import (
     TraceError,
     TrustError,
 )
-from .oracles import OracleDef, OracleRegistry, OracleRule, eval_oracle
+from .oracles import OracleDef, OracleRegistry, OracleRule
 from .printer import show, term_key
 from .reducer import (
     SampleResult,

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import conversion
-from .errors import CheckError
+from .errors import CheckError, OlamError
 from .oracles import OracleRegistry
 from .syntax import (
     App,
@@ -49,61 +49,60 @@ from .syntax import (
 
 
 class Environment:
-    """Ordered signature: type atoms with kinds, term names with types.
-    Stored classifiers are normalized; names are unique."""
+    """Ordered signature: type atoms with kinds, term names with types, in
+    one namespace.  Stored classifiers are normalized; names are unique."""
 
     def __init__(self):
-        self._cons: dict[str, Kind] = {}
-        self._terms: dict[str, TypeCon] = {}
+        self._names: dict[str, Kind | TypeCon] = {}
 
-    def _copy(self) -> "Environment":
+    def _with(self, name: str, classifier: Kind | TypeCon) -> "Environment":
+        if name in self._names:
+            raise CheckError("DuplicateName", f"{name!r} already bound")
         env = Environment()
-        env._cons = dict(self._cons)
-        env._terms = dict(self._terms)
+        env._names = {**self._names, name: classifier}
         return env
 
     def with_con(self, name: str, kind: Kind) -> "Environment":
-        if name in self._cons or name in self._terms:
-            raise CheckError("DuplicateName", f"{name!r} already bound")
-        env = self._copy()
-        env._cons[name] = kind
-        return env
+        return self._with(name, kind)
 
     def with_term(self, name: str, con: TypeCon) -> "Environment":
-        if name in self._cons or name in self._terms:
-            raise CheckError("DuplicateName", f"{name!r} already bound")
-        env = self._copy()
-        env._terms[name] = con
-        return env
+        return self._with(name, con)
 
     def lookup_con(self, name: str) -> Kind:
-        kind = self._cons.get(name)
-        if kind is None:
+        kind = self._names.get(name)
+        if not isinstance(kind, Kind):
             raise CheckError("UnboundConVar", f"unbound type atom {name!r}")
         return kind
 
     def lookup_term(self, name: str) -> TypeCon:
-        con = self._terms.get(name)
-        if con is None:
+        con = self._names.get(name)
+        if con is None or isinstance(con, Kind):
             raise CheckError("UnboundVar", f"unbound name {name!r}")
         return con
 
     def term_names(self) -> list[str]:
-        return list(self._terms)
+        return [n for n, c in self._names.items() if not isinstance(c, Kind)]
 
     def all_names(self) -> frozenset[str]:
-        return frozenset(self._cons) | frozenset(self._terms)
+        return frozenset(self._names)
 
 
 def _enter_binder(
-    env: Environment, var: str, var_type: TypeCon, body: Node
-) -> tuple[Environment, str, Node]:
-    """Bind var:var_type, renaming the binder if the name is taken."""
-    if var in env._cons or var in env._terms:
+    env: Environment,
+    var: str,
+    var_type: TypeCon,
+    body: Node,
+    registry: OracleRegistry | None,
+) -> tuple[Environment, str, TypeCon, Node]:
+    """Check that var_type is a value type and bind var to its normal form,
+    renaming the binder if the name is taken."""
+    _check_star(env, var_type, registry)
+    var_type = conversion.normalize_con(var_type)
+    if var in env._names:
         var2 = fresh_name(var, env.all_names() | free_term_vars(body))
         body = substitute(body, var, Var(var2))
         var = var2
-    return env.with_term(var, var_type), var, body
+    return env.with_term(var, var_type), var, var_type, body
 
 
 def check_kind(
@@ -114,9 +113,7 @@ def check_kind(
         case Star():
             return
         case KindPi(x, a, body):
-            _check_star(env, a, registry)
-            a_norm = conversion.normalize_con(a)
-            env2, _, body = _enter_binder(env, x, a_norm, body)
+            env2, _, _, body = _enter_binder(env, x, a, body, registry)
             check_kind(env2, body, registry)  # type: ignore[arg-type]
         case _:
             raise CheckError("IllFormedKind", f"not a kind: {kind!r}")
@@ -142,9 +139,7 @@ def infer_kind(
         case Bottom():
             return Star()
         case TypeAbs(x, a, body):
-            _check_star(env, a, registry)
-            a_norm = conversion.normalize_con(a)
-            env2, x, body = _enter_binder(env, x, a_norm, body)
+            env2, x, a_norm, body = _enter_binder(env, x, a, body, registry)
             return KindPi(x, a_norm, infer_kind(env2, body, registry))  # type: ignore[arg-type]
         case TypeApp(fun, arg):
             fun_kind = infer_kind(env, fun, registry)
@@ -158,9 +153,7 @@ def infer_kind(
                 substitute(fun_kind.body, fun_kind.var, arg)  # type: ignore[arg-type]
             )
         case Forall(x, a, body):
-            _check_star(env, a, registry)
-            a_norm = conversion.normalize_con(a)
-            env2, _, body = _enter_binder(env, x, a_norm, body)
+            env2, _, _, body = _enter_binder(env, x, a, body, registry)
             _check_star(env2, body, registry)  # type: ignore[arg-type]
             return Star()
         case ChoiceType(body) | OpaqueType(body):
@@ -195,9 +188,7 @@ def infer_type(
                 OpaqueType(substitute(result, var, arg))  # type: ignore[arg-type]
             )
         case Lam(x, a, body):
-            _check_star(env, a, registry)
-            a_norm = conversion.normalize_con(a)
-            env2, x, body = _enter_binder(env, x, a_norm, body)
+            env2, x, a_norm, body = _enter_binder(env, x, a, body, registry)
             return Forall(x, a_norm, infer_type(env2, body, registry))  # type: ignore[arg-type]
         case App(fun, arg):
             fun_type = infer_type(env, fun, registry)
@@ -293,14 +284,6 @@ def check_type(
         )
 
 
-def type_of_trace_term(env: Environment, term: Term, registry=None):
-    """Entry point for recorded computations: their classifier is a
-    reduction judgment, derived and checked by the trace engine."""
-    from . import traces
-
-    return traces.derive_judgment(env, term, registry)
-
-
 def connective_skeleton(con: TypeCon):
     """Shape of a type with embedded terms erased: the tree of quantifiers,
     connectives and atoms, invariant under one-step reduction of a subject."""
@@ -342,56 +325,66 @@ class CheckedProgram:
 def check_program(source, oracle_defs, require_main: bool = True) -> CheckedProgram:
     """Check declarations in order, validate oracles against the signature,
     then check each definition and inline into it the earlier definitions
-    it mentions; main comes out closed over the signature."""
+    it mentions; main comes out closed over the signature.  An error with
+    no place of its own is placed at column 1 of its item's line."""
     env = Environment()
-    for decl in source.atoms:
-        if isinstance(decl.classifier, Kind):
-            check_kind(env, decl.classifier)
-            env = env.with_con(
-                decl.name, conversion.normalize_kind(decl.classifier)
-            )
-        else:
-            _check_star(env, decl.classifier)
-            env = env.with_term(
-                decl.name, conversion.normalize_con(decl.classifier)
-            )
-    registry = OracleRegistry.load(env, oracle_defs)
-    for name, _ in source.oracle_uses:
-        registry.lookup(name)
-
-    def_env = env
     def_types: dict[str, TypeCon] = {}
     inlined: dict[str, Term] = {}
     rank: dict[str, int] = {}
     main_term: Term | None = None
-    for d in source.definitions:
-        inferred = infer_type(def_env, d.term, registry)
-        if d.ascription is not None:
-            _check_star(def_env, d.ascription, registry)
-            expected = conversion.normalize_con(d.ascription)
-            if not alpha_eq(inferred, expected):
-                raise CheckError(
-                    "TypeMismatch",
-                    f"{d.name}: declared {expected}, inferred {inferred}",
-                    (d.line, 1),
+    line: int | None = None
+    try:
+        for decl in source.atoms:
+            line = decl.line
+            if isinstance(decl.classifier, Kind):
+                check_kind(env, decl.classifier)
+                env = env.with_con(
+                    decl.name, conversion.normalize_kind(decl.classifier)
                 )
-        def_types[d.name] = inferred
-        def_env = def_env.with_term(d.name, inferred)
-        body = d.term
-        if inlined:
-            # An inlined body mentions no definition: every earlier one was
-            # substituted into it, and no definition is named like an atom.
-            # So substituting a name that is not free is the identity (no
-            # binder is renamed in it), and substituting, in definition
-            # order, only the earlier definitions free in d.term gives the
-            # same term as substituting all of them.
-            mentioned = free_term_vars(body) & inlined.keys()
-            for earlier in sorted(mentioned, key=rank.__getitem__):
-                body = substitute(body, earlier, inlined[earlier])  # type: ignore[assignment]
-        rank[d.name] = len(rank)
-        inlined[d.name] = body
-        if d.name == "main":
-            main_term = body
+            else:
+                _check_star(env, decl.classifier)
+                env = env.with_term(
+                    decl.name, conversion.normalize_con(decl.classifier)
+                )
+        # an oracle definition records no line
+        line = None
+        registry = OracleRegistry.load(env, oracle_defs)
+        for name, line in source.oracle_uses:
+            registry.lookup(name)
+
+        def_env = env
+        for d in source.definitions:
+            line = d.line
+            inferred = infer_type(def_env, d.term, registry)
+            if d.ascription is not None:
+                _check_star(def_env, d.ascription, registry)
+                expected = conversion.normalize_con(d.ascription)
+                if not alpha_eq(inferred, expected):
+                    raise CheckError(
+                        "TypeMismatch",
+                        f"{d.name}: declared {expected}, inferred {inferred}",
+                    )
+            def_types[d.name] = inferred
+            def_env = def_env.with_term(d.name, inferred)
+            body = d.term
+            if inlined:
+                # An inlined body mentions no definition: every earlier one
+                # was substituted into it, and no definition is named like
+                # an atom.  So substituting a name that is not free is the
+                # identity (no binder is renamed in it), and substituting,
+                # in definition order, only the earlier definitions free in
+                # d.term gives the same term as substituting all of them.
+                mentioned = free_term_vars(body) & inlined.keys()
+                for earlier in sorted(mentioned, key=rank.__getitem__):
+                    body = substitute(body, earlier, inlined[earlier])  # type: ignore[assignment]
+            rank[d.name] = len(rank)
+            inlined[d.name] = body
+            if d.name == "main":
+                main_term = body
+    except OlamError as err:
+        if err.span is None and line is not None:
+            err.span = (line, 1)
+        raise
     if require_main and main_term is None:
         raise CheckError("MissingMain", "program has no main definition")
     main_type = def_types.get("main")

@@ -94,11 +94,6 @@ class OracleDef:
         return self.assoc_type.var, self.assoc_type.var_type, body.body
 
 
-def context_fingerprint(ctx: HoleContext) -> str:
-    """Printed context after canonical bound renaming, holes as [_i]."""
-    return ctx.fingerprint
-
-
 def guard_matches(
     guard: Guard, ctx: HoleContext, index: int, arg: Term | None
 ) -> bool:
@@ -110,7 +105,7 @@ def guard_matches(
         case GuardArg(pattern):
             return arg is not None and alpha_eq(arg, pattern)
         case GuardContext(fingerprint):
-            return context_fingerprint(ctx) == fingerprint
+            return ctx.fingerprint == fingerprint
         case GuardDefault():
             return True
     raise TypeError(f"unknown guard {guard!r}")
@@ -155,9 +150,6 @@ class OracleRegistry:
 
     def names(self) -> list[str]:
         return sorted(self._defs)
-
-    def get(self, name: str) -> OracleDef | None:
-        return self._defs.get(name)
 
     def lookup(self, name: str) -> OracleDef:
         odef = self._defs.get(name)
@@ -231,23 +223,6 @@ def _check_output_type(
             f"oracle {odef.name} output {output} fails its obligation "
             f"{expected}: {exc}",
         ) from exc
-
-
-def eval_oracle(
-    odef: OracleDef,
-    ctx: HoleContext,
-    index: int,
-    arg: Term | None = None,
-    env=None,
-) -> Term:
-    """Output for hole `index` of the decomposed context: the first matching
-    rule fires.  With an env, the output is checked for shape and against
-    its type obligation."""
-    output = _select_output(odef, ctx, index, arg)
-    if env is not None:
-        _check_output_shape(odef, output, frozenset(env.term_names()))
-        _check_output_type(odef, output, arg, env)
-    return output
 
 
 def validate_oracle(odef: OracleDef, env) -> None:

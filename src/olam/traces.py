@@ -260,12 +260,11 @@ class _StepTable:
     it was computed for: the readings of a step, and the type of a term.
 
     Bound to one environment and registry, and to the fuel that the search
-    over readings spends.  Steps are keyed by the identity of their terms,
-    which evidence shares along common prefixes; an entry holds its terms,
-    so their ids stay unique while it lives.  Types are keyed by
-    structure: node dataclasses are frozen, so equal terms share an entry.
-    Only successes are kept: a check that fails raises again each time it
-    is asked.
+    over readings spends.  Both tables key an entry by the identity of its
+    terms, which evidence shares along common prefixes, and the entry holds
+    those terms, so their ids stay unique while it lives.  No node is
+    hashed.  Only successes are kept: a check that fails raises again each
+    time it is asked.
     """
 
     __slots__ = ("env", "registry", "fuel", "_steps", "_types")
@@ -283,7 +282,7 @@ class _StepTable:
             tuple[int, int, StepLabel | None],
             tuple[Term, Term, list[_Reading]],
         ] = {}
-        self._types: dict[Term, TypeCon] = {}
+        self._types: dict[int, tuple[Term, TypeCon]] = {}
 
     def readings(
         self, u: Term, v: Term, label: StepLabel | None
@@ -298,10 +297,12 @@ class _StepTable:
         return found[2]
 
     def type_of(self, t: Term) -> TypeCon:
-        found = self._types.get(t)
+        found = self._types.get(id(t))
         if found is None:
-            found = self._types[t] = infer_type(self.env, t, self.registry)
-        return found
+            found = self._types[id(t)] = (
+                t, infer_type(self.env, t, self.registry)
+            )
+        return found[1]
 
 
 # ------------------------------------------------------------------ search

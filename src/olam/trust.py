@@ -1,10 +1,11 @@
 """Trust verdicts: derived distributions against declared targets.
 
 A program is trusted at tolerance epsilon when every positively weighted
-target outcome is hit within epsilon, mass on outcomes outside the target
-stays below epsilon, and the derived distribution is total.  The verdict
-ships as a certificate carrying the evidence for every outcome, and a
-certificate can be replayed from scratch against the program it names.
+target outcome is hit within epsilon, the mass on outcomes the target gives
+0, listed at 0 or not listed, stays below epsilon, and the derived
+distribution is total.  The verdict ships as a certificate carrying the
+evidence for every outcome, and a certificate can be replayed from scratch
+against the program it names.
 """
 
 from __future__ import annotations
@@ -48,8 +49,6 @@ __all__ = [
     "trust_check",
     "build_certificate",
     "replay_certificate",
-    "judgment_to_json",
-    "judgment_from_json",
 ]
 
 
@@ -81,7 +80,6 @@ class TrustReport:
     extra: tuple[tuple[Term, Fraction], ...]
     extra_mass: Fraction
     total: Fraction
-    totality_ok: bool
     epsilon: Fraction
     distribution: Distribution
     judgments: tuple[MapstoJudgment, ...]
@@ -144,7 +142,9 @@ def trust_check(
     A forced oracle with freq_width set is read through its width-n
     frequency table; everything else is enumerated exactly.  Listed
     outcomes with positive target mass must match within epsilon
-    (strictly); mass on unlisted outcomes must stay below epsilon.
+    (strictly).  Every outcome the target gives 0, listed at 0 or not
+    listed, counts toward the extra mass, which must stay below epsilon;
+    report.extra names the unlisted ones.
     """
     subject_type = infer_type(env, t, registry)
     listed = _validate_spec(env, spec, subject_type, registry)
@@ -168,13 +168,16 @@ def trust_check(
         for rep, prob in dist.items()
         if term_key(rep) not in listed
     )
-    extra_mass = sum((prob for _, prob in extra), Fraction(0))
+    extra_mass = sum(
+        [prob for _, prob in extra]
+        + [row.derived for row in rows if row.target == 0],
+        Fraction(0),
+    )
     total = dist.total()
-    totality_ok = total == 1
     trusted = (
         all(row.passed for row in rows)
         and extra_mass < spec.epsilon
-        and totality_ok
+        and total == 1
     )
     return TrustReport(
         verdict="trusted" if trusted else "untrusted",
@@ -182,7 +185,6 @@ def trust_check(
         extra=extra,
         extra_mass=extra_mass,
         total=total,
-        totality_ok=totality_ok,
         epsilon=Fraction(spec.epsilon),
         distribution=dist,
         judgments=tuple(judgments),
@@ -395,24 +397,6 @@ def _claim(judgment: MapstoJudgment, shown: _Shown) -> dict:
         "target": _show(judgment.target, shown),
         "probability": str(judgment.prob),
     }
-
-
-def judgment_to_json(
-    judgment: MapstoJudgment, shown: _Shown | None = None
-) -> dict:
-    """A judgment as certificate JSON, its claim and its witness; judgments
-    printed through one shown dict print each term object once."""
-    if shown is None:
-        shown = {}
-    out = _claim(judgment, shown)
-    out["witness"] = _witness_to_json(judgment.witness, shown)
-    return out
-
-
-def judgment_from_json(obj: dict) -> MapstoJudgment:
-    """A judgment read from certificate JSON."""
-    _require_shape(obj, _JUDGMENT, "judgment")
-    return _judgment_from_json(obj, {})
 
 
 def _judgment_from_json(obj: dict, parsed: dict[str, Term]) -> MapstoJudgment:

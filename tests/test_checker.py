@@ -316,6 +316,19 @@ def test_environment_duplicates_rejected():
         env.with_term("A", TypeName("A"))
 
 
+def test_environment_lookups_check_the_classifier_class():
+    # atoms and term names share one namespace; each lookup finds only its own
+    env, _ = env_and_registry()
+    with pytest.raises(CheckError) as e:
+        env.lookup_term("A")
+    assert e.value.code == "UnboundVar"
+    with pytest.raises(CheckError) as e:
+        env.lookup_con("a")
+    assert e.value.code == "UnboundConVar"
+    assert env.lookup_con("P") == KindPi("x", TypeName("A"), Star())
+    assert env.term_names() == ["a", "b", "q", "g", "h", "u"]
+
+
 def test_connective_skeleton_shapes():
     env, _ = env_and_registry()
     assert connective_skeleton(TypeName("A")) == ("atom", "A")

@@ -401,6 +401,23 @@ def test_missing_oracle_definition_is_domain_error(project, capsys, tmp_path):
     assert "UnknownOracle" in err
 
 
+def test_load_errors_name_their_item_line(project, capsys, tmp_path):
+    _, orc = project("a")
+    head = "atom A : *\natom a : A\natom b : A\n"
+    for body, code, line in (
+        ("atom P : pi x:A. *\natom w : P\nmain = a\n", "KindMismatch", 5),
+        ("use c\nuse z\nmain = a\n", "UnknownOracle", 5),
+        ("use c\nkeep = a\nmain = a a\n", "NotAFunction", 6),
+    ):
+        program = tmp_path / "bad.olam"
+        program.write_text(head + body)
+        status, out, err = run(["check", str(program), "--oracles", orc], capsys)
+        assert status == 1
+        assert out == ""
+        assert err.startswith(f"error: [{code}] line {line}, col 1: ")
+        assert err.count("\n") == 1
+
+
 def test_fuel_exhaustion_is_domain_error(project, capsys):
     prog, orc = project("(\\x:A. x) ((\\y:A. y) a)")
     code, _, err = run(

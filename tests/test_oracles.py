@@ -15,8 +15,6 @@ from olam.oracles import (
     OracleDef,
     OracleRegistry,
     OracleRule,
-    context_fingerprint,
-    eval_oracle,
     guard_matches,
     validate_oracle,
 )
@@ -53,7 +51,6 @@ def ctx_for(term, oracle):
 def test_registry_names_sorted():
     _, reg = signature()
     assert reg.names() == ["c", "d"]
-    assert reg.get("nope") is None
     with pytest.raises(OracleError) as e:
         reg.lookup("nope")
     assert e.value.code == "UnknownOracle"
@@ -104,21 +101,21 @@ def test_guard_default():
     assert guard_matches(GuardDefault(), ctx, 99, None)
 
 
-def test_context_fingerprint_frozen():
+def test_fingerprint_frozen():
     t = Pair(Force(OracleRef("c")), Force(OracleRef("c")))
     ctx = ctx_for(t, "c")
-    assert context_fingerprint(ctx) == "<[_1], [_2]>"
+    assert ctx.fingerprint == "<[_1], [_2]>"
 
 
-def test_context_fingerprint_is_alpha_invariant():
+def test_fingerprint_is_alpha_invariant():
     s = surface.parse_term("\\x:A. g #c!")
     t = surface.parse_term("\\y:A. g #c!")
-    a = context_fingerprint(ctx_for(s.body, "c"))
-    b = context_fingerprint(ctx_for(t.body, "c"))
+    a = ctx_for(s.body, "c").fingerprint
+    b = ctx_for(t.body, "c").fingerprint
     assert a == b == "g [_1]"
 
 
-def test_context_fingerprint_printed_once_per_rewrite(monkeypatch):
+def test_fingerprint_printed_once_per_rewrite(monkeypatch):
     # two context rules are tried for each of 30 holes; the shared context
     # is printed once for the whole rewrite
     env, _ = signature()
@@ -161,31 +158,31 @@ def test_eval_cyclic_oracle():
 
 
 def test_eval_argument_sensitive_oracle():
-    env, reg = signature()
+    _, reg = signature()
     ctx = ctx_for(Force(OracleRef("c")), "c")
-    assert eval_oracle(d_def(), ctx, 1, Var("a"), env) == Var("b")
-    assert eval_oracle(d_def(), ctx, 1, Var("b"), env) == Var("a")
-    assert eval_oracle(d_def(), ctx, 1, App(Var("g"), Var("a")), env) == Var("a")
+    assert reg.eval("d", ctx, 1, Var("a")) == Var("b")
+    assert reg.eval("d", ctx, 1, Var("b")) == Var("a")
+    assert reg.eval("d", ctx, 1, App(Var("g"), Var("a"))) == Var("a")
 
 
 def test_eval_hole_index_bounds():
-    env, _ = signature()
+    _, reg = signature()
     ctx = ctx_for(Force(OracleRef("c")), "c")
     with pytest.raises(OracleError) as e:
-        eval_oracle(c_def(), ctx, 2, None, env)
+        reg.eval("c", ctx, 2)
     assert e.value.code == "HoleIndexOutOfRange"
     with pytest.raises(OracleError):
-        eval_oracle(c_def(), ctx, 0, None, env)
+        reg.eval("c", ctx, 0)
 
 
 def test_eval_arity_mismatch():
-    env, _ = signature()
+    _, reg = signature()
     ctx = ctx_for(Force(OracleRef("c")), "c")
     with pytest.raises(OracleError) as e:
-        eval_oracle(c_def(), ctx, 1, Var("a"), env)
+        reg.eval("c", ctx, 1, Var("a"))
     assert e.value.code == "ArityMismatch"
     with pytest.raises(OracleError) as e:
-        eval_oracle(d_def(), ctx, 1, None, env)
+        reg.eval("d", ctx, 1, None)
     assert e.value.code == "ArityMismatch"
 
 
@@ -287,11 +284,11 @@ def test_dependent_obligation_checked_at_call_time():
         Forall("x", TypeName("A"), OpaqueType(TypeApp(TypeName("P"), Var("x")))),
         (OracleRule(GuardDefault(), Var("w")),),
     )
-    validate_oracle(dep, env2)
+    reg = OracleRegistry.load(env2, [dep])
     ctx = ctx_for(Force(OracleRef("c")), "c")
-    assert eval_oracle(dep, ctx, 1, Var("b"), env2) == Var("w")
+    assert reg.eval("e", ctx, 1, Var("b")) == Var("w")
     with pytest.raises(OracleError) as e:
-        eval_oracle(dep, ctx, 1, Var("a"), env2)
+        reg.eval("e", ctx, 1, Var("a"))
     assert e.value.code == "OutputIllTyped"
 
 

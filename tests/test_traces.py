@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from generators import gen_closed_term, signature
 from olam import surface
-from olam.checker import type_of_trace_term
 from olam.errors import CheckError, TraceError
 from olam.reducer import find_redexes, run_sample, step
 from olam.traces import (
@@ -415,14 +414,6 @@ def test_derive_judgment_rejects_values():
     with pytest.raises(TraceError) as e:
         derive_judgment(env, Var("a"), reg)
     assert e.value.code == "NotEvidence"
-
-
-def test_type_of_trace_term_delegates():
-    env, reg = signature()
-    coin = surface.parse_term(COIN)
-    j = type_of_trace_term(env, TraceTerm((coin, Var("a")), None), reg)
-    assert isinstance(j, MapstoJudgment)
-    assert j.prob == Fraction(1, 3)
 
 
 def test_forced_oracle_form():
