@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -363,16 +364,36 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        # a reader that closed stdout early is found here, not at exit
+        sys.stdout.flush()
+        return code
     except (OlamError, RecursionError) as err:
         if isinstance(err, RecursionError):
             # the recursive walks ran out of stack on deeply nested input
             err = OlamError("DepthExceeded", "input is nested too deeply")
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader went away: nothing to report, but the output was not
+        # all written, so not 0, which would hide an untrusted verdict
+        _discard_stdout()
+        return 2
     except (OSError, _UsageError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+
+
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor, if it has one, at the null device,
+    so the flush at exit writes what is left nowhere instead of failing."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

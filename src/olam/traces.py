@@ -256,28 +256,24 @@ def _diagnose_failed_step(u: Term, v: Term) -> None:
 
 
 class _StepTable:
-    """What one run of checks has already established, keyed by the terms
-    it was computed for: the readings of a step, and the type of a term.
+    """What one check of evidence has already established, keyed by the
+    terms it was computed for: the readings of a step, and the type of a
+    term.
 
-    Bound to one environment and registry, and to the fuel that the search
-    over readings spends.  Both tables key an entry by the identity of its
-    terms, which evidence shares along common prefixes, and the entry holds
-    those terms, so their ids stay unique while it lives.  No node is
-    hashed.  Only successes are kept: a check that fails raises again each
-    time it is asked.
+    Bound to one environment and registry, and to a DEFAULT_FUEL budget
+    that the search over readings spends.  Both tables key an entry by the
+    identity of its terms, which evidence shares along common prefixes,
+    and the entry holds those terms, so their ids stay unique while it
+    lives.  No node is hashed.  Only successes are kept: a check that
+    fails raises again each time it is asked.
     """
 
     __slots__ = ("env", "registry", "fuel", "_steps", "_types")
 
-    def __init__(
-        self,
-        env: Environment,
-        registry: OracleRegistry | None,
-        fuel: Fuel | int = DEFAULT_FUEL,
-    ) -> None:
+    def __init__(self, env: Environment, registry: OracleRegistry | None) -> None:
         self.env = env
         self.registry = registry
-        self.fuel = fuel if isinstance(fuel, Fuel) else Fuel(fuel)
+        self.fuel = Fuel(DEFAULT_FUEL)
         self._steps: dict[
             tuple[int, int, StepLabel | None],
             tuple[Term, Term, list[_Reading]],
@@ -579,7 +575,6 @@ def check_trace(
     witness: Term,
     claim: MapstoJudgment,
     registry: OracleRegistry | None = None,
-    table: _StepTable | None = None,
 ) -> bool:
     """Recheck a claimed judgment against its evidence.
 
@@ -589,15 +584,10 @@ def check_trace(
     one redex path.  The claimed probability must be achievable, and for a
     frequency table it must equal the target's share of the rewritten
     tuple.  Labelled and unlabelled evidence go through one search, which
-    spends the table's fuel (DEFAULT_FUEL in a fresh table); a labelled
-    step has one reading, so labelled evidence has one way through.
-    Checks of several witnesses may share one table made for the same env
-    and registry, so a step they have in common is checked once.
+    spends DEFAULT_FUEL; a labelled step has one reading, so labelled
+    evidence has one way through.
     """
-    if table is None:
-        table = _StepTable(env, registry)
-    elif table.env is not env or table.registry is not registry:
-        raise ValueError("table was made for another env or registry")
+    table = _StepTable(env, registry)
     _check_evidence(table, witness, claim.source, claim.target, claim.prob)
     return True
 

@@ -10,17 +10,15 @@ against the program it names.
 
 from __future__ import annotations
 
-import json
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import surface
 from .checker import Environment, infer_type
-from .errors import OlamError, TrustError
+from .errors import TrustError
 from .oracles import OracleRegistry
 from .printer import show, term_key
-from .reducer import RULE_KIND, find_redexes
+from .reducer import find_redexes
 from .syntax import (
     DEFAULT_FUEL,
     Fuel,
@@ -30,17 +28,18 @@ from .syntax import (
     Term,
     TraceTerm,
     alpha_eq,
+    pair_spine,
 )
 from .traces import (
     Distribution,
     MapstoJudgment,
-    _frequency_shape,
-    _StepTable,
-    check_trace,
     enumerate_distribution,
     forced_oracle_form,
     oracle_frequency,
 )
+
+# unused here; bench/tracing.py traces evidence checks at trust.check_trace
+from .traces import check_trace  # noqa: F401
 
 __all__ = [
     "TrustSpec",
@@ -195,14 +194,6 @@ def trust_check(
 # ---------------------------------------------------------- certificates
 
 
-def _parse(text: str, parsed: dict[str, Term]) -> Term:
-    """The term of text, parsed on its first visit to parsed."""
-    term = parsed.get(text)
-    if term is None:
-        term = parsed[text] = surface.parse_term(text)
-    return term
-
-
 # Printed terms keyed by identity: evidence shares its term objects along
 # common prefixes, and an entry holds its term, so its id stays unique
 # while the entry lives.
@@ -217,108 +208,12 @@ def _show(term: Term, shown: _Shown) -> str:
     return entry[1]
 
 
-# A step label is written as its rule followed by the redex path, all
-# separated by single spaces: "left 1 0" is the left side of the choice at
-# path (1, 0), and "beta" a beta step at the root.
-_LABEL_TEXT = re.compile(
-    "(?:" + "|".join(RULE_KIND) + ")(?: (?:0|[1-9][0-9]*))*"
-)
-
-
 def _label_to_text(label: StepLabel) -> str:
+    """A step label as its rule followed by the redex path, all separated
+    by single spaces: "left 1 0" is the left side of the choice at path
+    (1, 0), and "beta" a beta step at the root."""
     path, rule = label
     return " ".join((rule, *map(str, path)))
-
-
-def _label_from_text(text: str) -> StepLabel:
-    rule, *path = text.split(" ")
-    return tuple(map(int, path)), rule
-
-
-def _is_label_text(value: object) -> bool:
-    return isinstance(value, str) and _LABEL_TEXT.fullmatch(value) is not None
-
-
-class _OneOf:
-    """A certificate shape that any one of several shapes satisfies."""
-
-    def __init__(self, *shapes: object) -> None:
-        self.shapes = shapes
-
-
-# The JSON shape of what replay reads of a certificate, checked before it
-# is read; every other field is only compared with the text trust writes.
-# A type is matched with isinstance, a one-item list by every item of a
-# list, a dict field by field (a missing field reads as None), a function
-# as a predicate, and anything else by equal value and type.
-_OPTIONAL_TEXT = _OneOf(None, str)
-_WITNESS = _OneOf(
-    {
-        "kind": "steps",
-        "terms": [str],
-        "probability": _OPTIONAL_TEXT,
-        "labels": _OneOf(None, [_is_label_text]),
-    },
-    {
-        "kind": "merge",
-        "source": str,
-        "branches": [[str]],
-        "target": str,
-        "probability": _OPTIONAL_TEXT,
-        "labels": _OneOf(None, [[_is_label_text]]),
-    },
-)
-_JUDGMENT = {
-    "source": str,
-    "target": str,
-    "probability": str,
-    "witness": _WITNESS,
-}
-_CERTIFICATE = {
-    "schema": 1,
-    "program": str,
-    "mode": _OneOf("enumerate", "frequency"),
-    "epsilon": str,
-    "witnesses": [_JUDGMENT],
-    "threshold_checks": [{"outcome": str, "target": str}],
-}
-
-
-def _departure(value: object, shape: object) -> list[str] | None:
-    """Where value first departs from shape, as the steps into value that
-    lead there, innermost first; None when value has the shape."""
-    if isinstance(shape, _OneOf):
-        fits = any(_departure(value, s) is None for s in shape.shapes)
-        return None if fits else []
-    if isinstance(shape, type):
-        return None if isinstance(value, shape) else []
-    if isinstance(shape, list):
-        if not isinstance(value, list):
-            return []
-        for i, v in enumerate(value):
-            bad = _departure(v, shape[0])
-            if bad is not None:
-                return [*bad, f"[{i}]"]
-        return None
-    if isinstance(shape, dict):
-        if not isinstance(value, dict):
-            return []
-        for key, s in shape.items():
-            bad = _departure(value.get(key), s)
-            if bad is not None:
-                return [*bad, f".{key}"]
-        return None
-    if callable(shape):
-        return None if shape(value) else []
-    return None if type(value) is type(shape) and value == shape else []
-
-
-def _require_shape(value: object, shape: object, name: str) -> None:
-    bad = _departure(value, shape)
-    if bad is not None:
-        raise TrustError(
-            "CertificateMismatch", f"malformed {name}{''.join(reversed(bad))}"
-        )
 
 
 def _witness_to_json(witness: Term, shown: _Shown) -> dict:
@@ -351,69 +246,11 @@ def _witness_to_json(witness: Term, shown: _Shown) -> dict:
     )
 
 
-def _labels_from_json(texts: list[str], steps: int) -> tuple[StepLabel, ...]:
-    """The labels of a path of the given number of steps, one per step."""
-    _require(
-        len(texts) == steps, "step labels do not match the steps of a witness"
-    )
-    return tuple(_label_from_text(x) for x in texts)
-
-
-def _witness_from_json(obj: dict, parsed: dict[str, Term]) -> Term:
-    """A witness read from JSON of the shape _WITNESS."""
-    prob_text = obj.get("probability")
-    prob = None if prob_text is None else surface.parse_rational_text(prob_text)
-    labels = obj.get("labels")
-    if obj["kind"] == "steps":
-        terms = obj["terms"]
-        if labels is not None:
-            labels = _labels_from_json(labels, len(terms) - 1)
-        return TraceTerm(tuple(_parse(s, parsed) for s in terms), prob, labels)
-    branches = obj["branches"]
-    if labels is not None:
-        _require(
-            len(labels) == len(branches),
-            "step labels do not match the branches of a merge",
-        )
-        # a branch lists the terms between source and target
-        labels = tuple(
-            _labels_from_json(ls, len(br) + 1)
-            for ls, br in zip(labels, branches)
-        )
-    return MergeTerm(
-        _parse(obj["source"], parsed),
-        tuple(tuple(_parse(s, parsed) for s in br) for br in branches),
-        _parse(obj["target"], parsed),
-        prob,
-        labels,
-    )
-
-
-def _claim(judgment: MapstoJudgment, shown: _Shown) -> dict:
-    """What a judgment claims, as certificate JSON: its source, target and
-    probability."""
-    return {
-        "source": _show(judgment.source, shown),
-        "target": _show(judgment.target, shown),
-        "probability": str(judgment.prob),
-    }
-
-
-def _judgment_from_json(obj: dict, parsed: dict[str, Term]) -> MapstoJudgment:
-    """A judgment read from JSON of the shape _JUDGMENT."""
-    return MapstoJudgment(
-        _parse(obj["source"], parsed),
-        _parse(obj["target"], parsed),
-        surface.parse_rational_text(obj["probability"]),
-        _witness_from_json(obj["witness"], parsed),
-    )
-
-
-def _verdict_fields(t: Term, report: TrustReport, shown: _Shown) -> dict:
-    """The certificate without its evidence: every field, with each
-    witness's claim but not its witness.  A function of the program and the
-    trust check alone, written for build_certificate and recomputed by
-    replay_certificate."""
+def _certificate(t: Term, report: TrustReport) -> dict:
+    """The certificate trust writes for the verdict report on program t,
+    for build_certificate and rewritten by replay_certificate.  Each term
+    object is printed once."""
+    shown: _Shown = {}
     return {
         "schema": 1,
         "program": _show(t, shown),
@@ -426,7 +263,15 @@ def _verdict_fields(t: Term, report: TrustReport, shown: _Shown) -> dict:
             [_show(rep, shown), str(prob)]
             for rep, prob in report.distribution.items()
         ],
-        "witnesses": [_claim(j, shown) for j in report.judgments],
+        "witnesses": [
+            {
+                "source": _show(j.source, shown),
+                "target": _show(j.target, shown),
+                "probability": str(j.prob),
+                "witness": _witness_to_json(j.witness, shown),
+            }
+            for j in report.judgments
+        ],
         "threshold_checks": [
             {
                 "outcome": _show(row.outcome, shown),
@@ -443,17 +288,59 @@ def _verdict_fields(t: Term, report: TrustReport, shown: _Shown) -> dict:
 def build_certificate(env: Environment, t: Term, report: TrustReport) -> dict:
     """Self-contained record of a trust verdict: the program, its derived
     distribution, every outcome's claim with its evidence, and every
-    threshold comparison.  Each term object is printed once."""
-    shown: _Shown = {}
-    cert = _verdict_fields(t, report, shown)
-    for claim, judgment in zip(cert["witnesses"], report.judgments):
-        claim["witness"] = _witness_to_json(judgment.witness, shown)
-    return cert
+    threshold comparison."""
+    return _certificate(t, report)
 
 
-def _require(condition: bool, detail: str) -> None:
-    if not condition:
-        raise TrustError("CertificateMismatch", detail)
+# The JSON shape of what replay reads of a certificate, checked before it
+# is read; every other field is only compared with the text trust writes.
+# A type is matched with isinstance, a one-item list by every item of a
+# list, and a dict field by field (a missing field reads as None).
+_READ = {
+    "program": str,
+    "epsilon": str,
+    "witnesses": list,
+    "threshold_checks": [{"outcome": str, "target": str}],
+}
+
+
+def _require_shape(value: object, shape: object, name: str) -> None:
+    """Raise unless value, found at name, has the shape."""
+    if isinstance(shape, type):
+        fits = isinstance(value, shape)
+    elif isinstance(shape, list):
+        fits = isinstance(value, list)
+        for i, v in enumerate(value if fits else ()):
+            _require_shape(v, shape[0], f"{name}[{i}]")
+    else:
+        fits = isinstance(value, dict)
+        for key, s in shape.items() if fits else ():
+            _require_shape(value.get(key), s, f"{name}.{key}")
+    if not fits:
+        raise TrustError("CertificateMismatch", f"malformed {name}")
+
+
+def _difference(value: object, written: object) -> list[str | int] | None:
+    """Where value first differs from the JSON value written, as the keys
+    and indices that lead there, outermost first; None when the two are
+    equal as JSON values: of one type, lists item by item in order, and
+    objects key by key in any key order."""
+    if type(value) is not type(written):
+        return []
+    if isinstance(written, list):
+        for i, (v, w) in enumerate(zip(value, written)):
+            bad = _difference(v, w)
+            if bad is not None:
+                return [i, *bad]
+        short = min(len(value), len(written))
+        return None if len(value) == len(written) else [short]
+    if isinstance(written, dict):
+        for key, w in written.items():
+            bad = [] if key not in value else _difference(value[key], w)
+            if bad is not None:
+                return [key, *bad]
+        return [key for key in value if key not in written][:1] or None
+    return None if value == written else []
 
 
 def replay_certificate(
@@ -464,49 +351,34 @@ def replay_certificate(
 ) -> TrustReport:
     """Recheck a certificate from scratch.
 
-    Every witness's evidence is checked against its claim, and the verdict
-    is derived once more by the same trust_check that wrote the
-    certificate.  Every field, and the claim of every witness, must then
-    be the text that trust writes for that verdict: compared as JSON
-    values, so 1 is not true and list order counts, but the key order of
-    an object does not.  Any disagreement raises instead of returning.
+    The verdict is derived once, by the same trust_check that wrote the
+    certificate, and the certificate trust writes for it must equal the
+    given one in every field it writes, evidence included: evidence that
+    is the text of a fresh derivation by the reduction rules needs no
+    second check step by step.  Fields are compared as JSON values, so 1
+    is not true and list order counts, but the key order of an object
+    does not.  A difference raises, naming the field, and for a witness
+    its index, its outcome and the place of the first differing value.
 
-    Only what replay reads is shape-checked before it is read.  Witnesses
-    share prefixes, so the replay parses each distinct text once and
-    checks each distinct step once; every witness is still checked against
-    its own claim.  A labelled witness is checked along its labels; one
-    without labels is searched, spending fuel.  A witness that fails its
-    check is named in the error.
+    Only what replay reads is shape-checked before it is read: the
+    program, the tolerance, the threshold rows and, in frequency mode,
+    the first term of the first witness, the tuple of calls whose length
+    is the table's width (without it the program is enumerated).
     """
-    _require_shape(cert, _CERTIFICATE, "certificate")
-    parsed: dict[str, Term] = {}
-    t = _parse(cert["program"], parsed)
-    judgments = [_judgment_from_json(obj, parsed) for obj in cert["witnesses"]]
-    table = _StepTable(env, registry, fuel)
-    for index, judgment in enumerate(judgments):
-        try:
-            check_trace(env, judgment.witness, judgment, registry, table)
-        except OlamError as err:
-            raise type(err)(
-                err.code,
-                f"witness {index} (outcome {judgment.target}): {err.message}",
-                err.span,
-            ) from err
+    _require_shape(cert, _READ, "certificate")
     width = None
-    if cert["mode"] == "frequency":
-        _require(judgments != [], "no witnesses")
-        width = _frequency_shape(judgments[0].witness, t)
-        _require(width is not None, "malformed frequency evidence")
-        for index, judgment in enumerate(judgments):
-            _require(
-                _frequency_shape(judgment.witness, t) == width,
-                f"witness {index} is not a width-{width} frequency table",
-            )
-
+    if cert.get("mode") == "frequency":
+        first = cert["witnesses"][:1]
+        shape = [{"witness": {"terms": [str]}}]
+        _require_shape(first, shape, "certificate.witnesses")
+        calls = [text for w in first for text in w["witness"]["terms"][:1]]
+        if calls:
+            width = len(pair_spine(surface.parse_term(calls[0])))
+    t = surface.parse_term(cert["program"])
     spec = TrustSpec(
         tuple(
             (
-                _parse(row["outcome"], parsed),
+                surface.parse_term(row["outcome"]),
                 surface.parse_rational_text(row["target"]),
             )
             for row in cert["threshold_checks"]
@@ -514,15 +386,21 @@ def replay_certificate(
         surface.parse_rational_text(cert["epsilon"]),
     )
     report = trust_check(env, t, spec, registry, fuel, width)
-    claims = [
-        {k: w[k] for k in ("source", "target", "probability")}
-        for w in cert["witnesses"]
-    ]
-    for field, value in _verdict_fields(t, report, {}).items():
-        written = claims if field == "witnesses" else cert.get(field)
-        _require(
-            json.dumps(written, sort_keys=True)
-            == json.dumps(value, sort_keys=True),
-            f"certificate field {field!r} differs from the recomputed one",
+    for field, written in _certificate(t, report).items():
+        bad = _difference(cert.get(field), written)
+        if bad is None:
+            continue
+        witness = ""
+        if field == "witnesses":
+            index, *bad = bad
+            witness = f"witness {index} (not derived): "
+            if index < len(written):
+                outcome = written[index]["target"]
+                witness = f"witness {index} (outcome {outcome}): "
+        at = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in bad)
+        raise TrustError(
+            "CertificateMismatch",
+            f"{witness}certificate field {field!r} differs from the "
+            "recomputed one" + (f" at {at}" if at else ""),
         )
     return report

@@ -243,10 +243,75 @@ def test_trust_trusted_writes_certificate(project, capsys, tmp_path):
         "totality: 1\n"
         f"certificate: {tmp_path / 'prog.trust.json'}\n"
     )
-    cert = json.loads((tmp_path / "prog.trust.json").read_text())
-    assert cert["schema"] == 1
-    assert cert["verdict"] == "trusted"
-    assert cert["mode"] == "frequency"
+    # the bytes trust writes, pinned
+    assert (tmp_path / "prog.trust.json").read_text() == CERTIFICATE_TEXT
+
+
+CERTIFICATE_TEXT = """\
+{
+  "schema": 1,
+  "program": "#c!",
+  "mode": "frequency",
+  "seedless": true,
+  "epsilon": "1/100",
+  "verdict": "trusted",
+  "totality": "1",
+  "distribution": [
+    [
+      "a",
+      "2/3"
+    ],
+    [
+      "b",
+      "1/3"
+    ]
+  ],
+  "witnesses": [
+    {
+      "source": "#c!",
+      "target": "a",
+      "probability": "2/3",
+      "witness": {
+        "kind": "steps",
+        "terms": [
+          "<#c!, <#c!, #c!>>",
+          "<a, <a, b>>"
+        ],
+        "probability": "1"
+      }
+    },
+    {
+      "source": "#c!",
+      "target": "b",
+      "probability": "1/3",
+      "witness": {
+        "kind": "steps",
+        "terms": [
+          "<#c!, <#c!, #c!>>",
+          "<a, <a, b>>"
+        ],
+        "probability": "1"
+      }
+    }
+  ],
+  "threshold_checks": [
+    {
+      "outcome": "a",
+      "target": "2/3",
+      "derived": "2/3",
+      "deviation": "0",
+      "passed": true
+    },
+    {
+      "outcome": "b",
+      "target": "1/3",
+      "derived": "1/3",
+      "deviation": "0",
+      "passed": true
+    }
+  ]
+}
+"""
 
 
 def test_trust_untrusted_exit_code(project, capsys, tmp_path):
@@ -481,3 +546,24 @@ def test_deep_input_is_a_coded_error(project, capsys, tmp_path):
         assert err.startswith("error: [DepthExceeded]")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_closed_stdout_is_quiet_exit_2(project, capsys, monkeypatch):
+    """A reader that closes stdout early gets no error line, and the exit
+    status is 2: the output was not all written."""
+    prog, orc = project("choose[1/3]{a}{b}!")
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["dist", prog, "--oracles", orc])
+    monkeypatch.undo()
+    assert code == 2
+    assert capsys.readouterr().err == ""

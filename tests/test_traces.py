@@ -148,17 +148,6 @@ def test_check_trace_simple_chain():
     assert check_trace(env, claim.witness, claim, reg)
 
 
-def test_check_trace_rejects_table_of_another_signature():
-    env, reg = signature()
-    w = TraceTerm((Var("a"),), None)
-    claim = MapstoJudgment(Var("a"), Var("a"), Fraction(1), w)
-    assert check_trace(env, w, claim, reg, _StepTable(env, reg))
-    with pytest.raises(ValueError):
-        check_trace(env, w, claim, reg, _StepTable(env, None))
-    with pytest.raises(ValueError):
-        check_trace(env, w, claim, None, _StepTable(env, reg))
-
-
 def test_check_trace_singleton_chain():
     env, reg = signature()
     w = TraceTerm((Var("a"),), None)

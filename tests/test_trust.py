@@ -1,6 +1,8 @@
 """Trust verdicts, tolerance semantics, and certificate replay."""
 
 import copy
+import dataclasses
+import hashlib
 import json
 import time
 from collections import Counter
@@ -12,9 +14,9 @@ from hypothesis import strategies as st
 
 from generators import signature
 from olam import surface, syntax, traces, trust
-from olam.errors import ReductionError, TraceError, TrustError
+from olam.errors import OlamError, ReductionError, TraceError, TrustError
 from olam.oracles import OracleRegistry
-from olam.syntax import TraceTerm, Var
+from olam.syntax import MergeTerm, TraceTerm, Var
 from olam.traces import MapstoJudgment, check_trace, enumerate_distribution
 from olam.trust import (
     TrustSpec,
@@ -230,20 +232,6 @@ def test_widening_tolerance_preserves_trust(p, ta, eps, wider):
         assert trust_check(env, t, spec_large, reg).verdict == "trusted"
 
 
-def test_witness_json_round_trip():
-    env, reg = signature()
-    for src in (COIN, collapse(1)):
-        _, judgments = enumerate_distribution(
-            env, surface.parse_term(src), registry=reg
-        )
-        for j in judgments:
-            w = j.witness
-            back = trust._witness_from_json(trust._witness_to_json(w, {}), {})
-            assert back == w
-            assert w.labels is not None
-            assert back.labels == w.labels
-
-
 def trusted_coin_certificate():
     env, reg = signature()
     t = surface.parse_term(COIN)
@@ -370,19 +358,13 @@ def test_frequency_certificate_replays(monkeypatch):
     replayed = replay_certificate(env, reg, cert)
     assert replayed.verdict == "trusted"
     assert replayed.mode == "frequency"
-    # the witnesses share one table: it is rewritten once to check it and
-    # once more by the independent derivation
-    assert calls["rewrite"] == 2
+    # the table is rewritten once, by the derivation; its evidence is the
+    # text that derivation writes, and no step is read again
+    assert calls["rewrite"] == 1
 
 
-def test_frequency_certificate_step_is_read_as_one_oracle_step(monkeypatch):
-    """A frequency table's one step goes through the step reader once per
-    replay, labelled as the oracle step at the tuple's first call site."""
-    env, reg = signature()
-    t = surface.parse_term("#c!")
-    spec = spec_ab(Fraction(2, 3), Fraction(1, 3), Fraction(1, 100))
-    cert = build_certificate(env, t, trust_check(env, t, spec, reg, freq_width=3))
-    assert len(cert["witnesses"]) == 2
+def record_readings(monkeypatch):
+    """The label of every step reading from now on, in order."""
     labels = []
     readings = traces._readings
 
@@ -391,8 +373,25 @@ def test_frequency_certificate_step_is_read_as_one_oracle_step(monkeypatch):
         return readings(u, v, label, registry)
 
     monkeypatch.setattr(traces, "_readings", recorded)
+    return labels
+
+
+def test_frequency_certificate_step_is_read_as_one_oracle_step(monkeypatch):
+    """check_trace reads a frequency table's one step as the oracle step at
+    the tuple's first call site; replay reads no step at all."""
+    env, reg = signature()
+    t = surface.parse_term("#c!")
+    spec = spec_ab(Fraction(2, 3), Fraction(1, 3), Fraction(1, 100))
+    report = trust_check(env, t, spec, reg, freq_width=3)
+    cert = build_certificate(env, t, report)
+    assert len(report.judgments) == 2
+    labels = record_readings(monkeypatch)
+    for j in report.judgments:
+        assert check_trace(env, j.witness, j, reg)
+    assert labels == [((0,), "oracle")] * 2
+    labels.clear()
     assert replay_certificate(env, reg, cert).verdict == "trusted"
-    assert labels == [((0,), "oracle")]
+    assert labels == []
 
 
 def test_frequency_witnesses_must_share_one_width():
@@ -477,7 +476,25 @@ def test_collapse_8_replays_within_two_seconds():
     assert time.perf_counter() - start < 2
 
 
+def label_from_text(text):
+    """A step label written as its rule and then its redex path."""
+    rule, *path = text.split(" ")
+    return tuple(map(int, path)), rule
+
+
+def relabelled(witness, labels):
+    """witness with its labels given as text, one list per branch of a
+    merge."""
+    if isinstance(witness, MergeTerm):
+        labels = tuple(tuple(map(label_from_text, br)) for br in labels)
+    else:
+        labels = tuple(map(label_from_text, labels))
+    return dataclasses.replace(witness, labels=labels)
+
+
 def test_replay_checks_labels():
+    """A certificate with labels other than trust writes does not replay,
+    and check_trace rejects the evidence with those labels by its code."""
     env, reg, coin_cert = exact_certificate(COIN)
     _, _, merge_cert = exact_certificate(collapse(1))
     annotated = "(\\y:P ((\\z:A. z) a). b) (u ((\\z:A. z) a))"
@@ -497,11 +514,15 @@ def test_replay_checks_labels():
         # a beta redex of the type annotation is no term redex
         (annotated_cert, ["beta 0 0 1"], "LabelMismatch"),
     ):
-        replay_certificate(env, reg, copy.deepcopy(cert))
+        claim = replay_certificate(env, reg, copy.deepcopy(cert)).judgments[0]
         broken = copy.deepcopy(cert)
         broken["witnesses"][0]["witness"]["labels"] = labels
-        with pytest.raises(TraceError) as e:
+        with pytest.raises(TrustError) as e:
             replay_certificate(env, reg, broken)
+        assert e.value.code == "CertificateMismatch"
+        assert e.value.message.startswith("witness 0 ")
+        with pytest.raises(TraceError) as e:
+            check_trace(env, relabelled(claim.witness, labels), claim, reg)
         assert e.value.code == code
     # firing the annotation's redex reaches the next term, but the label
     # still points at no redex the reduction rules may fire
@@ -515,30 +536,33 @@ def test_replay_checks_labels():
     assert e.value.code == "LabelMismatch"
 
 
-def test_unlabelled_certificates_replay_through_the_search(monkeypatch):
-    labels = []
-    readings = traces._readings
-
-    def recorded(u, v, label, registry):
-        labels.append(label)
-        return readings(u, v, label, registry)
-
-    monkeypatch.setattr(traces, "_readings", recorded)
+def test_unlabelled_evidence_is_checked_through_the_search(monkeypatch):
+    """Evidence in the paper's form, without labels, is checked by
+    check_trace's search; a certificate carrying it is not the text trust
+    writes, so it does not replay."""
+    labels = record_readings(monkeypatch)
     for src in (COIN, f"<{COIN}, {COIN}>", collapse(3)):
         env, reg, cert = exact_certificate(src)
-        assert replay_certificate(env, reg, strip_labels(cert)).verdict == "trusted"
+        with pytest.raises(TrustError) as e:
+            replay_certificate(env, reg, strip_labels(cert))
+        assert e.value.code == "CertificateMismatch"
+        report = replay_certificate(env, reg, cert)
+        for j in report.judgments:
+            bare = dataclasses.replace(j.witness, labels=None)
+            assert check_trace(env, bare, j, reg)
     assert labels and all(label is None for label in labels)
 
 
 def test_unlabelled_merge_search_spends_fuel():
-    env, reg, cert = exact_certificate(collapse(8))
-    # the search also pays for each split and sum, far beyond 4600 units
-    for fuel in (200, 4600):
-        with pytest.raises(ReductionError) as e:
-            replay_certificate(env, reg, strip_labels(cert), fuel=fuel)
-        assert e.value.code == "FuelExhausted"
-        # the search ran out, not the derivation that follows the witnesses
-        assert "witness 0" in str(e.value)
+    env, reg = signature()
+    t = surface.parse_term(collapse(8))
+    (claim,) = enumerate_distribution(env, t, registry=reg)[1]
+    bare = dataclasses.replace(claim.witness, labels=None)
+    assert len(bare.branches) == 2**8
+    # the search also pays for each split and sum, beyond the default fuel
+    with pytest.raises(ReductionError) as e:
+        check_trace(env, bare, claim, reg)
+    assert e.value.code == "FuelExhausted"
 
 
 def test_malformed_certificates_fail_with_a_code():
@@ -605,28 +629,37 @@ def test_malformed_certificates_fail_with_a_code():
         assert e.value.code == "CertificateMismatch"
 
 
+DIFFERS = "certificate field 'witnesses' differs from the recomputed one"
+
+
 def test_replay_error_names_the_witness():
+    """A witness that differs is named by its index and the outcome trust
+    derives for it, with the place of its first differing value."""
     env, reg, _, cert = trusted_coin_certificate()
-    bare = strip_labels(cert)
-    for broken in (cert, bare):
-        broken["witnesses"][1]["witness"]["terms"][-1] = "a"
-        with pytest.raises(TraceError) as e:
-            replay_certificate(env, reg, broken)
-        assert e.value.code == "BrokenChain"
-        assert str(e.value).startswith("[BrokenChain] witness 1 (outcome b): ")
-    # a failing step is named by its index, and in a merge by its branch
+    cert["witnesses"][1]["witness"]["terms"][-1] = "a"
+    with pytest.raises(TrustError) as e:
+        replay_certificate(env, reg, cert)
+    assert str(e.value) == (
+        f"[CertificateMismatch] witness 1 (outcome b): {DIFFERS} "
+        "at .witness.terms[1]"
+    )
     _, _, pair_cert = exact_certificate(f"<{COIN}, {COIN}>")
     _, _, merge_cert = exact_certificate(collapse(1))
     assert pair_cert["witnesses"][0]["witness"]["terms"][1] == f"<a, {COIN}>"
-    for cert, mutate, prefix in (
-        (pair_cert, retarget_first_witness, "witness 0 (outcome <b, b>): step 1: "),
-        (merge_cert, swap_second_branch, "witness 0 (outcome a): branch 1, step 0: "),
+    for cert, mutate, message in (
+        # the outcome named is the one trust derives, not the one claimed
+        (pair_cert, retarget_first_witness, "witness 0 (outcome <a, a>): "
+         f"{DIFFERS} at .target"),
+        (merge_cert, swap_second_branch, "witness 0 (outcome a): "
+         f"{DIFFERS} at .witness.branches[1][0]"),
+        (strip_labels(merge_cert), lambda w: None, "witness 0 (outcome a): "
+         f"{DIFFERS} at .witness.labels"),
     ):
-        for broken in (copy.deepcopy(cert), strip_labels(cert)):
-            mutate(broken["witnesses"][0])
-            with pytest.raises(TraceError) as e:
-                replay_certificate(env, reg, broken)
-            assert str(e.value).startswith(f"[RuleMismatch] {prefix}")
+        broken = copy.deepcopy(cert)
+        mutate(broken["witnesses"][0])
+        with pytest.raises(TrustError) as e:
+            replay_certificate(env, reg, broken)
+        assert str(e.value) == f"[CertificateMismatch] {message}"
 
 
 def retarget_first_witness(w):
@@ -666,8 +699,11 @@ def test_replay_rejects_tampered_distribution():
 def test_replay_rejects_tampered_witness_probability():
     env, reg, _, cert = trusted_coin_certificate()
     cert["witnesses"][0]["probability"] = "1/2"
-    with pytest.raises(TraceError):
+    with pytest.raises(TrustError) as e:
         replay_certificate(env, reg, cert)
+    assert str(e.value) == (
+        f"[CertificateMismatch] witness 0 (outcome a): {DIFFERS} at .probability"
+    )
 
 
 def test_replay_rejects_tampered_witness_steps():
@@ -676,38 +712,36 @@ def test_replay_rejects_tampered_witness_steps():
     # the first two witnesses of the pair share their middle term
     first, second = (w["witness"]["terms"] for w in pair_cert["witnesses"][:2])
     assert first[1] == second[1] == f"<a, {COIN}>"
-    for cert, witness, position, text in (
-        (coin_cert, 0, -1, "q"),
-        # a step checked for one witness never vouches for a tampered copy
-        (pair_cert, 1, 1, f"<b, {COIN}>"),
+    for cert, witness, position, text, message in (
+        (coin_cert, 0, 1, "q", "witness 0 (outcome a)"),
+        # a term shared with an untampered witness is still compared
+        (pair_cert, 1, 1, f"<b, {COIN}>", "witness 1 (outcome <a, b>)"),
     ):
         replay_certificate(env, reg, copy.deepcopy(cert))
         cert["witnesses"][witness]["witness"]["terms"][position] = text
-        with pytest.raises(TraceError):
+        with pytest.raises(TrustError) as e:
             replay_certificate(env, reg, cert)
+        assert str(e.value) == (
+            f"[CertificateMismatch] {message}: {DIFFERS} "
+            f"at .witness.terms[{position}]"
+        )
 
 
-def test_replay_parses_and_checks_each_distinct_step_once(monkeypatch):
-    """The eight traces of a three-coin tuple share their prefixes: replay
-    parses each distinct text once and checks each distinct labelled step
-    once."""
+def test_replay_derives_once_and_reads_no_witness(monkeypatch):
+    """Replaying the eight traces of a three-coin tuple parses the program
+    and each threshold outcome, derives the distribution once, and neither
+    parses a witness nor reads a step."""
     env, reg, cert = exact_certificate(f"<{COIN}, <{COIN}, {COIN}>>")
-    witnesses = cert["witnesses"]
-    assert len(witnesses) == 8
-    texts = {cert["program"]}
-    texts.update(text for text, _ in cert["distribution"])
-    texts.update(row["outcome"] for row in cert["threshold_checks"])
-    steps = set()
-    for w in witnesses:
-        terms = w["witness"]["terms"]
-        texts.update((w["source"], w["target"], *terms))
-        steps.update(zip(terms, terms[1:], w["witness"]["labels"]))
+    assert len(cert["witnesses"]) == 8
     calls = Counter()
     count_calls(monkeypatch, calls, surface, "parse_term")
     count_calls(monkeypatch, calls, traces, "_readings")
+    count_calls(monkeypatch, calls, trust, "enumerate_distribution")
     assert replay_certificate(env, reg, cert).verdict == "trusted"
-    assert len(steps) == 14
-    assert calls == {"parse_term": len(texts), "_readings": len(steps)}
+    assert calls == {
+        "parse_term": 1 + len(cert["threshold_checks"]),
+        "enumerate_distribution": 1,
+    }
 
 
 def test_replay_rejects_tampered_threshold_row():
@@ -752,9 +786,9 @@ def test_replay_rejects_mode_swap():
 
 
 def test_replay_requires_the_text_trust_writes():
-    """Every field but the witnesses must equal what trust writes: rows in
-    another order, an equal fraction or an equivalent program text is a
-    different certificate, and the error names the field."""
+    """Every field must equal what trust writes: rows in another order, an
+    equal fraction, an equivalent program text or evidence without its
+    labels is a different certificate, and the error names the field."""
     env, reg, _, cert = trusted_coin_certificate()
     swapped = copy.deepcopy(cert)
     swapped["distribution"].reverse()
@@ -775,7 +809,10 @@ def test_replay_requires_the_text_trust_writes():
         assert e.value.code == "CertificateMismatch"
         assert repr(field) in e.value.message
     assert replay_certificate(env, reg, copy.deepcopy(cert)).verdict == "trusted"
-    assert replay_certificate(env, reg, strip_labels(cert)).verdict == "trusted"
+    with pytest.raises(TrustError) as e:
+        replay_certificate(env, reg, strip_labels(cert))
+    assert e.value.code == "CertificateMismatch"
+    assert repr("witnesses") in e.value.message
 
 
 def test_replay_requires_the_witness_claims_trust_writes():
@@ -810,3 +847,97 @@ def test_untampered_copies_keep_replaying():
     env, reg, _, cert = trusted_coin_certificate()
     replay_certificate(env, reg, copy.deepcopy(cert))
     replay_certificate(env, reg, cert)
+
+
+def frequency_certificate():
+    """The width-3 table certificate for #c! against its cyclic rules."""
+    env, reg = signature()
+    t = surface.parse_term("#c!")
+    spec = spec_ab(Fraction(2, 3), Fraction(1, 3), Fraction(1, 100))
+    return env, reg, build_certificate(env, t, trust_check(env, t, spec, reg, freq_width=3))
+
+
+def leaf_replacements(value):
+    """Each value a single-leaf tamper puts in place of value."""
+    if isinstance(value, str):
+        return [value + " ", "(" + value + ")"]
+    if isinstance(value, bool):
+        return [not value, int(value)]
+    if isinstance(value, int):
+        return [value + 1, True]
+    if value is None:
+        return ["1"]
+    if isinstance(value, list) and value:
+        return [value[:-1]]
+    return []
+
+
+DELETE = object()
+
+
+def single_leaf_tampers(cert):
+    """(top-level field, tampered copy) for every replacement of a value
+    and every deletion of a key or item, at every position below the root
+    of cert."""
+    stack = [(key,) for key in cert]
+    while stack:
+        path = stack.pop()
+        value = cert
+        for key in path:
+            value = value[key]
+        if isinstance(value, (dict, list)):
+            keys = value if isinstance(value, dict) else range(len(value))
+            stack.extend(path + (key,) for key in keys)
+        for new in leaf_replacements(value) + [DELETE]:
+            broken = copy.deepcopy(cert)
+            parent = broken
+            for key in path[:-1]:
+                parent = parent[key]
+            if new is DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = new
+            yield path[0], broken
+
+
+# top-level fields whose every tamper must read as a certificate that
+# differs from the one trust writes
+COMPARED = {
+    "witnesses", "distribution", "schema", "seedless", "verdict", "totality", "mode",
+}
+
+
+def test_every_single_leaf_tamper_is_rejected():
+    """No tamper of one value of a certificate replays: each raises an
+    OlamError, and under the compared fields a CertificateMismatch."""
+    certificates = [
+        exact_certificate(f"<{COIN}, {COIN}>"),
+        exact_certificate(collapse(1)),
+        frequency_certificate(),
+    ]
+    tampers = 0
+    for env, reg, cert in certificates:
+        assert replay_certificate(env, reg, copy.deepcopy(cert)).verdict == "trusted"
+        for field, broken in single_leaf_tampers(cert):
+            tampers += 1
+            with pytest.raises(OlamError) as e:
+                replay_certificate(env, reg, broken)
+            if field in COMPARED:
+                assert e.value.code == "CertificateMismatch", (field, broken)
+    assert tampers == 496
+
+
+def certificate_sha256(cert):
+    return hashlib.sha256(json.dumps(cert, indent=2).encode()).hexdigest()
+
+
+def test_certificate_bytes_are_pinned():
+    """The text trust writes for a merge and for a frequency table."""
+    _, _, merge_cert = exact_certificate(collapse(1))
+    _, _, table_cert = frequency_certificate()
+    assert certificate_sha256(merge_cert) == (
+        "5476f114b53479e13697408f44c7a503965818adad82270cf57b0e4706bbc884"
+    )
+    assert certificate_sha256(table_cert) == (
+        "0f134ba27dfc1ba701781277f59102e3f79c6ba9c0057d0c23fac402f6fd2093"
+    )
