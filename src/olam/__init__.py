@@ -67,7 +67,6 @@ from .traces import (
     forced_oracle_form,
     not_equiv_nd,
     oracle_frequency,
-    produced_sequence,
 )
 from .trust import (
     TrustReport,

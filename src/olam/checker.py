@@ -346,7 +346,7 @@ def check_program(source, oracle_defs, require_main: bool = True) -> CheckedProg
                 env = env.with_term(
                     decl.name, conversion.normalize_con(decl.classifier)
                 )
-        # an oracle definition records no line
+        # an oracle error is placed at its line of the oracle file
         line = None
         registry = OracleRegistry.load(env, oracle_defs)
         for name, line in source.oracle_uses:

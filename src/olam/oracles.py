@@ -10,7 +10,7 @@ and when produced where it depends on the argument.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import OlamError, OracleError
 from .syntax import (
@@ -62,6 +62,7 @@ Guard = GuardIndexIn | GuardIndexMod | GuardArg | GuardContext | GuardDefault
 class OracleRule:
     guard: Guard
     output: Term
+    line: int | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,6 +74,7 @@ class OracleDef:
     arity: int
     assoc_type: TypeCon
     rules: tuple[OracleRule, ...]
+    line: int | None = field(default=None, compare=False)
 
     def value_type(self) -> TypeCon:
         if self.arity != 0:
@@ -143,7 +145,9 @@ class OracleRegistry:
     def _add(self, odef: OracleDef) -> None:
         if odef.name in self._defs:
             raise OracleError(
-                "DuplicateName", f"oracle {odef.name} defined twice"
+                "DuplicateName",
+                f"oracle {odef.name} defined twice",
+                None if odef.line is None else (odef.line, 1),
             )
         validate_oracle(odef, self._env)
         self._defs[odef.name] = odef
@@ -226,8 +230,26 @@ def _check_output_type(
 
 
 def validate_oracle(odef: OracleDef, env) -> None:
-    """Static validation: associated type shape and kind, outputs closed and
-    oracle-free, and every statically checkable output well-typed."""
+    """Static validation: associated type shape and kind, then rule by rule
+    outputs closed and oracle-free, and every statically checkable output
+    well-typed.  An error with no place of its own is placed at column 1
+    of the failing rule's line, or of the header line if no rule failed."""
+    line = odef.line
+    try:
+        _check_assoc_type(odef, env)
+        signature = frozenset(env.term_names())
+        for rule in odef.rules:
+            line = rule.line
+            _check_rule(odef, rule, signature, env)
+    except OlamError as err:
+        if err.span is None and line is not None:
+            err.span = (line, 1)
+        raise
+
+
+def _check_assoc_type(odef: OracleDef, env) -> None:
+    """The associated type's shape for the arity, its kind, and the final
+    default rule."""
     from . import checker
 
     if odef.arity == 0:
@@ -261,28 +283,33 @@ def validate_oracle(odef: OracleDef, env) -> None:
             "OracleTypeInvalid",
             f"oracle {odef.name} type has kind {kind}, not a value type",
         )
-    signature = frozenset(env.term_names())
     if not odef.rules or not isinstance(odef.rules[-1].guard, GuardDefault):
         raise OracleError(
             "NoDefaultRule", f"oracle {odef.name} lacks a final default rule"
         )
-    for rule in odef.rules:
-        _check_output_shape(odef, rule.output, signature)
-        if isinstance(rule.guard, GuardArg):
-            _check_output_shape(odef, rule.guard.pattern, signature)
+
+
+def _check_rule(
+    odef: OracleDef, rule: OracleRule, signature: frozenset[str], env
+) -> None:
+    """A rule's output and argument pattern closed and oracle-free, and its
+    output well-typed where the type is known at load: always at arity 0,
+    and at arity 1 for an argument guard, whose pattern is checked too."""
+    from . import checker
+
+    _check_output_shape(odef, rule.output, signature)
+    pattern = rule.guard.pattern if isinstance(rule.guard, GuardArg) else None
+    if pattern is not None:
+        _check_output_shape(odef, pattern, signature)
     if odef.arity == 0:
-        for rule in odef.rules:
-            _check_output_type(odef, rule.output, None, env)
-        return
-    _, dom, _ = odef.dependent_type()
-    for rule in odef.rules:
-        if isinstance(rule.guard, GuardArg):
-            pattern = rule.guard.pattern
-            try:
-                checker.check_type(env, pattern, dom)
-            except OlamError as exc:
-                raise OracleError(
-                    "OutputIllTyped",
-                    f"oracle {odef.name} rule for {pattern}: {exc}",
-                ) from exc
-            _check_output_type(odef, rule.output, pattern, env)
+        _check_output_type(odef, rule.output, None, env)
+    elif pattern is not None:
+        _, dom, _ = odef.dependent_type()
+        try:
+            checker.check_type(env, pattern, dom)
+        except OlamError as exc:
+            raise OracleError(
+                "OutputIllTyped",
+                f"oracle {odef.name} rule for {pattern}: {exc}",
+            ) from exc
+        _check_output_type(odef, rule.output, pattern, env)

@@ -584,26 +584,28 @@ def parse_oracle_file(text: str) -> list[oracles.OracleDef]:
         rules: list[oracles.OracleRule] = []
         saw_default = False
         while ts.peek().kind != "END":
+            line = ts.peek().line
             if ts.at_keyword("rule"):
                 if saw_default:
                     raise ts.error("rules may not follow the default")
                 ts.next()
                 guard = _guard(ts, arity)
-                ts.expect("ARROW")
-                rules.append(oracles.OracleRule(guard, _term(ts)))
             elif ts.at_keyword("default"):
                 ts.next()
-                ts.expect("ARROW")
-                rules.append(oracles.OracleRule(oracles.GuardDefault(), _term(ts)))
+                guard = oracles.GuardDefault()
                 saw_default = True
             else:
                 raise ts.error("expected `rule` or `default`")
+            ts.expect("ARROW")
+            rules.append(oracles.OracleRule(guard, _term(ts), line))
         if not saw_default:
             raise ParseError(
                 "Syntax", f"oracle {name!r} lacks a default rule", (toks[0].line, 1)
             )
         ts.done()
-        defs.append(oracles.OracleDef(name, arity, assoc, tuple(rules)))
+        defs.append(
+            oracles.OracleDef(name, arity, assoc, tuple(rules), toks[0].line)
+        )
     return defs
 
 

@@ -22,7 +22,6 @@ from .oracles import OracleRegistry
 from .printer import term_key
 from .reducer import (
     RULE_KIND,
-    StepOutcome,
     deterministic_strategy,
     find_redexes,
     step,
@@ -38,7 +37,6 @@ from .syntax import (
     StepLabel,
     Term,
     TraceTerm,
-    TypeCon,
     alpha_eq,
     decompose_oracle_context,
     forced_oracle_form,
@@ -52,7 +50,6 @@ __all__ = [
     "TraceQuadruple",
     "MapstoJudgment",
     "Distribution",
-    "produced_sequence",
     "forced_oracle_form",
     "not_equiv_nd",
     "check_trace",
@@ -106,15 +103,8 @@ class Distribution:
         else:
             self._entries[key] = (entry[0], entry[1] + prob)
 
-    def prob_of(self, term: Term) -> Fraction:
-        entry = self._entries.get(term_key(term))
-        return entry[1] if entry is not None else Fraction(0)
-
     def items(self) -> list[tuple[Term, Fraction]]:
         return [self._entries[key] for key in sorted(self._entries)]
-
-    def support(self) -> list[Term]:
-        return [rep for rep, _ in self.items()]
 
     def total(self) -> Fraction:
         return sum((p for _, p in self.items()), Fraction(0))
@@ -125,9 +115,6 @@ class Distribution:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, term: Term) -> bool:
-        return term_key(term) in self._entries
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Distribution):
             return NotImplemented
@@ -136,13 +123,6 @@ class Distribution:
     def __repr__(self) -> str:
         inside = ", ".join(f"{rep} -> {p}" for rep, p in self.items())
         return f"Distribution({inside})"
-
-
-def produced_sequence(
-    steps: Sequence[StepOutcome], initial: Term
-) -> tuple[Term, ...]:
-    """Term sequence of a run: the start term, then each step's result."""
-    return (initial,) + tuple(outcome.term for outcome in steps)
 
 
 def not_equiv_nd(
@@ -255,52 +235,6 @@ def _diagnose_failed_step(u: Term, v: Term) -> None:
         )
 
 
-class _StepTable:
-    """What one check of evidence has already established, keyed by the
-    terms it was computed for: the readings of a step, and the type of a
-    term.
-
-    Bound to one environment and registry, and to a DEFAULT_FUEL budget
-    that the search over readings spends.  Both tables key an entry by the
-    identity of its terms, which evidence shares along common prefixes,
-    and the entry holds those terms, so their ids stay unique while it
-    lives.  No node is hashed.  Only successes are kept: a check that
-    fails raises again each time it is asked.
-    """
-
-    __slots__ = ("env", "registry", "fuel", "_steps", "_types")
-
-    def __init__(self, env: Environment, registry: OracleRegistry | None) -> None:
-        self.env = env
-        self.registry = registry
-        self.fuel = Fuel(DEFAULT_FUEL)
-        self._steps: dict[
-            tuple[int, int, StepLabel | None],
-            tuple[Term, Term, list[_Reading]],
-        ] = {}
-        self._types: dict[int, tuple[Term, TypeCon]] = {}
-
-    def readings(
-        self, u: Term, v: Term, label: StepLabel | None
-    ) -> list[_Reading]:
-        """The readings of u stepping to v, along the label if one is given."""
-        key = (id(u), id(v), label)
-        found = self._steps.get(key)
-        if found is None:
-            found = self._steps[key] = (
-                u, v, _readings(u, v, label, self.registry)
-            )
-        return found[2]
-
-    def type_of(self, t: Term) -> TypeCon:
-        found = self._types.get(id(t))
-        if found is None:
-            found = self._types[id(t)] = (
-                t, infer_type(self.env, t, self.registry)
-            )
-        return found[1]
-
-
 # ------------------------------------------------------------------ search
 
 # Live branches: (class, count) pairs, classes in increasing order.
@@ -310,7 +244,8 @@ _Live = tuple[tuple[int, int], ...]
 def _sums(
     sequences: Sequence[tuple[Term, ...]],
     labels: Sequence[Sequence[StepLabel]] | None,
-    table: _StepTable,
+    registry: OracleRegistry | None,
+    fuel: Fuel,
 ) -> set[Fraction]:
     """Every probability a trace (one term sequence) or a merge (one per
     branch) supports, over the readings of its steps or along its labels.
@@ -324,10 +259,9 @@ def _sums(
     branches of each such class instead of naming them: a class with
     only one of the two sides' readings goes to that side, one with both
     may divide its count.  A labelled step has one reading, so labelled
-    evidence has one way through.  The search spends one unit of the
-    table's fuel per state, per split and per product or sum it forms,
-    loops along the steps where no split is possible and recurses only
-    at splits.
+    evidence has one way through.  The search spends one unit of fuel per
+    state, per split and per product or sum it forms, loops along the
+    steps where no split is possible and recurses only at splits.
     """
     if labels is None:
         labels = [None] * len(sequences)
@@ -351,25 +285,31 @@ def _sums(
             group.append([b])
     classes = [members for group in by_labels.values() for members in group]
     allow_oracle = len(sequences) == 1
+    # the readings of a step, keyed by the identity of its terms, which
+    # branches share along common prefixes; sequences holds every term
+    # until the call returns, so no id is reused meanwhile
+    steps: dict[tuple[int, int, StepLabel | None], list[_Reading]] = {}
     readings: list[list[list[_Reading]]] = []
     for b, *_ in classes:
         seq, ls = sequences[b], labels[b]
         rows = []
         for i in range(len(seq) - 1):
-            try:
-                row = table.readings(
-                    seq[i], seq[i + 1], None if ls is None else ls[i]
-                )
-            except OlamError as err:
-                place = "" if allow_oracle else f"branch {b}, "
-                raise type(err)(
-                    err.code, f"{place}step {i}: {err.message}", err.span
-                ) from err
+            label = None if ls is None else ls[i]
+            key = (id(seq[i]), id(seq[i + 1]), label)
+            row = steps.get(key)
+            if row is None:
+                try:
+                    row = _readings(seq[i], seq[i + 1], label, registry)
+                except OlamError as err:
+                    place = "" if allow_oracle else f"branch {b}, "
+                    raise type(err)(
+                        err.code, f"{place}step {i}: {err.message}", err.span
+                    ) from err
+                steps[key] = row
             if not allow_oracle:
                 row = [r for r in row if r[1][1] != "oracle"]
             rows.append(row)
         readings.append(rows)
-    fuel = table.fuel
     memo: dict[tuple[_Live, int], set[Fraction]] = {}
 
     def solve(live: _Live, depth: int) -> set[Fraction]:
@@ -461,7 +401,7 @@ def _check_frequency(
     target: Term,
     prob: Rational | None,
     width: int,
-    table: _StepTable,
+    registry: OracleRegistry | None,
 ) -> Rational:
     """Check a frequency table's one step, the oracle step at the tuple's
     first call site, and return the target's share of the rewritten tuple,
@@ -472,7 +412,7 @@ def _check_frequency(
             f"frequency evidence carries probability {witness.prob}, not 1",
         )
     calls, result = witness.steps
-    table.readings(calls, result, (() if width == 1 else (0,), "oracle"))
+    _readings(calls, result, (() if width == 1 else (0,), "oracle"), registry)
     hits = sum(
         1
         for part in tuple_components(result, width)
@@ -501,23 +441,26 @@ def _endpoints(witness: Term) -> tuple[Term, Term, Rational | None]:
     )
 
 
-def _achievable(witness: Term, table: _StepTable) -> set[Fraction]:
+def _achievable(
+    witness: Term, registry: OracleRegistry | None, fuel: Fuel
+) -> set[Fraction]:
     """Every probability a trace or merge supports: the one its labels
     give, or else every one over the readings of its steps."""
     if isinstance(witness, TraceTerm):
         labels = None if witness.labels is None else [witness.labels]
-        return _sums([witness.steps], labels, table)
+        return _sums([witness.steps], labels, registry, fuel)
     assert isinstance(witness, MergeTerm)
     if not witness.branches:
         raise TraceError("IncompleteWitnesses", "merge carries no paths")
     sequences = [
         (witness.source, *b, witness.target) for b in witness.branches
     ]
-    return _sums(sequences, witness.labels, table)
+    return _sums(sequences, witness.labels, registry, fuel)
 
 
 def _check_evidence(
-    table: _StepTable,
+    env: Environment,
+    registry: OracleRegistry | None,
     witness: Term,
     source: Term,
     target: Term,
@@ -525,9 +468,10 @@ def _check_evidence(
 ) -> Rational:
     """Recheck evidence that source reaches target and return the
     probability it establishes: the claimed prob, or with prob None the
-    annotation or else the only probability the evidence supports."""
-    source_type = table.type_of(source)
-    target_type = table.type_of(target)
+    annotation or else the only probability the evidence supports.  The
+    search over readings spends DEFAULT_FUEL."""
+    source_type = infer_type(env, source, registry)
+    target_type = infer_type(env, target, registry)
     if not alpha_eq(source_type, target_type):
         raise TraceError(
             "ClaimTypeMismatch",
@@ -540,7 +484,7 @@ def _check_evidence(
     width = _frequency_shape(witness, source)
     if width is not None:
         assert isinstance(witness, TraceTerm)
-        return _check_frequency(witness, target, prob, width, table)
+        return _check_frequency(witness, target, prob, width, registry)
     first, last, annotated = _endpoints(witness)
     if annotated is not None:
         if prob is not None and annotated != prob:
@@ -553,7 +497,7 @@ def _check_evidence(
         raise TraceError("BrokenChain", "evidence does not start at the source")
     if not alpha_eq(last, target):
         raise TraceError("BrokenChain", "evidence does not end at the target")
-    achievable = _achievable(witness, table)
+    achievable = _achievable(witness, registry, Fuel(DEFAULT_FUEL))
     if prob is None:
         if len(achievable) != 1:
             raise TraceError(
@@ -587,8 +531,9 @@ def check_trace(
     spends DEFAULT_FUEL; a labelled step has one reading, so labelled
     evidence has one way through.
     """
-    table = _StepTable(env, registry)
-    _check_evidence(table, witness, claim.source, claim.target, claim.prob)
+    _check_evidence(
+        env, registry, witness, claim.source, claim.target, claim.prob
+    )
     return True
 
 
@@ -602,7 +547,7 @@ def derive_judgment(
     An unannotated witness must determine its probability uniquely.
     """
     source, target, _ = _endpoints(term)
-    prob = _check_evidence(_StepTable(env, registry), term, source, target, None)
+    prob = _check_evidence(env, registry, term, source, target, None)
     return MapstoJudgment(source, target, prob, term)
 
 

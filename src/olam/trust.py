@@ -85,19 +85,16 @@ class TrustReport:
     mode: str
 
 
-def _validate_spec(
-    env: Environment,
-    spec: TrustSpec,
-    subject_type,
-    registry: OracleRegistry | None,
-) -> set[str]:
-    """Reject a malformed spec; return the keys of its listed outcomes."""
+def _validate_spec(spec: TrustSpec) -> list[str]:
+    """Reject a spec that is malformed whatever the program: a tolerance
+    or a target out of range, an outcome listed twice, or targets that do
+    not sum to 1.  Return the key of each listed outcome, in order."""
     if not 0 < spec.epsilon <= 1:
         raise TrustError(
             "EpsilonRange", f"tolerance {spec.epsilon} outside (0, 1]"
         )
+    keys: list[str] = []
     listed: set[str] = set()
-    total = Fraction(0)
     for outcome, target in spec.entries:
         if not 0 <= target <= 1:
             raise TrustError(
@@ -109,23 +106,13 @@ def _validate_spec(
                 "DuplicateOutcome", f"outcome {outcome} listed twice"
             )
         listed.add(key)
-        total += target
-        outcome_type = infer_type(env, outcome, registry)
-        if not alpha_eq(outcome_type, subject_type):
-            raise TrustError(
-                "UnknownOutcome",
-                f"outcome {outcome} has type {outcome_type}, "
-                f"the program has type {subject_type}",
-            )
-        if find_redexes(outcome):
-            raise TrustError(
-                "UnknownOutcome", f"outcome {outcome} is not in normal form"
-            )
+        keys.append(key)
+    total = sum((target for _, target in spec.entries), Fraction(0))
     if total != 1:
         raise TrustError(
             "TargetNotTotal", f"target masses sum to {total}, not 1"
         )
-    return listed
+    return keys
 
 
 def trust_check(
@@ -144,9 +131,13 @@ def trust_check(
     (strictly).  Every outcome the target gives 0, listed at 0 or not
     listed, counts toward the extra mass, which must stay below epsilon;
     report.extra names the unlisted ones.
+
+    Errors come in this order: the spec's own (range, duplicate, total),
+    then the derivation's (it types the program and spends the fuel),
+    then a listed outcome the derivation did not reach that is not a
+    normal form of the program's type.  A reached outcome is one.
     """
-    subject_type = infer_type(env, t, registry)
-    listed = _validate_spec(env, spec, subject_type, registry)
+    keys = _validate_spec(spec)
     oracle = forced_oracle_form(t)
     if freq_width is not None and oracle is not None:
         name, arg = oracle
@@ -155,17 +146,38 @@ def trust_check(
     else:
         dist, judgments = enumerate_distribution(env, t, registry, fuel)
         mode = "enumerate"
-
+    derived = dist.as_key_map()
+    subject_type = None
     rows = []
-    for outcome, target in spec.entries:
-        derived = dist.prob_of(outcome)
-        deviation = abs(derived - target)
+    for (outcome, target), key in zip(spec.entries, keys):
+        mass = derived.get(key)
+        if mass is None:
+            # a reached outcome is a normal form of the program's type;
+            # one the derivation did not reach must be checked to be one
+            outcome_type = infer_type(env, outcome, registry)
+            if subject_type is None:
+                subject_type = infer_type(env, t, registry)
+            if not alpha_eq(outcome_type, subject_type):
+                raise TrustError(
+                    "UnknownOutcome",
+                    f"outcome {outcome} has type {outcome_type}, "
+                    f"the program has type {subject_type}",
+                )
+            if find_redexes(outcome):
+                raise TrustError(
+                    "UnknownOutcome",
+                    f"outcome {outcome} is not in normal form",
+                )
+            mass = Fraction(0)
+        deviation = abs(mass - target)
         passed = deviation < spec.epsilon if target > 0 else True
-        rows.append(TrustRow(outcome, target, derived, deviation, passed))
+        rows.append(TrustRow(outcome, target, mass, deviation, passed))
+    listed = set(keys)
+    # items come sorted by key, so sorting the keys pairs them up
     extra = tuple(
-        (rep, prob)
-        for rep, prob in dist.items()
-        if term_key(rep) not in listed
+        item
+        for key, item in zip(sorted(derived), dist.items())
+        if key not in listed
     )
     extra_mass = sum(
         [prob for _, prob in extra]

@@ -483,6 +483,59 @@ def test_load_errors_name_their_item_line(project, capsys, tmp_path):
         assert err.count("\n") == 1
 
 
+def test_oracle_load_errors_name_their_line(capsys, tmp_path):
+    """An oracle error is placed at the failing rule's line, or at the
+    header line of its oracle."""
+    program = tmp_path / "prog.olam"
+    program.write_text("atom A : *\natom a : A\n\nuse c\n\nmain = #c!\n")
+    oracles = tmp_path / "oracles.olam"
+    for text, code, line in (
+        (
+            "oracle c arity 0 type Sigma A\n"
+            "  rule index in {1} -> a\n"
+            "  default -> q\n",
+            "OutputNotClosed",
+            3,
+        ),
+        (
+            ORACLE_TEXT.replace("-> b", "-> a") + "\noracle z arity 0 type A\n"
+            "  default -> a\n",
+            "OracleTypeInvalid",
+            6,
+        ),
+        (ORACLE_TEXT.replace("-> b", "-> a") * 2, "DuplicateName", 5),
+    ):
+        oracles.write_text(text)
+        status, out, err = run(
+            ["check", str(program), "--oracles", str(oracles)], capsys
+        )
+        assert status == 1
+        assert out == ""
+        assert err.startswith(f"error: [{code}] line {line}, col 1: ")
+
+
+def test_trust_accepts_dist_output_of_a_dependent_program(capsys, tmp_path):
+    """dist prints the outcome c a, whose type P a is the program's type
+    P ((\\x:A. x) a) up to a beta step inside the type; fed back as the
+    target, it is trusted."""
+    program = tmp_path / "dep.olam"
+    program.write_text(
+        "atom A : *\natom a : A\natom P : pi x:A. *\n"
+        "atom c : forall x:A. P x\n\nmain = c ((\\x:A. x) a)\n"
+    )
+    _, out, _ = run(["dist", str(program)], capsys)
+    assert out == "c a = 1\n"
+    target = tmp_path / "dep.dist"
+    target.write_text(out)
+    code, out, err = run(
+        ["trust", str(program), "--target", str(target), "--epsilon", "1/100"],
+        capsys,
+    )
+    assert err == ""
+    assert code == 0
+    assert "verdict: trusted" in out
+
+
 def test_fuel_exhaustion_is_domain_error(project, capsys):
     prog, orc = project("(\\x:A. x) ((\\y:A. y) a)")
     code, _, err = run(

@@ -184,6 +184,76 @@ def test_target_not_total_code():
     assert e.value.code == "TargetNotTotal"
 
 
+def test_reached_dependent_outcome_is_trusted():
+    """The program's type mentions the redex its outcome reduced away, so
+    the two types differ by a beta step inside the type; the outcome is
+    still one the program reaches."""
+    env, reg = signature()
+    t = surface.parse_term("u ((\\x:A. x) a)")
+    outcome = surface.parse_term("u a")
+    spec = TrustSpec(((outcome, Fraction(1)),), Fraction(1, 100))
+    report = trust_check(env, t, spec, reg)
+    assert report.verdict == "trusted"
+    assert report.distribution.as_key_map() == {"u a": 1}
+    cert = json.loads(json.dumps(build_certificate(env, t, report)))
+    assert replay_certificate(env, reg, cert).verdict == "trusted"
+
+
+def coins(n):
+    return syntax.make_tuple([surface.parse_term("choose[1/2]{a}{b}!")] * n)
+
+
+def test_trust_check_keys_each_outcome_once_and_types_the_program_once(
+    monkeypatch,
+):
+    """One key per listed outcome and one per derived path; the program
+    is typed once, by the derivation."""
+    env, reg = signature()
+    t = coins(10)
+    dist, _ = enumerate_distribution(env, t, registry=reg)
+    spec = TrustSpec(tuple(dist.items()), Fraction(1, 100))
+    keyed = []
+    typed = []
+    for module in (traces, trust):
+        key, infer = module.term_key, module.infer_type
+        monkeypatch.setattr(
+            module,
+            "term_key",
+            lambda term, key=key: keyed.append(term) or key(term),
+        )
+        monkeypatch.setattr(
+            module,
+            "infer_type",
+            lambda e, term, r=None, infer=infer: (
+                typed.append(term is t) or infer(e, term, r)
+            ),
+        )
+    report = trust_check(env, t, spec, reg)
+    assert report.verdict == "trusted"
+    assert len(dist) == 1024
+    assert len(keyed) <= 2 * 1024
+    assert typed.count(True) == 1
+
+
+def test_spec_errors_come_before_the_derivation():
+    """With two faults, the spec's total is reported before an unknown
+    outcome, and a derivation that runs out of fuel before an outcome
+    the derivation would have had to reach."""
+    env, reg = signature()
+    t = surface.parse_term(COIN)
+    stray = TrustSpec(
+        ((Var("q"), Fraction(1, 2)), (Var("a"), Fraction(1, 3))),
+        Fraction(1, 100),
+    )
+    with pytest.raises(TrustError) as e:
+        trust_check(env, t, stray, reg)
+    assert e.value.code == "TargetNotTotal"
+    unknown = TrustSpec(((Var("q"), Fraction(1)),), Fraction(1, 100))
+    with pytest.raises(ReductionError) as e:
+        trust_check(env, coins(3), unknown, reg, fuel=2)
+    assert e.value.code == "FuelExhausted"
+
+
 def test_frequency_mode_reads_cyclic_table():
     env, reg = signature()
     t = surface.parse_term("#c!")
@@ -313,7 +383,7 @@ def test_certificate_prints_each_term_object_once(monkeypatch):
     and keys them by identity: no node is hashed."""
     env, _, t, report = six_coins()
     assert len(report.judgments) == 64
-    terms = [t, *report.distribution.support()]
+    terms = [t, *(rep for rep, _ in report.distribution.items())]
     terms += [row.outcome for row in report.rows]
     for j in report.judgments:
         terms += [j.source, j.target, *j.witness.steps]
