@@ -18,13 +18,7 @@ from .checker import (
     infer_kind,
     infer_type,
 )
-from .conversion import (
-    LEFTMOST_OUTERMOST,
-    RIGHTMOST_INNERMOST,
-    con_equiv,
-    normalize_con,
-    normalize_kind,
-)
+from .conversion import con_equiv, normalize_con, normalize_kind
 from .errors import (
     CheckError,
     OlamError,

@@ -1,8 +1,8 @@
 """Kind and type assignment.
 
 The algorithm is syntax-directed: every inferred type is returned in
-constructor normal form, so conversion at comparison sites is plain
-alpha-equality of normal forms.  Binders that would shadow an existing name
+constructor normal form, which conversion builds in one bottom-up pass, so
+conversion at comparison sites is plain alpha-equality of normal forms.  Binders that would shadow an existing name
 are renamed on entry, keeping environments duplicate-free.
 """
 from __future__ import annotations

@@ -4,10 +4,17 @@ The one rule contracts an abstraction-at-type-level applied to a term, at any
 depth of a constructor, kind, or embedded term (annotations included).
 Reduction is confluent and strongly normalizing, so equivalence is decided by
 normalize-and-compare.
+
+The normal form is built in one bottom-up pass: each node's children are
+normalized first, and a node that is then a redex is contracted once.  Once
+is enough: the contraction puts a term where a term variable stood, and a
+term variable is never a constructor's head, so a normal body and a normal
+argument give a normal result.
 """
 from __future__ import annotations
 
-from .errors import ReductionError
+from operator import is_not
+
 from .syntax import (
     DEFAULT_FUEL,
     Fuel,
@@ -20,76 +27,40 @@ from .syntax import (
     TypeCon,
     alpha_eq,
     children,
-    replace_at,
-    subnode_at,
+    rebuild,
     substitute,
 )
 
-LEFTMOST_OUTERMOST = "leftmost-outermost"
-RIGHTMOST_INNERMOST = "rightmost-innermost"
+
+def normalize_node(node: Node, fuel: Fuel | int = DEFAULT_FUEL) -> Node:
+    """The constructor normal form of node; each contraction spends one
+    unit of fuel.  Recorded computations are left as they are."""
+    return _norm(node, fuel if isinstance(fuel, Fuel) else Fuel(fuel))
 
 
-def find_con_redexes(node: Node) -> list[tuple[int, ...]]:
-    """Positions of constructor redexes, in preorder."""
-    out: list[tuple[int, ...]] = []
-
-    def go(n: Node, path: tuple[int, ...]) -> None:
-        if isinstance(n, TypeApp) and isinstance(n.con, TypeAbs):
-            out.append(path)
-        if isinstance(n, (TraceTerm, MergeTerm)):
-            return
-        for i, c in enumerate(children(n)):
-            go(c, path + (i,))
-
-    go(node, ())
-    return out
-
-
-def con_step(node: Node, path: tuple[int, ...]) -> Node:
-    try:
-        sub = subnode_at(node, path)
-    except IndexError:
-        sub = None
-    if not (isinstance(sub, TypeApp) and isinstance(sub.con, TypeAbs)):
-        raise ReductionError(
-            "InvalidRedexPath", f"no constructor redex at {path}"
-        )
-    contracted = substitute(sub.con.body, sub.con.var, sub.arg)
-    return replace_at(node, path, contracted)
-
-
-def normalize_node(
-    node: Node,
-    strategy: str = LEFTMOST_OUTERMOST,
-    fuel: Fuel | int = DEFAULT_FUEL,
-) -> Node:
-    if strategy not in (LEFTMOST_OUTERMOST, RIGHTMOST_INNERMOST):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    budget = fuel if isinstance(fuel, Fuel) else Fuel(fuel)
-    while True:
-        redexes = find_con_redexes(node)
-        if not redexes:
-            return node
+def _norm(n: Node, budget: Fuel) -> Node:
+    if isinstance(n, (TraceTerm, MergeTerm)):
+        return n
+    kids = children(n)
+    if not kids:
+        return n
+    new = tuple([_norm(k, budget) for k in kids])
+    if any(map(is_not, new, kids)):
+        n = rebuild(n, new)
+    if isinstance(n, TypeApp) and isinstance(n.con, TypeAbs):
         budget.spend()
-        path = redexes[0] if strategy == LEFTMOST_OUTERMOST else redexes[-1]
-        node = con_step(node, path)
+        return substitute(n.con.body, n.con.var, n.arg)
+    return n
 
 
-def normalize_con(
-    con: TypeCon,
-    strategy: str = LEFTMOST_OUTERMOST,
-    fuel: Fuel | int = DEFAULT_FUEL,
-) -> TypeCon:
-    return normalize_node(con, strategy, fuel)  # type: ignore[return-value]
+def normalize_con(con: TypeCon, fuel: Fuel | int = DEFAULT_FUEL) -> TypeCon:
+    return normalize_node(con, fuel)  # type: ignore[return-value]
 
 
 def normalize_kind(kind: Kind, fuel: Fuel | int = DEFAULT_FUEL) -> Kind:
-    return normalize_node(kind, LEFTMOST_OUTERMOST, fuel)  # type: ignore[return-value]
+    return normalize_node(kind, fuel)  # type: ignore[return-value]
 
 
 def con_equiv(a: Node, b: Node, fuel: Fuel | int = DEFAULT_FUEL) -> bool:
     """Conversion check: both sides reduce to alpha-equal normal forms."""
-    return alpha_eq(
-        normalize_node(a, LEFTMOST_OUTERMOST, fuel),
-        normalize_node(b, LEFTMOST_OUTERMOST, fuel),
-    )
+    return alpha_eq(normalize_node(a, fuel), normalize_node(b, fuel))

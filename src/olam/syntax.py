@@ -553,14 +553,33 @@ class HoleContext:
         return self._fingerprint  # type: ignore[return-value]
 
     def fill(self, contents: dict[int, Term]) -> Term:
+        """The skeleton with hole i replaced by contents[i], capture-avoiding:
+        a binder whose name is free in an answer and that has a hole in its
+        body is renamed first, as substitution renames it.  No other name
+        changes."""
+        # the answers' free names, read at the first binder
+        free: frozenset[str] | None = None
+
         def go(node: Node) -> Node:
+            nonlocal free
             if isinstance(node, Hole):
                 return contents[node.index]
+            if isinstance(node, Lam):
+                if free is None:
+                    free = frozenset().union(*map(free_term_vars, contents.values()))
+                x, a, b = node.var, node.var_type, node.body
+                if x in free and _has_hole(b):
+                    x2 = fresh_name(x, free | free_term_vars(b))
+                    node = Lam(x2, a, substitute(b, x, Var(x2)))  # type: ignore[arg-type]
             return _map_children(
                 node, lambda _, c: go(c) if isinstance(c, Term) else c
             )
 
         return go(self.skeleton)  # type: ignore[return-value]
+
+
+def _has_hole(node: Node) -> bool:
+    return isinstance(node, Hole) or any(map(_has_hole, children(node)))
 
 
 def forced_oracle_form(t: Term) -> tuple[str, Term | None] | None:

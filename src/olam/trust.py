@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from . import surface
 from .checker import Environment, infer_type
@@ -27,6 +28,7 @@ from .syntax import (
     StepLabel,
     Term,
     TraceTerm,
+    TypeCon,
     alpha_eq,
     pair_spine,
 )
@@ -135,7 +137,8 @@ def trust_check(
     Errors come in this order: the spec's own (range, duplicate, total),
     then the derivation's (it types the program and spends the fuel),
     then a listed outcome the derivation did not reach that is not a
-    normal form of the program's type.  A reached outcome is one.
+    normal form of the program's type or of a reached outcome's type.  A
+    reached outcome is one.
     """
     keys = _validate_spec(spec)
     oracle = forced_oracle_form(t)
@@ -147,7 +150,21 @@ def trust_check(
         dist, judgments = enumerate_distribution(env, t, registry, fuel)
         mode = "enumerate"
     derived = dist.as_key_map()
-    subject_type = None
+    # the program's type, then each reached outcome's, typed on first need:
+    # a reduct's type may differ from the program's by a term step inside
+    # it, which alpha-equality does not take
+    types: list[TypeCon] = []
+    untyped = chain((t,), (outcome for outcome, _ in dist.items()))
+
+    def known_type(outcome_type: TypeCon) -> bool:
+        if any(alpha_eq(outcome_type, typ) for typ in types):
+            return True
+        for term in untyped:
+            types.append(infer_type(env, term, registry))
+            if alpha_eq(outcome_type, types[-1]):
+                return True
+        return False
+
     rows = []
     for (outcome, target), key in zip(spec.entries, keys):
         mass = derived.get(key)
@@ -155,13 +172,11 @@ def trust_check(
             # a reached outcome is a normal form of the program's type;
             # one the derivation did not reach must be checked to be one
             outcome_type = infer_type(env, outcome, registry)
-            if subject_type is None:
-                subject_type = infer_type(env, t, registry)
-            if not alpha_eq(outcome_type, subject_type):
+            if not known_type(outcome_type):
                 raise TrustError(
                     "UnknownOutcome",
                     f"outcome {outcome} has type {outcome_type}, "
-                    f"the program has type {subject_type}",
+                    f"the program has type {types[0]}",
                 )
             if find_redexes(outcome):
                 raise TrustError(

@@ -20,11 +20,7 @@ from generators import (
 from olam import surface
 from olam.checker import connective_skeleton, infer_type
 from olam.cli import main
-from olam.conversion import (
-    LEFTMOST_OUTERMOST,
-    RIGHTMOST_INNERMOST,
-    normalize_con,
-)
+from olam.conversion import normalize_con
 from olam.errors import OlamError, ReductionError
 from olam.reducer import find_redexes, run_sample, step
 from olam.syntax import Var, alpha_eq, substitute
@@ -34,6 +30,12 @@ from olam.trust import (
     build_certificate,
     replay_certificate,
     trust_check,
+)
+from reference_conversion import (
+    LEFTMOST_OUTERMOST,
+    RIGHTMOST_INNERMOST,
+    find_con_redexes,
+    normalize_stepwise,
 )
 
 
@@ -183,9 +185,10 @@ def test_constructor_normalization_is_order_independent():
     disagreements = 0
     for seed in range(200):
         con = gen_closed_con(seed)
-        lo = normalize_con(con, LEFTMOST_OUTERMOST)
-        ri = normalize_con(con, RIGHTMOST_INNERMOST)
-        if not alpha_eq(lo, ri):
+        one = normalize_con(con)
+        lo = normalize_stepwise(con, LEFTMOST_OUTERMOST)
+        ri = normalize_stepwise(con, RIGHTMOST_INNERMOST)
+        if one != lo or not alpha_eq(one, ri) or find_con_redexes(one):
             disagreements += 1
     ok = disagreements == 0
     report(7, "constructor confluence", ok, f"{disagreements} disagreements")

@@ -536,6 +536,56 @@ def test_trust_accepts_dist_output_of_a_dependent_program(capsys, tmp_path):
     assert "verdict: trusted" in out
 
 
+DEPENDENT_PROGRAM = (
+    "atom A : *\natom a : A\natom P : pi x:A. *\n"
+    "atom c : forall x:A. P x\natom d : forall x:A. P x\n\n"
+    "main = c ((\\x:A. x) a)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "target, code, expected",
+    [
+        # d a is unreached, and its type P a is that of the reached c a
+        ("c a = 1/2\nd a = 1/2\n", 1, "d a: target 1/2 derived 0 deviation 1/2 fail"),
+        ("c a = 1/2\nd = 1/2\n", 1, "[UnknownOutcome] outcome d has type"),
+    ],
+)
+def test_trust_types_an_unreached_outcome_against_reached_ones(
+    capsys, tmp_path, target, code, expected
+):
+    program = tmp_path / "dep.olam"
+    program.write_text(DEPENDENT_PROGRAM)
+    spec = tmp_path / "dep.dist"
+    spec.write_text(target)
+    status, out, err = run(
+        ["trust", str(program), "--target", str(spec), "--epsilon", "1/100"],
+        capsys,
+    )
+    assert status == code
+    assert expected in out + err
+    if "UnknownOutcome" not in expected:
+        assert err == "" and "verdict: untrusted" in out
+
+
+def test_oracle_answers_are_not_captured_by_binders(capsys, tmp_path):
+    """The answer a names the atom, not the binder \\a it lands under, so
+    the binder is renamed and main stays a constant function."""
+    program = tmp_path / "capture.olam"
+    program.write_text("atom A : *\natom a : A\n\nuse o\n\nmain = \\a:A. #o!\n")
+    oracles = tmp_path / "capture_oracles.olam"
+    oracles.write_text("oracle o arity 0 type Sigma A\n  default -> a\n")
+    files = [str(program), "--oracles", str(oracles)]
+    assert run(["dist", *files], capsys)[1] == "\\a1:A. a = 1\n"
+    assert run(["trace", *files], capsys)[1] == (
+        "main: \\a:A. #o!\n"
+        "path 1: probability 1, outcome \\a1:A. a\n"
+        "  \\a:A. #o!\n"
+        "  -> \\a1:A. a  [ω 1]\n"
+    )
+    assert "\\a1:A. a = 10/10\n" in run(["eval", *files], capsys)[1]
+
+
 def test_fuel_exhaustion_is_domain_error(project, capsys):
     prog, orc = project("(\\x:A. x) ((\\y:A. y) a)")
     code, _, err = run(

@@ -1,20 +1,28 @@
-"""Constructor-level reduction: beta steps on type abstractions, both
-normalization strategies, equivalence, kind normalization."""
+"""Constructor-level reduction: beta steps on type abstractions, the one-pass
+normal form against the stepwise reference in both orders, its fuel cost
+and traversal count, equivalence, kind normalization."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from generators import gen_closed_con
-from olam import conversion, surface
+from olam import conversion, surface, syntax
 from olam.errors import ReductionError
 from olam.syntax import (
+    Conj,
     KindPi,
     TypeAbs,
     TypeApp,
     TypeName,
     Var,
     alpha_eq,
+)
+from reference_conversion import (
+    LEFTMOST_OUTERMOST,
+    RIGHTMOST_INNERMOST,
+    find_con_redexes,
+    normalize_stepwise,
 )
 
 
@@ -38,22 +46,18 @@ def test_normalize_con_nested():
 def test_normalize_leaves_term_redexes_alone():
     # term-level beta inside a type argument is not a constructor redex
     c = surface.parse_type("P ((\\x:A. x) a)")
-    assert conversion.normalize_con(c) == c
-    assert not conversion.find_con_redexes(c)
-
-
-def test_find_con_redexes_positions():
-    c = TypeApp(
-        TypeAbs("x", TypeName("A"), TypeApp(TypeName("P"), Var("x"))),
-        Var("a"),
-    )
-    assert conversion.find_con_redexes(c) == [()]
-    assert conversion.find_con_redexes(TypeName("A")) == []
+    assert not find_con_redexes(c)
+    assert conversion.normalize_con(c) is c
 
 
 def test_is_normal_con():
-    assert not conversion.find_con_redexes(surface.parse_type("forall x:A. P x"))
-    assert conversion.find_con_redexes(surface.parse_type("(\\\\x:A. P x) a"))
+    # a normal form comes back as the same object, a redex does not
+    normal = surface.parse_type("forall x:A. P x")
+    assert not find_con_redexes(normal)
+    assert conversion.normalize_con(normal) is normal
+    redex = surface.parse_type("(\\\\x:A. P x) a")
+    assert find_con_redexes(redex)
+    assert conversion.normalize_con(redex) is not redex
 
 
 def test_con_equiv():
@@ -80,17 +84,49 @@ def test_normalize_fuel_zero():
     assert e.value.code == "FuelExhausted"
 
 
-def test_strategies_exist():
-    assert conversion.LEFTMOST_OUTERMOST != conversion.RIGHTMOST_INNERMOST
+def test_normalize_fuel_is_one_unit_per_contraction():
+    c = surface.parse_type("(\\\\x:A. (\\\\y:A. P y) x) a")
+    with pytest.raises(ReductionError) as e:
+        conversion.normalize_con(c, fuel=1)
+    assert e.value.code == "FuelExhausted"
+    assert conversion.normalize_con(c, fuel=2) == surface.parse_type("P a")
 
 
-@given(st.integers(0, 3000))
+def test_normalize_visits_each_node_once(monkeypatch):
+    redexes = [
+        TypeApp(
+            TypeAbs("x", TypeName("A"), TypeApp(TypeName("P"), Var("x"))),
+            Var(f"a{i}"),
+        )
+        for i in range(200)
+    ]
+    c = redexes[0]
+    for r in redexes[1:]:
+        c = Conj(c, r)
+
+    def size(n):
+        return 1 + sum(map(size, syntax.children(n)))
+
+    calls = 0
+
+    def counting(n):
+        nonlocal calls
+        calls += 1
+        return syntax.children(n)
+
+    monkeypatch.setattr(conversion, "children", counting)
+    out = conversion.normalize_con(c)
+    assert calls <= size(c)
+    assert not find_con_redexes(out)
+
+
+@given(st.integers(0, 4999))
 def test_strategies_agree(seed):
     c = gen_closed_con(seed)
-    lo = conversion.normalize_con(c, strategy=conversion.LEFTMOST_OUTERMOST)
-    ri = conversion.normalize_con(c, strategy=conversion.RIGHTMOST_INNERMOST)
-    assert alpha_eq(lo, ri)
-    assert not conversion.find_con_redexes(lo)
+    one = conversion.normalize_con(c)
+    assert one == normalize_stepwise(c, LEFTMOST_OUTERMOST)
+    assert alpha_eq(one, normalize_stepwise(c, RIGHTMOST_INNERMOST))
+    assert not find_con_redexes(one)
 
 
 @given(st.integers(0, 2000))
