@@ -49,7 +49,7 @@ from .surface import (
     parse_term,
     parse_type,
 )
-from .syntax import DEFAULT_FUEL, Fuel, alpha_eq, canonicalize, substitute
+from .syntax import DEFAULT_FUEL, Fuel, alpha_eq, substitute
 from .traces import (
     Distribution,
     MapstoJudgment,

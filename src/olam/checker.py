@@ -45,6 +45,7 @@ from .syntax import (
     free_term_vars,
     fresh_name,
     substitute,
+    substitute_all,
 )
 
 
@@ -374,9 +375,14 @@ def check_program(source, oracle_defs, require_main: bool = True) -> CheckedProg
                 # identity (no binder is renamed in it), and substituting,
                 # in definition order, only the earlier definitions free in
                 # d.term gives the same term as substituting all of them.
-                mentioned = free_term_vars(body) & inlined.keys()
-                for earlier in sorted(mentioned, key=rank.__getitem__):
-                    body = substitute(body, earlier, inlined[earlier])  # type: ignore[assignment]
+                # For the same reason no replacement has another mentioned
+                # name free, so one walk substitutes them all.
+                mentioned = sorted(
+                    free_term_vars(body) & inlined.keys(), key=rank.__getitem__
+                )
+                if mentioned:
+                    mapping = {n: inlined[n] for n in mentioned}
+                    body = substitute_all(body, mapping)  # type: ignore[assignment]
             rank[d.name] = len(rank)
             inlined[d.name] = body
             if d.name == "main":

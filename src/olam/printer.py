@@ -19,7 +19,7 @@ def show(node: s.Node) -> str:
 
 def term_key(t: s.Term) -> str:
     """Canonical alpha-class key: t printed with its bound variables renamed
-    as syntax.canonicalize renames them, in one walk."""
+    ?0, ?1, ... in printed order (see _Renaming), in one walk."""
     return show_term(t, 0, _Renaming())
 
 

@@ -427,30 +427,65 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
 def substitute(node: Node, name: str, replacement: Term) -> Node:
     """Capture-avoiding substitution of a term for a free term variable, at
     any of the three levels."""
-    # the replacement's free names, read at the first binder that tests
-    # for capture: a binder-free node never walks the replacement
+    return substitute_all(node, {name: replacement})
+
+
+def substitute_all(node: Node, mapping: dict[str, Term]) -> Node:
+    """Capture-avoiding substitution of each name in mapping by its term,
+    in one walk of node: the same tree, binder names included, as
+    substituting the entries one at a time in mapping order, provided no
+    replacement has a later entry's name free.  The replacements are
+    spliced in, not walked, and a subtree where nothing changed is
+    returned as the same object.
+
+    A binder is renamed only where substitution of one entry would rename
+    it: where its name is free in that entry's replacement and the entry's
+    name is free in its body.  So the walk passes every binder whose name
+    no replacement has free, and at any other binder of a mapping with
+    several entries it applies the entries one at a time, in order, from
+    that binder down."""
+    # the replacements' free names, read at the first binder that tests
+    # for capture: a binder-free node never walks a replacement
     free: frozenset[str] | None = None
+    single = len(mapping) == 1
 
-    def walk(node: Node) -> Node:
+    def walk(node: Node, names: dict[str, Term]) -> Node:
         nonlocal free
-        match node:
-            case Var(n):
-                return replacement if n == name else node
-            case Lam(x, a, b) | TypeAbs(x, a, b) | Forall(x, a, b) | KindPi(x, a, b):
-                a2 = walk(a)
-                if x == name:
-                    return type(node)(x, a2, b)
-                if free is None:
-                    free = free_term_vars(replacement)
-                if x in free and name in free_term_vars(b):
-                    x2 = fresh_name(x, free | free_term_vars(b) | {name})
-                    b = substitute(b, x, Var(x2))
-                    x = x2
-                return type(node)(x, a2, walk(b))
-            case _:
-                return _map_children(node, lambda _, c: walk(c))
+        cls = type(node)
+        if cls is Var:
+            return names.get(node.name, node)  # type: ignore[attr-defined]
+        if cls in BINDERS:
+            x, a, b = node.var, node.var_type, node.body  # type: ignore[attr-defined]
+            if free is None:
+                free = frozenset().union(*map(free_term_vars, mapping.values()))
+            if x in free and not single:
+                for n, r in names.items():
+                    node = substitute_all(node, {n: r})
+                return node
+            if x in free and x not in names:
+                # the one entry's name free below would be captured
+                below = free_term_vars(b)
+                if not below.isdisjoint(names):
+                    x = fresh_name(x, free | below)
+                    b = substitute(b, node.var, Var(x))  # type: ignore[attr-defined]
+            a2 = walk(a, names)
+            if x in names:
+                names = {n: r for n, r in names.items() if n != x}
+            b2 = walk(b, names) if names else b
+            if a2 is a and b2 is node.body:  # type: ignore[attr-defined]
+                return node
+            return cls(x, a2, b2)
+        kids = children(node)
+        new: list[Node] | None = None
+        for i, kid in enumerate(kids):
+            kid2 = walk(kid, names)
+            if kid2 is not kid:
+                if new is None:
+                    new = list(kids)
+                new[i] = kid2
+        return node if new is None else rebuild(node, tuple(new))
 
-    return walk(node)
+    return walk(node, mapping) if mapping else node
 
 
 # --------------------------------------------------------- alpha-equality
@@ -492,30 +527,6 @@ def _alpha(a: Node, b: Node, env_a: dict, env_b: dict, counter: list[int]) -> bo
             return all(
                 _alpha(x, y, env_a, env_b, counter) for x, y in zip(ka, kb)
             )
-
-
-def canonicalize(node: Node) -> Node:
-    """Rename every bound term variable to ?0, ?1, ... in traversal order.
-
-    `?` is not an identifier character, so canonical names cannot collide
-    with free names; the printed canonical form is a stable alpha-class key.
-    """
-    return _canon(node, {}, [0])
-
-
-def _canon(node: Node, env: dict[str, str], counter: list[int]) -> Node:
-    match node:
-        case Var(n):
-            return Var(env.get(n, n))
-        case Lam(x, a, b) | TypeAbs(x, a, b) | Forall(x, a, b) | KindPi(x, a, b):
-            a2 = _canon(a, env, counter)
-            nm = f"?{counter[0]}"
-            counter[0] += 1
-            env2 = dict(env)
-            env2[x] = nm
-            return type(node)(nm, a2, _canon(b, env2, counter))
-        case _:
-            return _map_children(node, lambda _, c: _canon(c, env, counter))
 
 
 # -------------------------------------------------------------- contexts

@@ -14,7 +14,7 @@ from generators import (
     gen_kind,
     signature,
 )
-from olam import surface
+from olam import cli, surface, syntax
 from olam.checker import (
     Environment,
     check_kind,
@@ -41,7 +41,9 @@ from olam.syntax import (
     TypeName,
     Var,
     alpha_eq,
+    children,
     substitute,
+    substitute_all,
 )
 
 
@@ -538,16 +540,55 @@ def test_capture_cases_rename_the_shadowing_binder():
 def test_inlining_substitutes_only_the_mentioned_definitions(monkeypatch):
     defs = "".join(f"v{i} = a\n" for i in range(200))
     source = surface.parse_program(CHAIN_SIGNATURE + defs + "main = <v3, v150>\n")
-    calls = []
+    walks = []
 
-    def counting(node, name, replacement):
-        calls.append(name)
-        return substitute(node, name, replacement)
+    def counting(node, mapping):
+        walks.append(list(mapping))
+        return substitute_all(node, mapping)
 
-    monkeypatch.setattr("olam.checker.substitute", counting)
+    monkeypatch.setattr("olam.checker.substitute_all", counting)
     checked = check_program(source, [])
-    assert calls == ["v3", "v150"]
+    # one walk of main's written body, substituting in definition order
+    assert walks == [["v3", "v150"]]
     assert str(checked.main_term) == "<a, a>"
+
+
+def node_count(node):
+    return 1 + sum(map(node_count, children(node)))
+
+
+def test_inlining_walks_each_written_body_once(monkeypatch):
+    defs = "".join(f"v{i} = g a\n" for i in range(200))
+    main = "a"
+    for i in reversed(range(0, 200, 2)):
+        main = f"<v{i}, {main}>"
+    source = surface.parse_program(CHAIN_SIGNATURE + defs + f"main = {main}\n")
+    written = sum(node_count(d.term) for d in source.definitions)
+    calls = []
+    every = syntax.children
+
+    def counting(node):
+        calls.append(1)
+        return every(node)
+
+    monkeypatch.setattr(syntax, "children", counting)
+    checked = check_program(source, [])
+    # substituting one definition at a time walks main once per mention:
+    # 100 walks of a tuple growing from 201 to 401 nodes
+    assert len(calls) <= 2 * written
+    assert str(checked.main_term).count("g a") == 100
+
+
+def test_a_wide_main_loads_within_the_recursion_limit(tmp_path, capsys):
+    text = wide_sampling_program(0, 250)
+    check_program(surface.parse_program(text), [])
+    path = tmp_path / "wide.olam"
+    path.write_text(text)
+    for command in ("check", "dist"):
+        assert cli.main([command, str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out
 
 
 def test_fresh_binders_do_not_build_the_name_set(monkeypatch):

@@ -1,6 +1,7 @@
 """Core term algebra: substitution, alpha-equivalence, canonical
 renaming, positional access, oracle context decomposition, tuples."""
 
+import random
 from dataclasses import is_dataclass
 from fractions import Fraction
 
@@ -38,7 +39,6 @@ from olam.syntax import (
     TypeName,
     Var,
     alpha_eq,
-    canonicalize,
     children,
     decompose_oracle_context,
     free_term_vars,
@@ -49,8 +49,10 @@ from olam.syntax import (
     replace_at,
     subnode_at,
     substitute,
+    substitute_all,
     tuple_components,
 )
+from reference_syntax import canonicalize, substitute_one
 
 A = TypeName("A")
 
@@ -110,6 +112,88 @@ def test_substitute_reads_the_replacement_free_names_once(monkeypatch):
     calls.clear()
     assert substitute(inner, "f", replacement) == out
     assert calls == []
+
+
+# Mapped names, and the other names replacements have free; binders take
+# all of them, and a1, the first fresh name for a, so that a binder can
+# shadow an entry, capture a replacement's free name, or collide with a
+# fresh name.
+MAPPED = ("n0", "n1", "n2", "n3")
+OTHERS = ("a", "a1", "y")
+
+
+def _gen_term(rng, free, depth):
+    roll = rng.random()
+    if depth <= 0 or roll < 0.25:
+        return Var(rng.choice(free))
+    x = rng.choice(MAPPED + OTHERS)
+    if roll < 0.5:
+        return Lam(x, _gen_con(rng, free, depth - 1), _gen_term(rng, free, depth - 1))
+    if roll < 0.75:
+        return App(_gen_term(rng, free, depth - 1), _gen_term(rng, free, depth - 1))
+    return Pair(_gen_term(rng, free, depth - 1), _gen_term(rng, free, depth - 1))
+
+
+def _gen_con(rng, free, depth):
+    roll = rng.random()
+    if depth <= 0 or roll < 0.4:
+        return A
+    x = rng.choice(MAPPED + OTHERS)
+    if roll < 0.6:
+        return TypeApp(TypeName("P"), _gen_term(rng, free, depth - 1))
+    if roll < 0.8:
+        return Forall(x, A, _gen_con(rng, free, depth - 1))
+    con = TypeAbs(x, A, _gen_con(rng, free, depth - 1))
+    return TypeApp(con, _gen_term(rng, free, depth - 1))
+
+
+def gen_mapping_instance(seed):
+    """A subject and an ordered mapping in which no replacement has a
+    later entry's name free."""
+    rng = random.Random(seed)
+    order = rng.sample(MAPPED, rng.randint(1, len(MAPPED)))
+    mapping = {}
+    for i, name in enumerate(order):
+        free = OTHERS + tuple(n for n in MAPPED if n not in order[i:])
+        mapping[name] = _gen_term(rng, free, rng.randint(0, 2))
+    subject = _gen_term(rng, MAPPED + OTHERS, 5)
+    if rng.random() < 0.3:
+        subject = _gen_con(rng, MAPPED + OTHERS, 5)
+    return subject, mapping
+
+
+def binder_names(node):
+    own = {node.var} if isinstance(node, syntax.BINDERS) else set()
+    return own.union(*map(binder_names, children(node)))
+
+
+def test_substituting_a_mapping_is_substituting_its_entries_in_order():
+    captures = renamed = 0
+    for seed in range(3000):
+        subject, mapping = gen_mapping_instance(seed)
+        expected = subject
+        for name, replacement in mapping.items():
+            expected = substitute_one(expected, name, replacement)
+        # equality, not alpha-equality: the binder names are the same
+        assert substitute_all(subject, mapping) == expected, seed
+        spliced = frozenset().union(*map(free_term_vars, mapping.values()))
+        if len(mapping) > 1 and binder_names(subject) & spliced:
+            captures += 1
+            renamed += binder_names(expected) != binder_names(subject)
+    # the generator reaches the binders that split the mapping, and
+    # renaming below them
+    assert captures > 500 and renamed > 200
+
+
+def test_substitution_shares_what_it_does_not_change():
+    big = gen_closed_term(3)
+    t = Pair(big, Lam("y", A, App(Var("x"), Var("y"))))
+    out = substitute_all(t, {"x": Var("a"), "zz": Var("b")})
+    assert out == Pair(big, Lam("y", A, App(Var("a"), Var("y"))))
+    assert out.left is big
+    assert out.right.var_type is A
+    assert substitute_all(t, {"zz": Var("a")}) is t
+    assert substitute(t, "y", Var("a")) is t
 
 
 def test_free_term_vars():
