@@ -21,7 +21,6 @@ from .syntax import (
     Efq,
     Forall,
     Force,
-    Hole,
     Kind,
     KindPi,
     Lam,
@@ -254,8 +253,6 @@ def infer_type(
                 "recorded computations are judged by the trace engine, "
                 "not typed as values",
             )
-        case Hole(i):
-            raise CheckError("HoleInTerm", f"context hole [_{i}] in a term")
     raise CheckError("IllFormedTerm", f"not a term: {term!r}")
 
 

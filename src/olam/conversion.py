@@ -16,8 +16,6 @@ from __future__ import annotations
 from operator import is_not
 
 from .syntax import (
-    DEFAULT_FUEL,
-    Fuel,
     Kind,
     MergeTerm,
     Node,
@@ -32,35 +30,30 @@ from .syntax import (
 )
 
 
-def normalize_node(node: Node, fuel: Fuel | int = DEFAULT_FUEL) -> Node:
-    """The constructor normal form of node; each contraction spends one
-    unit of fuel.  Recorded computations are left as they are."""
-    return _norm(node, fuel if isinstance(fuel, Fuel) else Fuel(fuel))
-
-
-def _norm(n: Node, budget: Fuel) -> Node:
-    if isinstance(n, (TraceTerm, MergeTerm)):
-        return n
-    kids = children(n)
+def normalize_node(node: Node) -> Node:
+    """The constructor normal form of node.  Recorded computations are left
+    as they are."""
+    if isinstance(node, (TraceTerm, MergeTerm)):
+        return node
+    kids = children(node)
     if not kids:
-        return n
-    new = tuple([_norm(k, budget) for k in kids])
+        return node
+    new = tuple([normalize_node(k) for k in kids])
     if any(map(is_not, new, kids)):
-        n = rebuild(n, new)
-    if isinstance(n, TypeApp) and isinstance(n.con, TypeAbs):
-        budget.spend()
-        return substitute(n.con.body, n.con.var, n.arg)
-    return n
+        node = rebuild(node, new)
+    if isinstance(node, TypeApp) and isinstance(node.con, TypeAbs):
+        return substitute(node.con.body, node.con.var, node.arg)
+    return node
 
 
-def normalize_con(con: TypeCon, fuel: Fuel | int = DEFAULT_FUEL) -> TypeCon:
-    return normalize_node(con, fuel)  # type: ignore[return-value]
+def normalize_con(con: TypeCon) -> TypeCon:
+    return normalize_node(con)  # type: ignore[return-value]
 
 
-def normalize_kind(kind: Kind, fuel: Fuel | int = DEFAULT_FUEL) -> Kind:
-    return normalize_node(kind, fuel)  # type: ignore[return-value]
+def normalize_kind(kind: Kind) -> Kind:
+    return normalize_node(kind)  # type: ignore[return-value]
 
 
-def con_equiv(a: Node, b: Node, fuel: Fuel | int = DEFAULT_FUEL) -> bool:
+def con_equiv(a: Node, b: Node) -> bool:
     """Conversion check: both sides reduce to alpha-equal normal forms."""
-    return alpha_eq(normalize_node(a, fuel), normalize_node(b, fuel))
+    return alpha_eq(normalize_node(a), normalize_node(b))

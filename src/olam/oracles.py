@@ -1,12 +1,14 @@
 """Oracle definitions and their evaluation.
 
-An oracle answers for every extracted redex of a term at once.  Its behaviour
-is a total rule list: each rule guards on the hole index, an index residue,
-the argument (unary oracles), or the printed fingerprint of the surrounding
-context; the mandatory final default makes the function total.  Outputs are
-closed over the program signature and oracle-free, and every output is
-checked against its type obligation: at load where the obligation is fixed,
-and when produced where it depends on the argument.
+An oracle answers for every extracted redex of a term at once; the redexes
+become the hole variables of one context, and the step substitutes each
+answer for its hole (HoleContext.fill).  Its behaviour is a total rule
+list: each rule guards on the hole index, an index residue, the argument
+(unary oracles), or the printed fingerprint of the surrounding context; the
+mandatory final default makes the function total.  Outputs are closed over
+the program signature and oracle-free, and every output is checked against
+its type obligation: at load where the obligation is fixed, and when
+produced where it depends on the argument.
 """
 from __future__ import annotations
 
@@ -178,8 +180,8 @@ class OracleRegistry:
     ) -> tuple[tuple[OracleOccurrence, ...], Term]:
         """The simultaneous rewrite of every outermost forced occurrence of
         the oracle in t: each hole of the one decomposition is answered
-        against the shared context, then filled.  Returns the occurrences
-        beside the rewritten term."""
+        against the shared context, then the answers are substituted for
+        the holes.  Returns the occurrences beside the rewritten term."""
         context, occurrences = decompose_oracle_context(t, name)
         contents = {
             occ.index: self.eval(name, context, occ.index, occ.arg)

@@ -1,6 +1,7 @@
 """Pretty-printer.  parse(show(x)) is the identity up to alpha-renaming for
 every term, type constructor and kind that the surface grammar covers;
-recorded computations ([...] forms) and holes print but do not re-parse."""
+recorded computations ([...] forms) and context holes (variables [_i]) print
+but do not re-parse."""
 from __future__ import annotations
 
 from . import syntax as s
@@ -85,8 +86,6 @@ def show_term(t: s.Term, prec: int = 0, ren: _Renaming | None = None) -> str:
             return f"{show_term(b, 2, ren)}.{i}"
         case s.Efq(b, a):
             return f"efq({show_term(b, 0, ren)} : {show_type(a, 0, ren)})"
-        case s.Hole(i):
-            return f"[_{i}]"
         case s.TraceTerm(steps, p):
             inner = ", ".join(show_term(u, 0, ren) for u in steps)
             return f"[{inner}]{_prob_suffix(p)}"

@@ -3,8 +3,10 @@
 A step fires one redex.  Applications and projections contract with
 probability 1.  A forced choice splits into its two branches with the
 annotated probability and its complement.  A forced oracle call steps by
-rewriting every outermost forced occurrence of that oracle at once, each
-hole filled from the oracle's rule table against the shared context.
+rewriting every outermost forced occurrence of that oracle at once: each
+occurrence becomes a hole variable of one shared context, the oracle's rule
+table answers each hole against that context, and the answers are
+substituted for their holes.
 """
 
 from __future__ import annotations

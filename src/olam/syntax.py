@@ -167,13 +167,6 @@ class MergeTerm(Term):
     )
 
 
-@dataclass(frozen=True, slots=True)
-class Hole(Term):
-    """Internal marker for context holes; never appears in user programs."""
-
-    index: int
-
-
 # ------------------------------------------------------- type constructors
 
 
@@ -357,15 +350,6 @@ def rebuild(node: Node, kids: tuple[Node, ...]) -> Node:
     return make(node, kids)
 
 
-def _map_children(node: Node, fn: Callable[[int, Node], Node]) -> Node:
-    """The node rebuilt from fn(i, child) for each child; a leaf is returned
-    as it is."""
-    kids = children(node)
-    if not kids:
-        return node
-    return rebuild(node, tuple(fn(i, kid) for i, kid in enumerate(kids)))
-
-
 def subnode_at(node: Node, path: tuple[int, ...]) -> Node:
     for i in path:
         kids = children(node)
@@ -542,9 +526,16 @@ class OracleOccurrence:
     path: tuple[int, ...]
 
 
+def hole_var(index: int) -> Var:
+    """Context hole index as a term variable.  `[_i]` is not an identifier,
+    so no parsed name and no fresh_name result is spelled that way."""
+    return Var(f"[_{index}]")
+
+
 @dataclass(frozen=True, slots=True)
 class HoleContext:
-    """A term with numbered holes 1..count at the extracted redex positions."""
+    """A term whose holes 1..count, the variables hole_var(i), stand at the
+    extracted redex positions."""
 
     skeleton: Term
     count: int
@@ -564,33 +555,12 @@ class HoleContext:
         return self._fingerprint  # type: ignore[return-value]
 
     def fill(self, contents: dict[int, Term]) -> Term:
-        """The skeleton with hole i replaced by contents[i], capture-avoiding:
-        a binder whose name is free in an answer and that has a hole in its
-        body is renamed first, as substitution renames it.  No other name
-        changes."""
-        # the answers' free names, read at the first binder
-        free: frozenset[str] | None = None
-
-        def go(node: Node) -> Node:
-            nonlocal free
-            if isinstance(node, Hole):
-                return contents[node.index]
-            if isinstance(node, Lam):
-                if free is None:
-                    free = frozenset().union(*map(free_term_vars, contents.values()))
-                x, a, b = node.var, node.var_type, node.body
-                if x in free and _has_hole(b):
-                    x2 = fresh_name(x, free | free_term_vars(b))
-                    node = Lam(x2, a, substitute(b, x, Var(x2)))  # type: ignore[arg-type]
-            return _map_children(
-                node, lambda _, c: go(c) if isinstance(c, Term) else c
-            )
-
-        return go(self.skeleton)  # type: ignore[return-value]
-
-
-def _has_hole(node: Node) -> bool:
-    return isinstance(node, Hole) or any(map(_has_hole, children(node)))
+        """The skeleton with hole i substituted by contents[i], in index
+        order.  Substituting all holes in one walk is sound because no
+        content has a hole free: a binder is renamed only where a hole below
+        it has the binder's name free in its own content."""
+        holes = {hole_var(i).name: contents[i] for i in range(1, self.count + 1)}
+        return substitute_all(self.skeleton, holes)  # type: ignore[return-value]
 
 
 def forced_oracle_form(t: Term) -> tuple[str, Term | None] | None:
@@ -607,20 +577,28 @@ def decompose_oracle_context(
     t: Term, oracle: str
 ) -> tuple[HoleContext, tuple[OracleOccurrence, ...]]:
     """Extract every outermost forced redex of the oracle, numbering holes
-    1..n in left-to-right preorder.  fill() with the original redexes is the
-    identity."""
+    1..n in left-to-right preorder.  fill() with the original redexes gives
+    t back when none of them has free a name bound around it."""
     occurrences: list[OracleOccurrence] = []
 
-    def go(node: Term, path: tuple[int, ...]) -> Node:
-        form = forced_oracle_form(node)
+    def go(node: Node, path: tuple[int, ...]) -> Node:
+        form = forced_oracle_form(node)  # type: ignore[arg-type]
         if form is not None and form[0] == oracle:
             occurrences.append(OracleOccurrence(len(occurrences) + 1, form[1], path))
-            return Hole(len(occurrences))
-        if isinstance(node, (TraceTerm, MergeTerm)):
+            return hole_var(len(occurrences))
+        if isinstance(node, (TypeCon, TraceTerm, MergeTerm)):
             return node
-        return _map_children(
-            node, lambda i, c: go(c, path + (i,)) if isinstance(c, Term) else c
-        )
+        # the loop substitute_all rebuilds with: one frame per level, and
+        # an unchanged subtree comes back as the same object
+        kids = children(node)
+        new: list[Node] | None = None
+        for i, kid in enumerate(kids):
+            kid2 = go(kid, path + (i,))
+            if kid2 is not kid:
+                if new is None:
+                    new = list(kids)
+                new[i] = kid2
+        return node if new is None else rebuild(node, tuple(new))
 
     skeleton = go(t, ())
     return HoleContext(skeleton, len(occurrences)), tuple(occurrences)  # type: ignore[arg-type]

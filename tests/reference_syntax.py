@@ -5,17 +5,22 @@ canonicalize builds the canonical form that printer.term_key prints in
 one walk.  substitute_one substitutes one name by walking every node and
 rebuilding it; olam.syntax.substitute_all must give the same tree,
 binder names included, as substitute_one applied entry by entry.
+fill_renaming_for_all_answers is the hand-written context fill that
+HoleContext.fill replaced; the two must give alpha-equal terms.
 """
 from __future__ import annotations
 
 from olam.syntax import (
     BINDERS,
+    HoleContext,
+    Lam,
     Node,
     Term,
     Var,
     children,
     free_term_vars,
     fresh_name,
+    hole_var,
     rebuild,
 )
 
@@ -66,3 +71,29 @@ def substitute_one(node: Node, name: str, replacement: Term) -> Node:
     return rebuild(
         node, tuple(substitute_one(kid, name, replacement) for kid in kids)
     )
+
+
+def fill_renaming_for_all_answers(ctx: HoleContext, contents: dict[int, Term]) -> Term:
+    """The skeleton with hole i replaced by contents[i], renaming first a
+    Lam whose name is free in any answer and that has a hole in its body,
+    whichever hole's answer has the name."""
+    holes = {hole_var(i).name: answer for i, answer in contents.items()}
+    free = frozenset().union(*map(free_term_vars, contents.values()))
+
+    def go(node: Node) -> Node:
+        if isinstance(node, Var) and node.name in holes:
+            return holes[node.name]
+        if isinstance(node, Lam):
+            x, a, b = node.var, node.var_type, node.body
+            below = free_term_vars(b)
+            if x in free and not below.isdisjoint(holes):
+                x2 = fresh_name(x, free | below)
+                node = Lam(x2, a, substitute_one(b, x, Var(x2)))
+        kids = children(node)
+        if not kids:
+            return node
+        return rebuild(
+            node, tuple(go(kid) if isinstance(kid, Term) else kid for kid in kids)
+        )
+
+    return go(ctx.skeleton)  # type: ignore[return-value]

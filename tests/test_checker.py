@@ -31,7 +31,6 @@ from olam.syntax import (
     ChoiceType,
     Conj,
     Force,
-    Hole,
     KindPi,
     MergeTerm,
     OpaqueType,
@@ -42,6 +41,7 @@ from olam.syntax import (
     Var,
     alpha_eq,
     children,
+    hole_var,
     substitute,
     substitute_all,
 )
@@ -297,8 +297,8 @@ def test_evidence_terms_rejected_as_values():
 def test_holes_rejected_as_values():
     env, _ = env_and_registry()
     with pytest.raises(CheckError) as e:
-        infer_type(env, Hole(1))
-    assert e.value.code == "HoleInTerm"
+        infer_type(env, hole_var(1))
+    assert e.value.code == "UnboundVar"
 
 
 def test_check_type_normalizes_expectation():

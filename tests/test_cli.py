@@ -586,6 +586,32 @@ def test_oracle_answers_are_not_captured_by_binders(capsys, tmp_path):
     assert "\\a1:A. a = 10/10\n" in run(["eval", *files], capsys)[1]
 
 
+@pytest.mark.parametrize(
+    "first, rest, shown",
+    [("b", "a", "<\\a:A. b, a> = 1\n"), ("a", "a1", "<\\a1:A. a, a1> = 1\n")],
+)
+def test_oracle_rewrite_renames_a_binder_for_its_own_hole(
+    tmp_path, capsys, first, rest, shown
+):
+    """An oracle rewrite substitutes each answer for its hole: the binder
+    over hole 1 is renamed only when hole 1's own answer has its name
+    free, and only away from that answer's names, since hole 2 stands
+    outside it."""
+    prog = tmp_path / "prog.olam"
+    prog.write_text(
+        "atom A : *\natom a : A\natom b : A\natom a1 : A\n\nuse c\n\n"
+        "main = <\\a:A. #c!, #c!>\n"
+    )
+    orc = tmp_path / "oracles.olam"
+    orc.write_text(
+        "oracle c arity 0 type Sigma A\n"
+        f"  rule index in {{1}} -> {first}\n"
+        f"  default -> {rest}\n"
+    )
+    code, out, err = run(["dist", str(prog), "--oracles", str(orc)], capsys)
+    assert (code, out, err) == (0, shown, "")
+
+
 def test_fuel_exhaustion_is_domain_error(project, capsys):
     prog, orc = project("(\\x:A. x) ((\\y:A. y) a)")
     code, _, err = run(
@@ -640,7 +666,7 @@ def test_deep_input_is_a_coded_error(project, capsys, tmp_path):
         f"main = {'g (' * 3000}a{')' * 3000}\n"
     )
     for argv in (
-        ["oracle-freq", prog, "--oracles", orc, "--samples", "300"],
+        ["oracle-freq", prog, "--oracles", orc, "--samples", "3000"],
         ["dist", str(deep)],
     ):
         code, out, err = run(argv, capsys)
@@ -649,6 +675,18 @@ def test_deep_input_is_a_coded_error(project, capsys, tmp_path):
         assert err.startswith("error: [DepthExceeded]")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+
+def test_oracle_freq_600_samples_runs(project, capsys):
+    """A width-600 table is a tuple nested 600 deep; decomposing and
+    filling it take one frame per level, so it fits the recursion limit."""
+    prog, orc = project("#c!")
+    code, out, err = run(
+        ["oracle-freq", prog, "--oracles", orc, "--samples", "600"], capsys
+    )
+    assert code == 0
+    assert out == "a = 2/3\nb = 1/3\n"
+    assert err == ""
 
 
 class ClosedPipe:

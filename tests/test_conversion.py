@@ -1,14 +1,12 @@
 """Constructor-level reduction: beta steps on type abstractions, the one-pass
-normal form against the stepwise reference in both orders, its fuel cost
-and traversal count, equivalence, kind normalization."""
+normal form against the stepwise reference in both orders, its traversal
+count, equivalence, kind normalization."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from generators import gen_closed_con
 from olam import conversion, surface, syntax
-from olam.errors import ReductionError
 from olam.syntax import (
     Conj,
     KindPi,
@@ -75,21 +73,6 @@ def test_normalize_kind():
     )
     out = conversion.normalize_kind(k)
     assert out == KindPi("x", TypeName("B"), surface.parse_kind("*"))
-
-
-def test_normalize_fuel_zero():
-    c = surface.parse_type("(\\\\x:A. P x) a")
-    with pytest.raises(ReductionError) as e:
-        conversion.normalize_con(c, fuel=0)
-    assert e.value.code == "FuelExhausted"
-
-
-def test_normalize_fuel_is_one_unit_per_contraction():
-    c = surface.parse_type("(\\\\x:A. (\\\\y:A. P y) x) a")
-    with pytest.raises(ReductionError) as e:
-        conversion.normalize_con(c, fuel=1)
-    assert e.value.code == "FuelExhausted"
-    assert conversion.normalize_con(c, fuel=2) == surface.parse_type("P a")
 
 
 def test_normalize_visits_each_node_once(monkeypatch):

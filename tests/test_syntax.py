@@ -22,7 +22,6 @@ from olam.syntax import (
     Forall,
     Force,
     Fuel,
-    Hole,
     KindPi,
     Lam,
     MergeTerm,
@@ -43,6 +42,7 @@ from olam.syntax import (
     decompose_oracle_context,
     free_term_vars,
     fresh_name,
+    hole_var,
     make_tuple,
     pair_spine,
     rebuild,
@@ -52,7 +52,11 @@ from olam.syntax import (
     substitute_all,
     tuple_components,
 )
-from reference_syntax import canonicalize, substitute_one
+from reference_syntax import (
+    canonicalize,
+    fill_renaming_for_all_answers,
+    substitute_one,
+)
 
 A = TypeName("A")
 
@@ -238,7 +242,7 @@ def test_alpha_eq_distinguishes_probabilities():
     pairs = [
         (OracleRef("c"), OracleRef("d")),
         (OracleCall("c", l), OracleCall("d", l)),
-        (Hole(1), Hole(2)),
+        (hole_var(1), hole_var(2)),
         (TypeName("A"), TypeName("B")),
         (Proj(l, 0), Proj(l, 1)),
         (Choice(l, half, r), Choice(l, third, r)),
@@ -316,7 +320,6 @@ def test_children_order_for_binders():
         (Efq(a, A), (a, A)),
         (TraceTerm((a, b, x), half), (a, b, x)),
         (MergeTerm(a, ((b,), (x, b)), x, half), (a, b, x, b, x)),
-        (Hole(1), ()),
         (A, ()),
         (TypeAbs("x", A, TypeApp(A, x)), (A, TypeApp(A, x))),
         (TypeApp(A, a), (A, a)),
@@ -391,7 +394,7 @@ def test_decompose_fill_identity():
     ctx, occs = decompose_oracle_context(t, "c")
     assert len(occs) == 2
     assert ctx.count == 2
-    assert subnode_at(ctx.skeleton, (0,)) == Hole(1)
+    assert subnode_at(ctx.skeleton, (0,)) == hole_var(1)
     refilled = ctx.fill(
         {
             occ.index: Force(OracleRef("c"))
@@ -401,6 +404,55 @@ def test_decompose_fill_identity():
         }
     )
     assert refilled == t
+
+
+FILL_BINDERS = ("a", "b", "a1", "x")
+FILL_ATOMS = ("a", "b", "a1")
+
+
+def _gen_context_term(rng, scope, depth):
+    """A small term with a forced call of oracle c wherever a hole goes;
+    its binders are named from FILL_BINDERS."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        if rng.random() < 0.5:
+            return Force(OracleRef("c"))
+        return Var(rng.choice(FILL_ATOMS + scope))
+    if roll < 0.6:
+        x = rng.choice(FILL_BINDERS)
+        return Lam(x, A, _gen_context_term(rng, scope + (x,), depth - 1))
+    make = Pair if roll < 0.8 else App
+    return make(
+        _gen_context_term(rng, scope, depth - 1),
+        _gen_context_term(rng, scope, depth - 1),
+    )
+
+
+def binder_sequence(node):
+    own = [node.var] if isinstance(node, syntax.BINDERS) else []
+    return own + [x for kid in children(node) for x in binder_sequence(kid)]
+
+
+def test_fill_substitutes_each_answer_for_its_hole():
+    """fill is substitution of the holes in index order: the same tree as
+    substituting them one at a time, and alpha-equal to the fill that
+    renamed a binder for any answer's names."""
+    renamed = 0
+    for seed in range(2000):
+        rng = random.Random(seed)
+        ctx, _ = decompose_oracle_context(_gen_context_term(rng, (), 4), "c")
+        contents = {
+            i: Var(rng.choice(FILL_ATOMS)) for i in range(1, ctx.count + 1)
+        }
+        filled = ctx.fill(contents)
+        expected = ctx.skeleton
+        for i, answer in contents.items():
+            expected = substitute_one(expected, hole_var(i).name, answer)
+        assert filled == expected, seed
+        assert alpha_eq(filled, fill_renaming_for_all_answers(ctx, contents)), seed
+        # answers are atoms, so the binders line up in preorder
+        renamed += binder_sequence(filled) != binder_sequence(ctx.skeleton)
+    assert renamed > 100
 
 
 def test_decompose_outermost_only():

@@ -514,6 +514,15 @@ def test_oracle_frequency_cyclic():
     assert all(len(j.witness.steps) == 2 for j in judgments)
 
 
+def test_oracle_frequency_600_wide_in_process():
+    """Every walk of the 600-deep batched call takes one frame per level:
+    the library call returns, with no RecursionError."""
+    env, reg = signature()
+    dist, judgments = oracle_frequency(env, "c", None, 600, reg)
+    assert dist.as_key_map() == {"a": Fraction(2, 3), "b": Fraction(1, 3)}
+    assert len(judgments) == 2
+
+
 def test_oracle_frequency_width_one():
     env, reg = signature()
     dist, _ = oracle_frequency(env, "c", None, 1, reg)
