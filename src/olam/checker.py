@@ -329,6 +329,15 @@ def check_program(source, oracle_defs, require_main: bool = True) -> CheckedProg
     def_types: dict[str, TypeCon] = {}
     inlined: dict[str, Term] = {}
     rank: dict[str, int] = {}
+    # each inlined body's free names; the first definition's are read when
+    # a later one mentions it
+    free: dict[str, frozenset[str]] = {}
+
+    def free_of(name: str) -> frozenset[str]:
+        if name not in free:
+            free[name] = free_term_vars(inlined[name])
+        return free[name]
+
     main_term: Term | None = None
     line: int | None = None
     try:
@@ -373,13 +382,18 @@ def check_program(source, oracle_defs, require_main: bool = True) -> CheckedProg
                 # in definition order, only the earlier definitions free in
                 # d.term gives the same term as substituting all of them.
                 # For the same reason no replacement has another mentioned
-                # name free, so one walk substitutes them all.
-                mentioned = sorted(
-                    free_term_vars(body) & inlined.keys(), key=rank.__getitem__
-                )
+                # name free, so one walk substitutes them all, and the
+                # inlined body's free names are the written body's, minus
+                # the mentioned names, plus their replacements'.
+                written = free_term_vars(body)
+                mentioned = sorted(written & inlined.keys(), key=rank.__getitem__)
                 if mentioned:
+                    frees = {n: free_of(n) for n in mentioned}
+                    free[d.name] = written.difference(mentioned).union(*frees.values())
                     mapping = {n: inlined[n] for n in mentioned}
-                    body = substitute_all(body, mapping)  # type: ignore[assignment]
+                    body = substitute_all(body, mapping, frees)  # type: ignore[assignment]
+                else:
+                    free[d.name] = written
             rank[d.name] = len(rank)
             inlined[d.name] = body
             if d.name == "main":

@@ -45,8 +45,10 @@ __all__ = [
     "RULE_KIND",
     "SampleResult",
     "find_redexes",
+    "redex_at",
     "step",
     "deterministic_strategy",
+    "next_redex",
     "run_sample",
     "sample_seed",
 ]
@@ -93,32 +95,39 @@ class SampleResult:
     trace: tuple[StepOutcome, ...]
 
 
-def _walk(t: Term) -> Iterator[TermRedex]:
-    """Fireable positions in one preorder walk, recognised where it stands.
+# Positions still to search, as (node, path) pairs; the next is on top.
+Pending = list[tuple[Term, tuple[int, ...]]]
 
-    Each oracle yields once, at its first occurrence; in preorder that
-    occurrence is outermost, so it is also the first hole of the context.
-    """
-    fired: set[str] = set()
-    stack: list[tuple[Term, tuple[int, ...]]] = [(t, ())]
-    while stack:
-        node, path = stack.pop()
-        match node:
-            case TraceTerm() | MergeTerm():
-                continue
-            case App(Lam(), _):
-                yield TermRedex(path, "beta")
-            case Proj(Pair(), _):
-                yield TermRedex(path, "proj")
-            case Force(Choice()):
-                yield TermRedex(path, "choice")
-            case Force(OracleRef(o) | OracleCall(o, _)) if o not in fired:
-                fired.add(o)
-                yield TermRedex(path, "oracle", o)
+
+def _recognise(node: Term, path: tuple[int, ...]) -> TermRedex | None:
+    """The redex node forms at path, read off the node and its first child."""
+    match node:
+        case App(Lam(), _):
+            return TermRedex(path, "beta")
+        case Proj(Pair(), _):
+            return TermRedex(path, "proj")
+        case Force(Choice()):
+            return TermRedex(path, "choice")
+        case Force(OracleRef(o) | OracleCall(o, _)):
+            return TermRedex(path, "oracle", o)
+    return None
+
+
+def _search(pending: Pending) -> Iterator[TermRedex]:
+    """Pop positions in preorder and yield every redex met.  At a yield the
+    redex's children are not pushed yet, so pending holds exactly the
+    positions after its subtree."""
+    while pending:
+        node, path = pending.pop()
+        if isinstance(node, (TraceTerm, MergeTerm)):
+            continue
+        redex = _recognise(node, path)
+        if redex is not None:
+            yield redex
         kids = children(node)
         for i in range(len(kids) - 1, -1, -1):
             if isinstance(kids[i], Term):
-                stack.append((kids[i], path + (i,)))
+                pending.append((kids[i], path + (i,)))
 
 
 def find_redexes(t: Term) -> list[TermRedex]:
@@ -126,9 +135,36 @@ def find_redexes(t: Term) -> list[TermRedex]:
 
     Only term positions count: type annotations and the interiors of
     evidence terms are never searched.  All outermost forced occurrences
-    of one oracle form a single redex.
+    of one oracle form a single redex, found at the first of them; in
+    preorder that occurrence is outermost, so it is also the first hole of
+    the context.
     """
-    return list(_walk(t))
+    found: list[TermRedex] = []
+    fired: set[str] = set()
+    for redex in _search([(t, ())]):
+        if redex.oracle is not None:
+            if redex.oracle in fired:
+                continue
+            fired.add(redex.oracle)
+        found.append(redex)
+    return found
+
+
+def redex_at(t: Term, path: tuple[int, ...]) -> TermRedex | None:
+    """The redex at path, read along the path alone: None unless every node
+    on it is a searched term position and the node at its end forms a
+    redex.  For beta, proj and choice that is being one of find_redexes(t);
+    an oracle redex must also be its oracle's first occurrence, which the
+    path does not show."""
+    node = t
+    for i in path:
+        if isinstance(node, (TraceTerm, MergeTerm)):
+            return None
+        kids = children(node)
+        if not 0 <= i < len(kids) or not isinstance(kids[i], Term):
+            return None
+        node = kids[i]
+    return _recognise(node, path)
 
 
 def step(
@@ -178,7 +214,44 @@ def _oracle_step(
 def deterministic_strategy(t: Term) -> TermRedex | None:
     """The unique redex fired by runs: first in preorder, or None at a
     normal form."""
-    return next(_walk(t), None)
+    return next(_search([(t, ())]), None)
+
+
+def next_redex(
+    t: Term, pending: Pending, fired: TermRedex | None = None
+) -> TermRedex | None:
+    """The redex the deterministic strategy fires next in t, resuming the
+    search that found fired; pending, updated in place, holds the
+    positions after it (start a run with [(t, ())] and fired None).
+
+    Firing a beta, proj or choice redex at p leaves every position before p
+    redex-free and unchanged, and every pending position valid.  Being a
+    redex depends on a node and its first child, so only p's parent can
+    have become one: if it has, it is next, and the pending positions
+    under it go; otherwise the search goes on from the new term at p.  An
+    oracle step rewrites every occurrence, so the search starts again at
+    the root.
+    """
+    if fired is not None:
+        path = fired.path
+        if fired.kind == "oracle":
+            pending.clear()
+            pending.append((t, ()))
+        else:
+            node = t
+            for i in path[:-1]:
+                node = children(node)[i]
+            if path:
+                parent = path[:-1]
+                redex = _recognise(node, parent)
+                if redex is not None:
+                    depth = len(parent)
+                    while pending and pending[-1][1][:depth] == parent:
+                        pending.pop()
+                    return redex
+                node = children(node)[path[-1]]
+            pending.append((node, path))
+    return next(_search(pending), None)
 
 
 def run_sample(
@@ -187,7 +260,8 @@ def run_sample(
     fuel: Fuel | int = DEFAULT_FUEL,
     registry: OracleRegistry | None = None,
 ) -> SampleResult:
-    """One seeded run to normal form under the deterministic strategy.
+    """One seeded run to normal form under the deterministic strategy,
+    each step resuming the redex search where the last one stopped.
 
     Choices draw a 64-bit uniform and take the left branch when it falls
     below the annotated probability, so a given seed fixes the whole run.
@@ -197,10 +271,9 @@ def run_sample(
     prob = Fraction(1)
     steps: list[StepOutcome] = []
     current = t
-    while True:
-        redex = deterministic_strategy(current)
-        if redex is None:
-            break
+    pending: Pending = [(t, ())]
+    redex = next_redex(t, pending)
+    while redex is not None:
         budget.spend()
         outcomes = step(current, redex, registry)
         if redex.kind == "choice":
@@ -211,6 +284,7 @@ def run_sample(
         prob *= chosen.prob
         steps.append(chosen)
         current = chosen.term
+        redex = next_redex(current, pending, redex)
     return SampleResult(current, prob, tuple(steps))
 
 

@@ -414,49 +414,49 @@ def substitute(node: Node, name: str, replacement: Term) -> Node:
     return substitute_all(node, {name: replacement})
 
 
-def substitute_all(node: Node, mapping: dict[str, Term]) -> Node:
+def substitute_all(
+    node: Node,
+    mapping: dict[str, Term],
+    free_names: dict[str, frozenset[str]] | None = None,
+) -> Node:
     """Capture-avoiding substitution of each name in mapping by its term,
     in one walk of node: the same tree, binder names included, as
     substituting the entries one at a time in mapping order, provided no
     replacement has a later entry's name free.  The replacements are
     spliced in, not walked, and a subtree where nothing changed is
-    returned as the same object.
+    returned as the same object.  free_names, when the caller knows them,
+    maps each entry's name to its replacement's free names; otherwise they
+    are read from the replacements at the first binder that needs them.
 
     A binder is renamed only where substitution of one entry would rename
     it: where its name is free in that entry's replacement and the entry's
     name is free in its body.  So the walk passes every binder whose name
-    no replacement has free, and at any other binder of a mapping with
-    several entries it applies the entries one at a time, in order, from
-    that binder down."""
-    # the replacements' free names, read at the first binder that tests
-    # for capture: a binder-free node never walks a replacement
+    no replacement has free.  At any other binder it takes the entries in
+    order, renames the binder where one of them would, and substitutes
+    each run of entries between two renamings in one walk of the body."""
+    # the union of the replacements' free names, read at the first binder:
+    # a binder-free node never walks a replacement
     free: frozenset[str] | None = None
-    single = len(mapping) == 1
 
     def walk(node: Node, names: dict[str, Term]) -> Node:
-        nonlocal free
+        nonlocal free, free_names
         cls = type(node)
         if cls is Var:
             return names.get(node.name, node)  # type: ignore[attr-defined]
         if cls in BINDERS:
             x, a, b = node.var, node.var_type, node.body  # type: ignore[attr-defined]
             if free is None:
-                free = frozenset().union(*map(free_term_vars, mapping.values()))
-            if x in free and not single:
-                for n, r in names.items():
-                    node = substitute_all(node, {n: r})
-                return node
-            if x in free and x not in names:
-                # the one entry's name free below would be captured
-                below = free_term_vars(b)
-                if not below.isdisjoint(names):
-                    x = fresh_name(x, free | below)
-                    b = substitute(b, node.var, Var(x))  # type: ignore[attr-defined]
+                if free_names is None:
+                    free_names = {n: free_term_vars(r) for n, r in mapping.items()}
+                free = frozenset().union(*free_names.values())
             a2 = walk(a, names)
-            if x in names:
-                names = {n: r for n, r in names.items() if n != x}
-            b2 = walk(b, names) if names else b
-            if a2 is a and b2 is node.body:  # type: ignore[attr-defined]
+            if x in free:
+                x, b2 = binder_body(x, b, names)
+            else:
+                if x in names:
+                    names = {n: r for n, r in names.items() if n != x}
+                b2 = walk(b, names) if names else b
+            if a2 is a and b2 is b and x == node.var:  # type: ignore[attr-defined]
                 return node
             return cls(x, a2, b2)
         kids = children(node)
@@ -468,6 +468,33 @@ def substitute_all(node: Node, mapping: dict[str, Term]) -> Node:
                     new = list(kids)
                 new[i] = kid2
         return node if new is None else rebuild(node, tuple(new))
+
+    def binder_body(
+        x: str, b: Node, names: dict[str, Term]
+    ) -> tuple[str, Node]:
+        """The binder's name and body after the entries, one at a time."""
+        below = set(free_term_vars(b))
+        run: dict[str, Term] = {}
+        for n, r in names.items():
+            if n == x or n not in below:
+                continue  # shadowed, or not free: the entry changes nothing
+            replaced = free_names[n]  # type: ignore[index]
+            if x in replaced:
+                # the entry would capture: substitute the run so far, then
+                # rename away from this replacement and the body
+                if run:
+                    b = walk(b, run)
+                    run = {}
+                fresh = fresh_name(x, replaced | below)
+                if x in below:
+                    b = substitute(b, x, Var(fresh))
+                    below.discard(x)
+                    below.add(fresh)
+                x = fresh
+            run[n] = r
+            below.discard(n)
+            below |= replaced
+        return x, walk(b, run) if run else b
 
     return walk(node, mapping) if mapping else node
 

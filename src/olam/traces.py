@@ -22,10 +22,17 @@ from .oracles import OracleRegistry
 from .printer import term_key
 from .reducer import (
     RULE_KIND,
-    deterministic_strategy,
+    Pending,
+    TermRedex,
     find_redexes,
+    next_redex,
+    redex_at,
     step,
 )
+
+# unused here; bench/tracing.py times the redex search at
+# traces.deterministic_strategy
+from .reducer import deterministic_strategy  # noqa: F401
 from .syntax import (
     DEFAULT_FUEL,
     Force,
@@ -179,12 +186,19 @@ def _readings(
     A label is checked, not trusted: its redex must be one of u's, and
     firing that redex alone must take the labelled side to v.
     """
-    redexes = find_redexes(u)
-    if label is not None:
+    if label is None:
+        redexes = find_redexes(u)
+    else:
         path, rule = label
-        redexes = [
-            r for r in redexes if r.path == path and r.kind == RULE_KIND.get(rule)
-        ]
+        kind = RULE_KIND.get(rule)
+        if kind == "oracle":
+            redexes = [
+                r for r in find_redexes(u) if r.path == path and r.kind == kind
+            ]
+        else:
+            # a beta, proj or choice redex is read along its path alone
+            redex = redex_at(u, path)
+            redexes = [] if redex is None or redex.kind != kind else [redex]
         if not redexes:
             raise TraceError(
                 "LabelMismatch",
@@ -569,35 +583,31 @@ def enumerate_paths(
     infer_type(env, t, registry)
     budget = fuel if isinstance(fuel, Fuel) else Fuel(fuel)
     finished: list[tuple[Fraction, tuple[TraceQuadruple, ...]]] = []
-    stack: list[tuple[Term, Fraction, tuple[TraceQuadruple, ...]]] = [
-        (t, Fraction(1), ())
-    ]
+    # each path keeps its steps so far and resumes its own redex search
+    # from the last redex it fired and the positions after it; a step
+    # extends both in place, and the two sides of a choice each take a copy
+    stack: list[
+        tuple[Term, Fraction, list[TraceQuadruple], Pending, TermRedex | None]
+    ] = [(t, Fraction(1), [], [(t, ())], None)]
     while stack:
-        current, prob, quads = stack.pop()
-        redex = deterministic_strategy(current)
+        current, prob, quads, pending, fired = stack.pop()
+        redex = next_redex(current, pending, fired)
         if redex is None:
-            finished.append((prob, quads))
+            finished.append((prob, tuple(quads)))
             continue
         outcomes = step(current, redex, registry)
         live = [o for o in outcomes if o.prob > 0]
         for outcome in reversed(live):
             budget.spend()
-            stack.append(
-                (
-                    outcome.term,
-                    prob * outcome.prob,
-                    quads
-                    + (
-                        TraceQuadruple(
-                            current,
-                            outcome.term,
-                            outcome.prob,
-                            outcome.label,
-                            redex.path,
-                        ),
-                    ),
-                )
+            quad = TraceQuadruple(
+                current, outcome.term, outcome.prob, outcome.label, redex.path
             )
+            if len(live) > 1:
+                branch = ([*quads, quad], list(pending))
+            else:
+                quads.append(quad)
+                branch = (quads, pending)
+            stack.append((outcome.term, prob * outcome.prob, *branch, redex))
     return finished
 
 

@@ -542,9 +542,9 @@ def test_inlining_substitutes_only_the_mentioned_definitions(monkeypatch):
     source = surface.parse_program(CHAIN_SIGNATURE + defs + "main = <v3, v150>\n")
     walks = []
 
-    def counting(node, mapping):
+    def counting(node, mapping, free_names):
         walks.append(list(mapping))
-        return substitute_all(node, mapping)
+        return substitute_all(node, mapping, free_names)
 
     monkeypatch.setattr("olam.checker.substitute_all", counting)
     checked = check_program(source, [])
@@ -577,6 +577,31 @@ def test_inlining_walks_each_written_body_once(monkeypatch):
     # 100 walks of a tuple growing from 201 to 401 nodes
     assert len(calls) <= 2 * written
     assert str(checked.main_term).count("g a") == 100
+
+
+def test_inlining_a_definition_chain_is_linear(monkeypatch):
+    """Each definition's inlined free names come from the written body and
+    the replacements', so no growing inlined body is walked again."""
+    every = syntax.children
+    calls = []
+
+    def counting(node):
+        calls.append(1)
+        return every(node)
+
+    monkeypatch.setattr(syntax, "children", counting)
+    counts = []
+    for n in (100, 200, 400):
+        defs = "d0 = g a\n" + "".join(
+            f"d{i} = (\\x:A. g x) d{i - 1}\n" for i in range(1, n)
+        )
+        source = surface.parse_program(CHAIN_SIGNATURE + defs + f"main = d{n - 1}\n")
+        calls.clear()
+        checked = check_program(source, [])
+        counts.append(len(calls))
+        assert str(checked.main_term).count("g") == n
+    # walking each inlined body again made 15843, 61693 and 243393 calls
+    assert counts[1] <= 2.2 * counts[0] and counts[2] <= 2.2 * counts[1]
 
 
 def test_a_wide_main_loads_within_the_recursion_limit(tmp_path, capsys):

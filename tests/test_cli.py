@@ -95,6 +95,32 @@ def test_eval_seed_changes_counts(project, capsys):
     assert out == "samples: 20  seed: 42\na = 14/20\nb = 6/20\n"
 
 
+def test_eval_draws_pinned_across_coins(project, capsys):
+    """Which draw goes to which coin: three coins, one of them the argument
+    of a beta that copies it, one inside the copied body."""
+    prog, orc = project(
+        "<choose[1/2]{a}{b}!, <(\\x:A. <x, choose[1/3]{x}{b}!>) "
+        "choose[1/4]{a}{b}!, choose[2/3]{a}{b}!>>"
+    )
+    code, out, err = run(
+        ["eval", prog, "--oracles", orc, "--samples", "50", "--seed", "7"],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        "samples: 50  seed: 7\n"
+        "<a, <<a, b>, a>> = 6/50\n"
+        "<a, <<a, b>, b>> = 2/50\n"
+        "<a, <<b, a>, b>> = 1/50\n"
+        "<a, <<b, b>, a>> = 9/50\n"
+        "<a, <<b, b>, b>> = 7/50\n"
+        "<b, <<a, b>, a>> = 3/50\n"
+        "<b, <<a, b>, b>> = 1/50\n"
+        "<b, <<b, b>, a>> = 17/50\n"
+        "<b, <<b, b>, b>> = 4/50\n"
+    )
+
+
 def test_eval_is_deterministic(project, capsys):
     prog, orc = project("choose[1/2]{a}{b}!")
     argv = ["eval", prog, "--oracles", orc, "--samples", "50", "--seed", "7"]

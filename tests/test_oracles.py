@@ -4,7 +4,7 @@ fingerprints, and static validation against the program signature."""
 import pytest
 
 from generators import signature
-from olam import checker, printer, surface
+from olam import checker, printer, surface, syntax
 from olam.errors import OracleError
 from olam.oracles import (
     GuardArg,
@@ -28,7 +28,10 @@ from olam.syntax import (
     TypeApp,
     TypeName,
     Var,
+    children,
     decompose_oracle_context,
+    hole_var,
+    substitute,
 )
 from olam.traces import oracle_frequency
 
@@ -318,3 +321,43 @@ def test_value_type_accessors():
         c_def().dependent_type()
     with pytest.raises(OracleError):
         d_def().value_type()
+
+
+def test_a_binder_over_many_holes_costs_one_walk(monkeypatch):
+    """Hole 1's answer a makes the binder \\a rename; every other answer
+    leaves the new name alone, so one walk substitutes all the rest."""
+    main = "#c!"
+    for _ in range(199):
+        main = f"<#c!, {main}>"
+    source = surface.parse_program(
+        f"atom A : *\natom a : A\natom b : A\n\nuse c\n\nmain = \\a:A. {main}\n"
+    )
+    oracle = surface.parse_oracle_file(
+        "oracle c arity 0 type Sigma A\n"
+        "  rule index mod 2 = 1 -> a\n"
+        "  default -> b\n"
+    )
+    checked = checker.check_program(source, oracle)
+    t = checked.main_term
+    context, _ = decompose_oracle_context(t, "c")
+    expected = context.skeleton
+    for i in range(1, 201):
+        expected = substitute(expected, hole_var(i).name, Var("ab"[(i - 1) % 2]))
+
+    def node_count(node):
+        return 1 + sum(map(node_count, children(node)))
+
+    nodes = node_count(t)
+    every = syntax.children
+    calls = []
+
+    def counting(node):
+        calls.append(1)
+        return every(node)
+
+    monkeypatch.setattr(syntax, "children", counting)
+    _, result = checked.registry.rewrite("c", t)
+    # one walk per hole made 40598 calls
+    assert len(calls) <= 4 * nodes
+    assert result == expected
+    assert str(result).startswith("\\a1:A. <a, <b, <a, ")

@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_reducer
 from generators import gen_closed_term, signature
-from olam import surface
-from olam.errors import ReductionError
+from olam import reducer, surface, syntax
+from olam.errors import OlamError, ReductionError
 from olam.reducer import (
     TermRedex,
     deterministic_strategy,
     find_redexes,
+    redex_at,
     run_sample,
     sample_seed,
     step,
@@ -24,9 +26,11 @@ from olam.syntax import (
     Pair,
     TraceTerm,
     Var,
+    children,
     decompose_oracle_context,
     oracle_names,
 )
+from olam.traces import enumerate_paths
 
 
 def test_find_redexes_kinds_and_paths():
@@ -53,6 +57,18 @@ def test_find_redexes_skips_evidence():
     t = Pair(TraceTerm((inner, Var("a")), Fraction(1)), inner)
     found = find_redexes(t)
     assert [r.path for r in found] == [(1,)]
+
+
+def test_redex_at_reads_only_searched_positions():
+    inner = surface.parse_term("(\\x:A. x) a")
+    t = Pair(TraceTerm((inner, Var("a")), Fraction(1)), inner)
+    assert redex_at(t, (1,)) == TermRedex((1,), "beta")
+    assert redex_at(t, (0, 0)) is None
+    # a term inside a type annotation is not a term position
+    lam = surface.parse_term("\\x:P ((\\y:A. y) a). (\\z:A. z) a")
+    assert find_redexes(lam) == [TermRedex((1,), "beta")]
+    assert redex_at(lam, (0, 1)) is None
+    assert redex_at(lam, (1,)) == TermRedex((1,), "beta")
 
 
 def test_find_redexes_unforced_choice_is_inert():
@@ -251,3 +267,109 @@ def test_redex_walk_matches_preorder_and_oracle_contexts(seed):
         assert oracles.get(name) == (occurrences[0].path if occurrences else None)
     first = deterministic_strategy(t)
     assert first == (found[0] if found else None)
+
+
+def result_or_code(run, *args):
+    try:
+        return "ok", run(*args)
+    except OlamError as err:
+        return "error", err.code
+
+
+def test_resumed_runs_match_the_whole_term_loop():
+    """run_sample and enumerate_paths resume the redex search after each
+    step; the reference searches the whole term again.  Their results,
+    and their errors, are the same: small fuel ends some runs early."""
+    env, reg = signature()
+    codes = set()
+    for seed in range(3000):
+        t = gen_closed_term(seed)
+        fuel = 2 + seed % 30
+        for sample in (seed, seed + 3000):
+            got = result_or_code(run_sample, t, sample, fuel, reg)
+            assert got == result_or_code(
+                reference_reducer.run_sample, t, sample, fuel, reg
+            ), seed
+            codes.add(got[1] if got[0] == "error" else got[0])
+        got = result_or_code(enumerate_paths, env, t, reg, fuel)
+        assert got == result_or_code(
+            reference_reducer.enumerate_paths, t, reg, fuel
+        ), seed
+    assert codes == {"ok", "FuelExhausted"}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # the contractum makes its parent a beta, proj or choice redex
+        "(((\\x:A. \\y:A. <y, x>) a) b).1",
+        "((\\x:A. <x, choose[1/3]{x}{b}!>) choose[1/4]{a}{b}!).1",
+        "((\\x:A. choose[1/2]{x}{b}) a)!",
+        # and the positions pending under the parent go with it
+        "((\\x:A. \\y:A. y) a) ((\\z:A. z) choose[1/3]{a}{b}!)",
+        # positions after the redex stay pending across steps
+        "<<(\\x:A. x) a, <a, b>.1>, <choose[1/2]{a}{b}!, (\\x:A. g x) a>>",
+        # an oracle step rewrites every occurrence, so the search restarts
+        "<(\\x:A. x) #c!, <#c!, (#d ((\\x:A. x) a))!>>",
+        "<(#d #c!)!, choose[1/3]{#c!}{a}!>",
+    ],
+)
+def test_resumed_runs_fire_what_the_whole_term_loop_fires(text):
+    env, reg = signature()
+    t = surface.parse_term(text)
+    for seed in range(8):
+        assert run_sample(t, seed, registry=reg) == reference_reducer.run_sample(
+            t, seed, registry=reg
+        )
+    assert enumerate_paths(env, t, reg) == reference_reducer.enumerate_paths(
+        t, reg
+    )
+
+
+def balanced_tuple(parts):
+    if len(parts) == 1:
+        return parts[0]
+    mid = len(parts) // 2
+    return Pair(balanced_tuple(parts[:mid]), balanced_tuple(parts[mid:]))
+
+
+def node_count(node):
+    return 1 + sum(map(node_count, children(node)))
+
+
+def test_a_run_costs_its_redex_paths_not_the_whole_term(monkeypatch):
+    t = balanced_tuple([surface.parse_term("(\\x:A. x) a")] * 400)
+    nodes = node_count(t)
+    calls = []
+    every = syntax.children
+
+    def counting(node):
+        calls.append(1)
+        return every(node)
+
+    monkeypatch.setattr(syntax, "children", counting)
+    monkeypatch.setattr(reducer, "children", counting)
+    res = run_sample(t, seed=0)
+    assert res.term == balanced_tuple([Var("a")] * 400)
+    # searching the whole term before each of the 400 steps makes about
+    # 400 * 1600 / 2 calls; resuming it visits each node once, and each
+    # step rebuilds its path, 10 levels deep
+    assert len(calls) <= 6 * (nodes + len(res.trace))
+
+
+@given(st.integers(0, 1500))
+@settings(max_examples=60, deadline=None)
+def test_redex_at_reads_a_local_redex_along_its_path(seed):
+    t = gen_closed_term(seed)
+    local = {
+        r.path: r for r in find_redexes(t) if r.kind != "oracle"
+    }
+    positions = [()]
+    for path in positions:
+        node = syntax.subnode_at(t, path)
+        positions.extend(path + (i,) for i in range(len(children(node))))
+    for path in positions + [(0,) * 12, (5,), (-1,)]:
+        redex = redex_at(t, path)
+        if redex is not None and redex.kind == "oracle":
+            redex = None
+        assert redex == local.get(path), path

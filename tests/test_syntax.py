@@ -180,6 +180,8 @@ def test_substituting_a_mapping_is_substituting_its_entries_in_order():
             expected = substitute_one(expected, name, replacement)
         # equality, not alpha-equality: the binder names are the same
         assert substitute_all(subject, mapping) == expected, seed
+        frees = {n: free_term_vars(r) for n, r in mapping.items()}
+        assert substitute_all(subject, mapping, frees) == expected, seed
         spliced = frozenset().union(*map(free_term_vars, mapping.values()))
         if len(mapping) > 1 and binder_names(subject) & spliced:
             captures += 1
@@ -187,6 +189,21 @@ def test_substituting_a_mapping_is_substituting_its_entries_in_order():
     # the generator reaches the binders that split the mapping, and
     # renaming below them
     assert captures > 500 and renamed > 200
+
+
+def test_entries_before_a_renaming_are_substituted_first():
+    """Substituting n0 := a renames the inner binder a to a2, avoiding the
+    a1 of the body; n1 := a1 then renames the outer binder a1 to a11.
+    Renaming a1 first would free the name a1 for the inner binder."""
+    subject = Lam(
+        "a1", A, Pair(Lam("a", A, Pair(Var("n0"), Var("a1"))), Var("n1"))
+    )
+    mapping = {"n0": Var("a"), "n1": Var("a1")}
+    expected = subject
+    for name, replacement in mapping.items():
+        expected = substitute_one(expected, name, replacement)
+    assert str(expected) == "\\a11:A. <\\a2:A. <a, a11>, a1>"
+    assert substitute_all(subject, mapping) == expected
 
 
 def test_substitution_shares_what_it_does_not_change():

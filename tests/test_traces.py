@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import gen_closed_term, signature
-from olam import surface
-from olam.errors import CheckError, TraceError
-from olam.reducer import find_redexes, run_sample, step
+from olam import surface, traces
+from olam.errors import CheckError, OlamError, TraceError
+from olam.reducer import RULE_KIND, find_redexes, run_sample, step
 from olam.traces import (
     Distribution,
     MapstoJudgment,
@@ -43,7 +43,9 @@ from olam.syntax import (
     TypeName,
     Var,
     alpha_eq,
+    children,
     make_tuple,
+    subnode_at,
 )
 
 HALF = Fraction(1, 2)
@@ -625,6 +627,105 @@ def random_walk(rng, t, registry):
         ]
         seq.append(rng.choice(outs).term)
     return tuple(seq)
+
+
+def readings_by_search(u, v, label, registry):
+    """_readings as it was written over find_redexes: a label must name one
+    of the redexes a whole-term search of u finds."""
+    redexes = find_redexes(u)
+    if label is not None:
+        path, rule = label
+        redexes = [
+            r for r in redexes if r.path == path and r.kind == RULE_KIND.get(rule)
+        ]
+        if not redexes:
+            raise TraceError("LabelMismatch", "no such redex")
+    found = []
+    for redex in redexes:
+        for outcome in step(u, redex, registry):
+            reading = (Fraction(outcome.prob), (redex.path, outcome.label))
+            if (
+                outcome.prob != 0
+                and label in (None, reading[1])
+                and reading not in found
+                and alpha_eq(outcome.term, v)
+            ):
+                found.append(reading)
+    if found:
+        return found
+    if label is None:
+        traces._diagnose_failed_step(u, v)
+        raise TraceError("RuleMismatch", "no rule")
+    raise TraceError(
+        "OracleReplayMismatch" if rule == "oracle" else "RuleMismatch", "no step"
+    )
+
+
+def readings_or_code(read, u, v, label, registry):
+    try:
+        return "ok", read(u, v, label, registry)
+    except OlamError as err:
+        return "error", err.code
+
+
+@given(st.integers(0, 3000))
+@settings(max_examples=100, deadline=None)
+def test_readings_match_the_whole_term_search(seed):
+    """Labels on the steps of random walks, right and wrong: a beta, proj
+    or choice label read along its path gives the readings, and the
+    errors, of the whole-term search."""
+    env, reg = signature()
+    rng = random.Random(seed)
+    t = gen_closed_term(seed, depth=5)
+    seq = random_walk(rng, t, reg)
+    pairs = list(zip(seq, seq[1:]))
+    for u, v in rng.sample(pairs, min(3, len(pairs))) + [(t, seq[-1])]:
+        positions = [()]
+        for path in positions:
+            kids = children(subnode_at(u, path))
+            positions.extend(path + (i,) for i in range(len(kids)))
+        labels = [None] + [
+            (path, rule)
+            for path in rng.sample(positions, min(4, len(positions)))
+            for rule in RULE_KIND
+        ]
+        labels += [(r.path, rule) for r in find_redexes(u) for rule in RULE_KIND]
+        labels.append(((0,) * 9, "beta"))
+        for label in labels:
+            assert readings_or_code(_readings, u, v, label, reg) == (
+                readings_or_code(readings_by_search, u, v, label, reg)
+            ), (seed, label)
+
+
+def test_labelled_local_steps_make_no_whole_term_search(monkeypatch):
+    env, reg = signature()
+    calls = []
+
+    def counting(t):
+        calls.append(t)
+        return find_redexes(t)
+
+    monkeypatch.setattr(traces, "find_redexes", counting)
+    u = surface.parse_term(f"<(\\x:A. x) <a, {COIN}>.1, #c!>")
+    steps = [
+        ((0,), "beta", "<<a, choose[1/3]{a}{b}!>.1, #c!>"),
+        ((0, 1), "proj", "<(\\x:A. x) choose[1/3]{a}{b}!, #c!>"),
+    ]
+    for path, rule, after in steps:
+        v = surface.parse_term(after)
+        assert _readings(u, v, (path, rule), reg) == [(1, (path, rule))]
+    coin = surface.parse_term(f"<a, {COIN}>")
+    for rule, prob in (("left", Fraction(1, 3)), ("right", Fraction(2, 3))):
+        v = surface.parse_term("<a, a>" if rule == "left" else "<a, b>")
+        assert _readings(coin, v, ((1,), rule), reg) == [(prob, ((1,), rule))]
+    with pytest.raises(TraceError) as e:
+        _readings(coin, coin, ((0,), "beta"), reg)
+    assert e.value.code == "LabelMismatch"
+    assert calls == []
+    # an oracle label still searches the whole term for its first call
+    v = surface.parse_term("<(\\x:A. x) <a, choose[1/3]{a}{b}!>.1, a>")
+    assert _readings(u, v, ((1,), "oracle"), reg) == [(1, ((1,), "oracle"))]
+    assert calls == [u]
 
 
 @given(st.integers(0, 600))
