@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ReductionError
@@ -26,6 +26,7 @@ from .syntax import (
     Fuel,
     Lam,
     MergeTerm,
+    Node,
     OracleCall,
     OracleRef,
     Pair,
@@ -34,8 +35,7 @@ from .syntax import (
     Term,
     TraceTerm,
     children,
-    replace_at,
-    subnode_at,
+    rebuild,
     substitute,
 )
 
@@ -79,11 +79,16 @@ RULE_KIND = {
 
 @dataclass(frozen=True, slots=True)
 class StepOutcome:
-    """One result of firing a redex, with its probability and rule label."""
+    """One result of firing a redex, with its probability and rule label.
+
+    parent is the node of term just above the fired position, which the
+    step rebuilt; None for a step at the root and for an oracle step.
+    Equality ignores it."""
 
     term: Term
     prob: Rational
     label: str
+    parent: Term | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,26 +176,54 @@ def step(
     t: Term, redex: TermRedex, registry: OracleRegistry | None = None
 ) -> list[StepOutcome]:
     """All outcomes of firing the redex.  Deterministic rules give one
-    outcome with probability 1; a choice gives exactly two."""
+    outcome with probability 1; a choice gives exactly two.
+
+    The path is walked once, down to the redex; each outcome rebuilds the
+    nodes above it from the bottom up, out of the children that walk
+    read."""
     if redex.kind == "oracle":
         return [_oracle_step(t, redex, registry)]
-    node = subnode_at(t, redex.path)
+    above: _Spine = []
+    node: Node = t
+    for i in redex.path:
+        kids = children(node)
+        if i >= len(kids):
+            raise IndexError(f"no child {i} at {type(node).__name__}")
+        above.append((node, kids, i))
+        node = kids[i]
     match node:
         case App(Lam(x, _, body), arg) if redex.kind == "beta":
             new = substitute(body, x, arg)
-            return [StepOutcome(replace_at(t, redex.path, new), Fraction(1), "beta")]
+            return [_plug(above, new, Fraction(1), "beta")]
         case Proj(Pair(left, right), index) if redex.kind == "proj":
             new = left if index == 0 else right
-            return [StepOutcome(replace_at(t, redex.path, new), Fraction(1), "proj")]
+            return [_plug(above, new, Fraction(1), "proj")]
         case Force(Choice(left, prob, right)) if redex.kind == "choice":
             return [
-                StepOutcome(replace_at(t, redex.path, left), prob, "left"),
-                StepOutcome(replace_at(t, redex.path, right), 1 - prob, "right"),
+                _plug(above, left, prob, "left"),
+                _plug(above, right, 1 - prob, "right"),
             ]
     raise ReductionError(
         "InvalidRedexPath",
         f"no {redex.kind} redex at position {list(redex.path)}",
     )
+
+
+# The nodes above a position, root first, each with its children and the
+# index of the child the path goes on to.
+_Spine = list[tuple[Node, tuple[Node, ...], int]]
+
+
+def _plug(above: _Spine, new: Node, prob: Rational, label: str) -> StepOutcome:
+    """The outcome whose term has new at the position below above."""
+    parent = None
+    for node, kids, i in reversed(above):
+        rebuilt = list(kids)
+        rebuilt[i] = new
+        new = rebuild(node, tuple(rebuilt))
+        if parent is None:
+            parent = new
+    return StepOutcome(new, prob, label, parent)  # type: ignore[arg-type]
 
 
 def _oracle_step(
@@ -218,11 +251,16 @@ def deterministic_strategy(t: Term) -> TermRedex | None:
 
 
 def next_redex(
-    t: Term, pending: Pending, fired: TermRedex | None = None
+    t: Term,
+    pending: Pending,
+    fired: TermRedex | None = None,
+    parent: Term | None = None,
 ) -> TermRedex | None:
     """The redex the deterministic strategy fires next in t, resuming the
     search that found fired; pending, updated in place, holds the
     positions after it (start a run with [(t, ())] and fired None).
+    parent is the node of t above fired's position, the parent of the
+    outcome that step handed back.
 
     Firing a beta, proj or choice redex at p leaves every position before p
     redex-free and unchanged, and every pending position valid.  Being a
@@ -239,17 +277,16 @@ def next_redex(
             pending.append((t, ()))
         else:
             node = t
-            for i in path[:-1]:
-                node = children(node)[i]
             if path:
-                parent = path[:-1]
-                redex = _recognise(node, parent)
+                assert parent is not None
+                up = path[:-1]
+                redex = _recognise(parent, up)
                 if redex is not None:
-                    depth = len(parent)
-                    while pending and pending[-1][1][:depth] == parent:
+                    depth = len(up)
+                    while pending and pending[-1][1][:depth] == up:
                         pending.pop()
                     return redex
-                node = children(node)[path[-1]]
+                node = children(parent)[path[-1]]
             pending.append((node, path))
     return next(_search(pending), None)
 
@@ -284,7 +321,7 @@ def run_sample(
         prob *= chosen.prob
         steps.append(chosen)
         current = chosen.term
-        redex = next_redex(current, pending, redex)
+        redex = next_redex(current, pending, redex, chosen.parent)
     return SampleResult(current, prob, tuple(steps))
 
 

@@ -359,14 +359,6 @@ def subnode_at(node: Node, path: tuple[int, ...]) -> Node:
     return node
 
 
-def replace_at(node: Node, path: tuple[int, ...], new: Node) -> Node:
-    if not path:
-        return new
-    kids = list(children(node))
-    kids[path[0]] = replace_at(kids[path[0]], path[1:], new)
-    return rebuild(node, tuple(kids))
-
-
 # ------------------------------------------------------------ free names
 
 
@@ -503,12 +495,17 @@ def substitute_all(
 
 
 def alpha_eq(a: Node, b: Node) -> bool:
-    # identity settles equality only here, where no binder is open: below
-    # a binder, one shared subterm may sit under different binder maps
-    return a is b or _alpha(a, b, {}, {}, [0])
+    return a is b or _alpha(a, b, {}, {}, [0], True)
 
 
-def _alpha(a: Node, b: Node, env_a: dict, env_b: dict, counter: list[int]) -> bool:
+def _alpha(
+    a: Node, b: Node, env_a: dict, env_b: dict, counter: list[int], same: bool
+) -> bool:
+    """same holds while every enclosing binder binds one name on both
+    sides, so that the two binder maps are equal and one shared subterm
+    means the same on both sides; below binders of two names it may not."""
+    if a is b and same:
+        return True
     if type(a) is not type(b):
         return False
     match a:
@@ -522,21 +519,23 @@ def _alpha(a: Node, b: Node, env_a: dict, env_b: dict, counter: list[int]) -> bo
             x, ta, body
         ):
             # binders share one field layout, so b reads like a
-            if not _alpha(ta, b.var_type, env_a, env_b, counter):  # type: ignore
+            if not _alpha(ta, b.var_type, env_a, env_b, counter, same):  # type: ignore
                 return False
             counter[0] += 1
             ea = dict(env_a)
             eb = dict(env_b)
             ea[x] = counter[0]
             eb[b.var] = counter[0]  # type: ignore[union-attr]
-            return _alpha(body, b.body, ea, eb, counter)  # type: ignore
+            same = same and x == b.var  # type: ignore[union-attr]
+            return _alpha(body, b.body, ea, eb, counter, same)  # type: ignore
         case _:
             data = _DATA[type(a)]
             if data(a) != data(b):
                 return False
             ka, kb = children(a), children(b)
             return all(
-                _alpha(x, y, env_a, env_b, counter) for x, y in zip(ka, kb)
+                _alpha(x, y, env_a, env_b, counter, same)
+                for x, y in zip(ka, kb)
             )
 
 

@@ -576,22 +576,31 @@ def enumerate_paths(
 ) -> list[tuple[Fraction, tuple[TraceQuadruple, ...]]]:
     """Every reduction path of t under the deterministic strategy.
 
-    Branches at each choice, drops zero-probability sides, and spends
+    t must be typed under env, as check_program's main_term is: the paths
+    of an ill-typed term need not end, and this function does not type
+    it.  Branches at each choice, drops zero-probability sides, and spends
     fuel per explored edge.  Paths come back in left-first order, each
     with its probability and its fully labeled steps.
     """
-    infer_type(env, t, registry)
     budget = fuel if isinstance(fuel, Fuel) else Fuel(fuel)
     finished: list[tuple[Fraction, tuple[TraceQuadruple, ...]]] = []
     # each path keeps its steps so far and resumes its own redex search
-    # from the last redex it fired and the positions after it; a step
-    # extends both in place, and the two sides of a choice each take a copy
+    # from the last redex it fired, the node step rebuilt above it and the
+    # positions after it; a step extends the steps and the positions in
+    # place, and the two sides of a choice each take a copy
     stack: list[
-        tuple[Term, Fraction, list[TraceQuadruple], Pending, TermRedex | None]
-    ] = [(t, Fraction(1), [], [(t, ())], None)]
+        tuple[
+            Term,
+            Fraction,
+            list[TraceQuadruple],
+            Pending,
+            TermRedex | None,
+            Term | None,
+        ]
+    ] = [(t, Fraction(1), [], [(t, ())], None, None)]
     while stack:
-        current, prob, quads, pending, fired = stack.pop()
-        redex = next_redex(current, pending, fired)
+        current, prob, quads, pending, fired, parent = stack.pop()
+        redex = next_redex(current, pending, fired, parent)
         if redex is None:
             finished.append((prob, tuple(quads)))
             continue
@@ -607,7 +616,9 @@ def enumerate_paths(
             else:
                 quads.append(quad)
                 branch = (quads, pending)
-            stack.append((outcome.term, prob * outcome.prob, *branch, redex))
+            stack.append(
+                (outcome.term, prob * outcome.prob, *branch, redex, outcome.parent)
+            )
     return finished
 
 
@@ -619,9 +630,10 @@ def enumerate_distribution(
 ) -> tuple[Distribution, list[MapstoJudgment]]:
     """Exact output distribution of t with evidence for every outcome.
 
-    Paths free of oracle steps that share an outcome are merged into one
-    judgment; each path through an oracle step keeps its own trace.  The
-    evidence carries each step's label, the redex path and rule it took.
+    t must be typed under env, as for enumerate_paths.  Paths free of
+    oracle steps that share an outcome are merged into one judgment; each
+    path through an oracle step keeps its own trace.  The evidence carries
+    each step's label, the redex path and rule it took.
     """
     dist = Distribution()
     # outcome key -> ((prob, term sequence, labels), saw an oracle) per path

@@ -127,18 +127,21 @@ def trust_check(
 ) -> TrustReport:
     """Derive t's distribution and compare it against the declared targets.
 
-    A forced oracle with freq_width set is read through its width-n
-    frequency table; everything else is enumerated exactly.  Listed
-    outcomes with positive target mass must match within epsilon
-    (strictly).  Every outcome the target gives 0, listed at 0 or not
-    listed, counts toward the extra mass, which must stay below epsilon;
-    report.extra names the unlisted ones.
+    t must be typed under env, as check_program's main_term is: the
+    enumeration does not type it.  A forced oracle with freq_width set is
+    read through its width-n frequency table, which types its one call;
+    everything else is enumerated exactly.  Listed outcomes with positive
+    target mass must match within epsilon (strictly).  Every outcome the
+    target gives 0, listed at 0 or not listed, counts toward the extra
+    mass, which must stay below epsilon; report.extra names the unlisted
+    ones.
 
     Errors come in this order: the spec's own (range, duplicate, total),
-    then the derivation's (it types the program and spends the fuel),
-    then a listed outcome the derivation did not reach that is not a
-    normal form of the program's type or of a reached outcome's type.  A
-    reached outcome is one.
+    then the derivation's (it spends the fuel), then a listed outcome the
+    derivation did not reach that is not a normal form of the program's
+    type or of a reached outcome's type.  A reached outcome is one.  Only
+    such an outcome makes trust_check type terms: the outcome, then the
+    program and the reached outcomes until one has its type.
     """
     keys = _validate_spec(spec)
     oracle = forced_oracle_form(t)
@@ -391,6 +394,10 @@ def replay_certificate(
     program, the tolerance, the threshold rows and, in frequency mode,
     the first term of the first witness, the tuple of calls whose length
     is the table's width (without it the program is enumerated).
+
+    The program is untrusted text, so replay types it, once, after
+    parsing all it reads and before trust_check: a type error of the
+    program comes before the spec's errors.
     """
     _require_shape(cert, _READ, "certificate")
     width = None
@@ -412,6 +419,7 @@ def replay_certificate(
         ),
         surface.parse_rational_text(cert["epsilon"]),
     )
+    infer_type(env, t, registry)
     report = trust_check(env, t, spec, registry, fuel, width)
     for field, written in _certificate(t, report).items():
         bad = _difference(cert.get(field), written)

@@ -18,7 +18,7 @@ from olam.syntax import (
     TypeAbs,
     TypeApp,
     children,
-    replace_at,
+    rebuild,
     subnode_at,
     substitute,
 )
@@ -41,6 +41,15 @@ def find_con_redexes(node: Node) -> list[tuple[int, ...]]:
 
     go(node, ())
     return out
+
+
+def replace_at(node: Node, path: tuple[int, ...], new: Node) -> Node:
+    """node with new in place of the node at path."""
+    if not path:
+        return new
+    kids = list(children(node))
+    kids[path[0]] = replace_at(kids[path[0]], path[1:], new)
+    return rebuild(node, tuple(kids))
 
 
 def con_step(node: Node, path: tuple[int, ...]) -> Node:

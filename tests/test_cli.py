@@ -247,6 +247,47 @@ def test_trace_json(project, capsys):
     assert payload["paths"][0]["steps"][0]["label"] == "left"
 
 
+ENUMERATING = ("dist", "trace", "trust")
+
+
+def enumerating_argv(command, prog, orc, tmp_path):
+    argv = [command, prog, "--oracles", orc]
+    if command == "trust":
+        target = tmp_path / "target.dist"
+        target.write_text("a = 1/3\nb = 2/3\n")
+        argv += ["--target", str(target), "--epsilon", "1/100"]
+    return argv
+
+
+@pytest.mark.parametrize("command", ENUMERATING)
+def test_enumerating_commands_type_main_first(
+    command, project, capsys, tmp_path
+):
+    """The enumeration does not type its term: the command's check of
+    the program rejects an ill-typed main before it runs."""
+    prog, orc = project("a b")
+    argv = enumerating_argv(command, prog, orc, tmp_path)
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert "NotAFunction" in err
+
+
+@pytest.mark.parametrize("command", ENUMERATING)
+def test_enumerating_commands_type_main_once(
+    command, project, capsys, tmp_path, typings
+):
+    """main is typed once, by check_program; the enumeration, the trust
+    verdict and the certificate type nothing."""
+    main_term = "(\\x:A. choose[1/3]{x}{b}!) a"
+    prog, orc = project(main_term)
+    code, _, _ = run(enumerating_argv(command, prog, orc, tmp_path), capsys)
+    assert code == 0
+    # loading the oracle file types its rules' answers, in the checker too
+    assert {module for module, _ in typings} == {"olam.checker"}
+    assert [term for _, term in typings].count(main_term) == 1
+
+
 def test_trust_trusted_writes_certificate(project, capsys, tmp_path):
     prog, orc = project("#c!")
     target = tmp_path / "target.dist"

@@ -1,6 +1,7 @@
 """One-step reduction, redex discovery order, simultaneous oracle
 rewriting, and seeded sampling runs."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -146,9 +147,15 @@ def test_step_oracle_requires_registry():
 def test_step_stale_redex_rejected():
     _, reg = signature()
     t = surface.parse_term("(\\x:A. x) a")
-    with pytest.raises(ReductionError) as e:
-        step(t, TermRedex((1,), "beta"))
-    assert e.value.code == "InvalidRedexPath"
+    # a path to a node of another kind, or to a type annotation
+    for path in [(1,), (0, 0)]:
+        with pytest.raises(ReductionError) as e:
+            step(t, TermRedex(path, "beta"))
+        assert e.value.code == "InvalidRedexPath"
+    # a path past the children of a node
+    for path in [(2,), (1, 0), (0, 1, 0)]:
+        with pytest.raises(IndexError):
+            step(t, TermRedex(path, "beta"))
     with pytest.raises(ReductionError) as e:
         step(
             surface.parse_term("#c!"),
@@ -373,3 +380,61 @@ def test_redex_at_reads_a_local_redex_along_its_path(seed):
         if redex is not None and redex.kind == "oracle":
             redex = None
         assert redex == local.get(path), path
+
+
+@given(st.integers(0, 1500))
+@settings(max_examples=60, deadline=None)
+def test_step_rebuilds_the_path_and_hands_back_its_parent(seed):
+    """Each outcome has its new node at the redex path, keeps every node
+    off the path as the same object, and hands back the rebuilt node
+    above the redex as parent."""
+    t = gen_closed_term(seed)
+    for redex in find_redexes(t):
+        if redex.kind == "oracle":
+            continue
+        path = redex.path
+        for outcome in step(t, redex):
+            out = outcome.term
+            if not path:
+                assert outcome.parent is None
+                continue
+            assert outcome.parent is syntax.subnode_at(out, path[:-1])
+            for depth in range(len(path)):
+                old = children(syntax.subnode_at(t, path[:depth]))
+                new = children(syntax.subnode_at(out, path[:depth]))
+                assert type(new) is type(old) and len(new) == len(old)
+                for j, kid in enumerate(old):
+                    if j != path[depth]:
+                        assert new[j] is kid
+
+
+def right_nested_wide_beta(n):
+    return syntax.make_tuple([surface.parse_term("(\\x:A. x) a")] * n)
+
+
+@pytest.mark.parametrize("n", [75, 150, 300])
+def test_each_step_walks_its_fired_path_once(monkeypatch, n):
+    """Outside the redex search, a run reads the children of each node on
+    the fired path at most once per step: the redex's ancestors while
+    stepping, and then the rebuilt parent."""
+    env, reg = signature()
+    t = right_nested_wide_beta(n)
+    ((_, quads),) = enumerate_paths(env, t, reg)
+    assert len(quads) == n
+    bound = sum(len(q.path) + 1 for q in quads)
+    walks = []
+    every = syntax.children
+
+    def counting(node):
+        if sys._getframe(1).f_code.co_name != "_search":
+            walks.append(node)
+        return every(node)
+
+    monkeypatch.setattr(syntax, "children", counting)
+    monkeypatch.setattr(reducer, "children", counting)
+    res = run_sample(t, seed=0, registry=reg)
+    assert res.term == syntax.make_tuple([Var("a")] * n)
+    assert len(walks) <= bound
+    walks.clear()
+    assert enumerate_paths(env, t, reg) == [(1, quads)]
+    assert len(walks) <= bound

@@ -2,6 +2,7 @@
 renaming, positional access, oracle context decomposition, tuples."""
 
 import random
+from collections import Counter
 from dataclasses import is_dataclass
 from fractions import Fraction
 
@@ -46,7 +47,6 @@ from olam.syntax import (
     make_tuple,
     pair_spine,
     rebuild,
-    replace_at,
     subnode_at,
     substitute,
     substitute_all,
@@ -252,6 +252,50 @@ def test_alpha_eq_of_one_object_makes_no_walk(monkeypatch):
     )
 
 
+def _copy(node):
+    """node rebuilt, sharing no object but its leaves."""
+    return rebuild(node, tuple(map(_copy, children(node))))
+
+
+def _gen_sharing_pair(rng, pool, depth):
+    """Two terms of one shape around subterms from pool that both hold as
+    one object; at each binder the two sides bind one name or two."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.3:
+        shared = rng.choice(pool)
+        return shared, shared
+    if roll < 0.4:
+        u = _gen_term(rng, MAPPED + OTHERS, 2)
+        return u, _copy(u) if rng.random() < 0.5 else rng.choice(pool)
+    if roll < 0.7:
+        x = rng.choice(OTHERS)
+        y = x if rng.random() < 0.5 else rng.choice(OTHERS)
+        a, b = _gen_sharing_pair(rng, pool, depth - 1)
+        return Lam(x, A, a), Lam(y, A, b)
+    (a1, b1), (a2, b2) = (_gen_sharing_pair(rng, pool, depth - 1) for _ in "lr")
+    node = App if rng.random() < 0.5 else Pair
+    return node(a1, a2), node(b1, b2)
+
+
+def test_alpha_eq_of_shared_subterms_matches_the_full_walk():
+    """Identity settles a comparison only while every binder above binds
+    one name on both sides; the full walk (same False) never uses it."""
+    shared = Pair(Var("x"), Var("y"))
+    assert not alpha_eq(Lam("x", A, shared), Lam("y", A, shared))
+    assert alpha_eq(Lam("x", A, shared), Lam("x", A, shared))
+    outcomes = Counter()
+    for seed in range(3000):
+        rng = random.Random(seed)
+        pool = [_gen_term(rng, OTHERS, 3) for _ in range(3)]
+        a, b = _gen_sharing_pair(rng, pool, 5)
+        if a is b:
+            continue
+        expected = syntax._alpha(a, b, {}, {}, [0], False)
+        assert alpha_eq(a, b) == expected, seed
+        outcomes[expected] += 1
+    assert outcomes[True] > 500 and outcomes[False] > 500
+
+
 def test_alpha_eq_distinguishes_probabilities():
     # every field that is not a child is data: changing it breaks equality
     l, r = Var("a"), Var("b")
@@ -366,15 +410,14 @@ def test_children_order_for_binders():
             rebuild(not_a_node, ())
 
 
-def test_subnode_and_replace_at():
+def test_subnode_at():
     t = App(Var("f"), Force(Choice(Var("a"), Fraction(1, 2), Var("b"))))
     assert subnode_at(t, ()) == t
     assert subnode_at(t, (1, 0, 0)) == Var("a")
-    out = replace_at(t, (1, 0, 1), Var("c"))
-    assert subnode_at(out, (1, 0, 1)) == Var("c")
+    assert subnode_at(t, (1, 0, 1)) == Var("b")
 
 
-def test_replace_at_bad_path():
+def test_subnode_at_bad_path():
     with pytest.raises(IndexError):
         subnode_at(Var("a"), (0,))
 

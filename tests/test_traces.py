@@ -422,12 +422,6 @@ def test_enumerate_paths_drops_zero_probability():
     assert [(p, q[-1].after) for p, q in paths] == [(Fraction(1), Var("a"))]
 
 
-def test_enumerate_paths_typechecks_first():
-    env, reg = signature()
-    with pytest.raises(CheckError):
-        enumerate_paths(env, surface.parse_term("a b"), reg)
-
-
 def test_enumerate_paths_fuel():
     env, reg = signature()
     from olam.errors import ReductionError

@@ -14,7 +14,14 @@ from hypothesis import strategies as st
 
 from generators import signature
 from olam import surface, syntax, traces, trust
-from olam.errors import OlamError, ReductionError, TraceError, TrustError
+from olam.errors import (
+    CheckError,
+    OlamError,
+    ParseError,
+    ReductionError,
+    TraceError,
+    TrustError,
+)
 from olam.oracles import OracleRegistry
 from olam.syntax import MergeTerm, TraceTerm, Var
 from olam.traces import MapstoJudgment, check_trace, enumerate_distribution
@@ -203,11 +210,10 @@ def coins(n):
     return syntax.make_tuple([surface.parse_term("choose[1/2]{a}{b}!")] * n)
 
 
-def test_trust_check_keys_each_outcome_once_and_types_the_program_once(
-    monkeypatch,
-):
+def test_trust_check_keys_each_outcome_once_and_types_nothing(monkeypatch):
     """One key per listed outcome and one per derived path; the program
-    is typed once, by the derivation."""
+    comes typed, and every listed outcome is reached, so nothing is
+    typed."""
     env, reg = signature()
     t = coins(10)
     dist, _ = enumerate_distribution(env, t, registry=reg)
@@ -232,7 +238,7 @@ def test_trust_check_keys_each_outcome_once_and_types_the_program_once(
     assert report.verdict == "trusted"
     assert len(dist) == 1024
     assert len(keyed) <= 2 * 1024
-    assert typed.count(True) == 1
+    assert typed == []
 
 
 def test_spec_errors_come_before_the_derivation():
@@ -812,6 +818,41 @@ def test_replay_derives_once_and_reads_no_witness(monkeypatch):
         "parse_term": 1 + len(cert["threshold_checks"]),
         "enumerate_distribution": 1,
     }
+
+
+def test_replay_types_the_parsed_program_once(typings):
+    env, reg, cert = exact_certificate(f"<{COIN}, (\\x:A. {COIN}) a>")
+    typings.clear()
+    assert replay_certificate(env, reg, cert).verdict == "trusted"
+    assert typings == [("olam.trust", cert["program"])]
+
+
+OMEGA = "(\\x:A. x x x) (\\x:A. x x x)"
+
+
+def test_replay_types_an_ill_typed_program_before_deriving():
+    """Reducing the program would not end: typing stops it at once."""
+    env, reg, _, cert = trusted_coin_certificate()
+    cert["program"] = OMEGA
+    start = time.perf_counter()
+    with pytest.raises(CheckError) as e:
+        replay_certificate(env, reg, cert)
+    assert time.perf_counter() - start < 1
+    assert e.value.code == "NotAFunction"
+
+
+def test_replay_error_order_parse_then_type_then_spec():
+    """Replay parses all it reads, then types the program, then checks
+    the spec: an ill-typed program is reported before an out-of-range
+    tolerance, and a listed outcome that does not parse before both."""
+    env, reg, _, cert = trusted_coin_certificate()
+    cert["program"] = OMEGA
+    cert["epsilon"] = "2"
+    with pytest.raises(CheckError):
+        replay_certificate(env, reg, copy.deepcopy(cert))
+    cert["threshold_checks"][1]["outcome"] = "a ("
+    with pytest.raises(ParseError):
+        replay_certificate(env, reg, cert)
 
 
 def test_replay_rejects_tampered_threshold_row():
