@@ -316,11 +316,11 @@ class CheckedProgram:
     env: Environment
     registry: OracleRegistry
     def_types: dict[str, TypeCon]
-    main_term: Term | None
-    main_type: TypeCon | None
+    main_term: Term
+    main_type: TypeCon
 
 
-def check_program(source, oracle_defs, require_main: bool = True) -> CheckedProgram:
+def check_program(source, oracle_defs) -> CheckedProgram:
     """Check declarations in order, validate oracles against the signature,
     then check each definition and inline into it the earlier definitions
     it mentions; main comes out closed over the signature.  An error with
@@ -402,7 +402,7 @@ def check_program(source, oracle_defs, require_main: bool = True) -> CheckedProg
         if err.span is None and line is not None:
             err.span = (line, 1)
         raise
-    if require_main and main_term is None:
+    if main_term is None:
         raise CheckError("MissingMain", "program has no main definition")
-    main_type = def_types.get("main")
+    main_type = def_types["main"]
     return CheckedProgram(env, registry, def_types, main_term, main_type)

@@ -180,29 +180,33 @@ def step(
 
     The path is walked once, down to the redex; each outcome rebuilds the
     nodes above it from the bottom up, out of the children that walk
-    read."""
+    read.  Like redex_at, it stops at an evidence term, at a child that is
+    no term and at an index out of range: such a path fires nothing."""
     if redex.kind == "oracle":
         return [_oracle_step(t, redex, registry)]
     above: _Spine = []
     node: Node = t
     for i in redex.path:
+        if isinstance(node, (TraceTerm, MergeTerm)):
+            break
         kids = children(node)
-        if i >= len(kids):
-            raise IndexError(f"no child {i} at {type(node).__name__}")
+        if not 0 <= i < len(kids) or not isinstance(kids[i], Term):
+            break
         above.append((node, kids, i))
         node = kids[i]
-    match node:
-        case App(Lam(x, _, body), arg) if redex.kind == "beta":
-            new = substitute(body, x, arg)
-            return [_plug(above, new, Fraction(1), "beta")]
-        case Proj(Pair(left, right), index) if redex.kind == "proj":
-            new = left if index == 0 else right
-            return [_plug(above, new, Fraction(1), "proj")]
-        case Force(Choice(left, prob, right)) if redex.kind == "choice":
-            return [
-                _plug(above, left, prob, "left"),
-                _plug(above, right, 1 - prob, "right"),
-            ]
+    else:
+        match node:
+            case App(Lam(x, _, body), arg) if redex.kind == "beta":
+                new = substitute(body, x, arg)
+                return [_plug(above, new, Fraction(1), "beta")]
+            case Proj(Pair(left, right), index) if redex.kind == "proj":
+                new = left if index == 0 else right
+                return [_plug(above, new, Fraction(1), "proj")]
+            case Force(Choice(left, prob, right)) if redex.kind == "choice":
+                return [
+                    _plug(above, left, prob, "left"),
+                    _plug(above, right, 1 - prob, "right"),
+                ]
     raise ReductionError(
         "InvalidRedexPath",
         f"no {redex.kind} redex at position {list(redex.path)}",

@@ -149,13 +149,6 @@ def _lex_line(text: str, line_no: int, out: list[Token]) -> None:
         raise ParseError("Lexical", f"stray {c!r}", (line_no, col))
 
 
-def tokenize(text: str) -> list[Token]:
-    out: list[Token] = []
-    for k, line in enumerate(text.split("\n")):
-        _lex_line(line, k + 1, out)
-    return out
-
-
 def logical_lines(text: str) -> list[list[Token]]:
     """Group physical lines into top-level items by indentation."""
     groups: list[list[Token]] = []
@@ -268,14 +261,33 @@ class _Stream:
             raise self.error(f"trailing input starting at {t.value!r}")
 
 
+def _parse(
+    text: str, rule: Callable[[_Stream], Node | Fraction]
+) -> Node | Fraction:
+    """All of text, its lines joined as one item, read by rule."""
+    ts = _Stream([t for toks in logical_lines(text) for t in toks])
+    node = rule(ts)
+    ts.done()
+    return node
+
+
+def parse_term(text: str) -> Term:
+    return _parse(text, _term)
+
+
+def parse_type(text: str) -> TypeCon:
+    return _parse(text, _type)
+
+
+def parse_kind(text: str) -> Kind:
+    return _parse(text, _kind)
+
+
 def parse_rational_text(text: str) -> Fraction:
     try:
-        ts = _Stream(tokenize(text))
-        frac = _rational(ts)
-        ts.done()
+        return _parse(text, _rational)
     except ParseError as exc:
         raise ParseError("MalformedRational", f"bad rational {text!r}") from exc
-    return frac
 
 
 def _rational(ts: _Stream) -> Fraction:
@@ -335,9 +347,9 @@ def _term(ts: _Stream) -> Term:
     if ts.peek().kind == "LAM":
         ts.next()
         return Lam(*_binder(ts, _term))
-    head = _postfix(ts)
+    head = _atom(ts)
     while _starts_term_atom(ts.peek()):
-        arg = _postfix(ts)
+        arg = _atom(ts)
         if isinstance(head, OracleRef):
             head = OracleCall(head.oracle, arg)
         else:
@@ -345,17 +357,8 @@ def _term(ts: _Stream) -> Term:
     return head
 
 
-def _postfix(ts: _Stream) -> Term:
-    t = _atom(ts)
-    tok = ts.peek()
-    while tok.kind == "BANG" or tok.kind == "PROJ":
-        t = Force(t) if tok.kind == "BANG" else Proj(t, int(tok.value))
-        ts.next()
-        tok = ts.peek()
-    return t
-
-
 def _atom(ts: _Stream) -> Term:
+    """An atom, then its chain of `!` and `.i`."""
     tok = ts.peek()
     if tok.kind == "IDENT":
         if tok.value == "choose":
@@ -369,36 +372,43 @@ def _atom(ts: _Stream) -> Term:
             ts.expect("LBRACE")
             right = _term(ts)
             ts.expect("RBRACE")
-            return Choice(left, p, right)
-        if tok.value == "efq":
+            t = Choice(left, p, right)
+        elif tok.value == "efq":
             ts.next()
             ts.expect("LPAR")
             body = _term(ts)
             ts.expect("COLON")
             target = _type(ts)
             ts.expect("RPAR")
-            return Efq(body, target)
-        return Var(ts.declared("term", "unbound name {!r}"))
-    if tok.kind == "HASH":
+            t = Efq(body, target)
+        else:
+            t = Var(ts.declared("term", "unbound name {!r}"))
+    elif tok.kind == "HASH":
         ts.next()
-        return OracleRef(
+        t = OracleRef(
             ts.declared("oracle", "oracle {0!r} not imported (add `use {0}`)")
         )
-    if tok.kind == "LT":
+    elif tok.kind == "LT":
         ts.next()
         left = _term(ts)
         ts.expect("COMMA")
         right = _term(ts)
         ts.expect("GT")
-        return Pair(left, right)
-    if tok.kind == "LPAR":
+        t = Pair(left, right)
+    elif tok.kind == "LPAR":
         ts.next()
-        inner = _term(ts)
+        t = _term(ts)
         ts.expect("RPAR")
-        return inner
-    if tok.kind == "END":
+    elif tok.kind == "END":
         raise ts.error("expected a term")
-    raise ts.error(f"expected a term, found {tok.value!r}")
+    else:
+        raise ts.error(f"expected a term, found {tok.value!r}")
+    tok = ts.peek()
+    while tok.kind == "BANG" or tok.kind == "PROJ":
+        t = Force(t) if tok.kind == "BANG" else Proj(t, int(tok.value))
+        ts.next()
+        tok = ts.peek()
+    return t
 
 
 def _type(ts: _Stream) -> TypeCon:
@@ -408,7 +418,13 @@ def _type(ts: _Stream) -> TypeCon:
     if ts.peek().kind == "CONLAM":
         ts.next()
         return TypeAbs(*_binder(ts, _type))
-    left = _conj(ts)
+    conjuncts = [_unary(ts)]
+    while ts.peek().kind == "AND":
+        ts.next()
+        conjuncts.append(_unary(ts))
+    left = conjuncts.pop()
+    while conjuncts:  # /\ nests to the right
+        left = Conj(conjuncts.pop(), left)
     if ts.peek().kind == "ARROW":
         ts.next()
         right = _type(ts)
@@ -416,46 +432,34 @@ def _type(ts: _Stream) -> TypeCon:
     return left
 
 
-def _conj(ts: _Stream) -> TypeCon:
-    left = _unary(ts)
-    if ts.peek().kind == "AND":
-        ts.next()
-        return Conj(left, _conj(ts))
-    return left
-
-
 def _unary(ts: _Stream) -> TypeCon:
-    if ts.at_keyword("Oplus"):
-        ts.next()
-        return ChoiceType(_unary(ts))
-    if ts.at_keyword("Sigma"):
-        ts.next()
-        return OpaqueType(_unary(ts))
-    return _tyapp(ts)
-
-
-def _tyapp(ts: _Stream) -> TypeCon:
-    head = _tyatom(ts)
-    while _starts_term_atom(ts.peek()):
-        head = TypeApp(head, _postfix(ts))
-    return head
-
-
-def _tyatom(ts: _Stream) -> TypeCon:
+    """Oplus and Sigma prefixes, then a type atom and its term arguments."""
     tok = ts.peek()
-    if tok.kind == "IDENT" and tok.value == "Bot":
+    if tok.kind == "IDENT":
+        if tok.value == "Oplus":
+            ts.next()
+            return ChoiceType(_unary(ts))
+        if tok.value == "Sigma":
+            ts.next()
+            return OpaqueType(_unary(ts))
+        if tok.value == "Bot":
+            ts.next()
+            head = Bottom()
+        elif tok.value not in KEYWORDS:
+            head = TypeName(ts.declared("type", "unbound type atom {!r}"))
+        else:
+            raise ts.error(f"expected a type, found {tok.value!r}")
+    elif tok.kind == "LPAR":
         ts.next()
-        return Bottom()
-    if tok.kind == "IDENT" and tok.value not in KEYWORDS:
-        return TypeName(ts.declared("type", "unbound type atom {!r}"))
-    if tok.kind == "LPAR":
-        ts.next()
-        inner = _type(ts)
+        head = _type(ts)
         ts.expect("RPAR")
-        return inner
-    if tok.kind == "END":
+    elif tok.kind == "END":
         raise ts.error("expected a type")
-    raise ts.error(f"expected a type, found {tok.value!r}")
+    else:
+        raise ts.error(f"expected a type, found {tok.value!r}")
+    while _starts_term_atom(ts.peek()):
+        head = TypeApp(head, _atom(ts))
+    return head
 
 
 def _kind(ts: _Stream) -> Kind:
@@ -466,31 +470,6 @@ def _kind(ts: _Stream) -> Kind:
         ts.next()
         return KindPi(*_binder(ts, _kind))
     raise ts.error("expected a kind")
-
-
-def _starts_kind(ts: _Stream) -> bool:
-    return ts.peek().kind == "STAR" or ts.at_keyword("pi")
-
-
-def parse_term(text: str) -> Term:
-    ts = _Stream(tokenize(text))
-    t = _term(ts)
-    ts.done()
-    return t
-
-
-def parse_type(text: str) -> TypeCon:
-    ts = _Stream(tokenize(text))
-    t = _type(ts)
-    ts.done()
-    return t
-
-
-def parse_kind(text: str) -> Kind:
-    ts = _Stream(tokenize(text))
-    k = _kind(ts)
-    ts.done()
-    return k
 
 
 # ----------------------------------------------------------- program files
@@ -536,7 +515,10 @@ def parse_program(text: str) -> SourceFile:
             ts.next()
             name = ts.new_name(seen, "{!r} declared twice")
             ts.expect("COLON")
-            classifier = _kind(ts) if _starts_kind(ts) else _type(ts)
+            if ts.peek().kind == "STAR" or ts.at_keyword("pi"):
+                classifier = _kind(ts)
+            else:
+                classifier = _type(ts)
             ts.done()
             atoms.append(AtomDecl(name, classifier, line))
             scope["type" if isinstance(classifier, Kind) else "term"].add(name)

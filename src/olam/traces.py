@@ -690,7 +690,9 @@ def oracle_frequency(
 
     Builds the n-tuple of the forced call, fires the single simultaneous
     rewrite, and reads each outcome's share of the components.  Every
-    judgment reuses the two-line tuple trace as its evidence.
+    judgment reuses the two-line tuple trace as its evidence.  The forced
+    call must be typed under env, as check_program's main_term is: this
+    function does not type it.
     """
     if width < 1:
         raise TraceError("FrequencyWidth", f"width {width} must be positive")
@@ -698,7 +700,6 @@ def oracle_frequency(
         subject: Term = Force(OracleRef(oracle))
     else:
         subject = Force(OracleCall(oracle, arg))
-    infer_type(env, subject, registry)
     tup = make_tuple([subject] * width)
     _, result = registry.rewrite(oracle, tup)
     dist = Distribution()

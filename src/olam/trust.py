@@ -128,8 +128,8 @@ def trust_check(
     """Derive t's distribution and compare it against the declared targets.
 
     t must be typed under env, as check_program's main_term is: the
-    enumeration does not type it.  A forced oracle with freq_width set is
-    read through its width-n frequency table, which types its one call;
+    enumeration and the frequency table do not type it.  A forced oracle
+    with freq_width set is read through its width-n frequency table;
     everything else is enumerated exactly.  Listed outcomes with positive
     target mass must match within epsilon (strictly).  Every outcome the
     target gives 0, listed at 0 or not listed, counts toward the extra

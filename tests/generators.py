@@ -84,9 +84,9 @@ def signature() -> tuple[Environment, OracleRegistry]:
     """Checked environment and oracle registry shared by all generators."""
     global _cached
     if _cached is None:
-        program = surface.parse_program(SIGNATURE_SOURCE)
+        program = surface.parse_program(SIGNATURE_SOURCE + "main = a\n")
         defs = surface.parse_oracle_file(ORACLE_SOURCE)
-        checked = checker.check_program(program, defs, require_main=False)
+        checked = checker.check_program(program, defs)
         _cached = (checked.env, checked.registry)
     return _cached
 

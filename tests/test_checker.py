@@ -376,10 +376,6 @@ def test_check_program_requires_main():
     with pytest.raises(CheckError) as e:
         check_program(surface.parse_program(src), ORACLE_DEFS)
     assert e.value.code == "MissingMain"
-    checked = check_program(
-        surface.parse_program(src), ORACLE_DEFS, require_main=False
-    )
-    assert checked.main_term is None
 
 
 def test_check_program_environment_is_signature_only():

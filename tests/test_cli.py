@@ -288,6 +288,44 @@ def test_enumerating_commands_type_main_once(
     assert [term for _, term in typings].count(main_term) == 1
 
 
+FREQUENCY = ("oracle-freq", "trust")
+
+
+def frequency_argv(command, prog, orc, tmp_path):
+    argv = [command, prog, "--oracles", orc, "--samples", "3"]
+    if command == "trust":
+        target = tmp_path / "target.dist"
+        target.write_text("a = 2/3\nb = 1/3\n")
+        argv += ["--target", str(target), "--epsilon", "1/100"]
+    return argv
+
+
+@pytest.mark.parametrize("command", FREQUENCY)
+def test_frequency_commands_type_main_first(
+    command, project, capsys, tmp_path
+):
+    """The frequency table does not type its call: the command's check of
+    the program rejects an ill-typed forced call before it runs."""
+    prog, orc = project("(#c q)!")
+    code, out, err = run(frequency_argv(command, prog, orc, tmp_path), capsys)
+    assert code == 1
+    assert out == ""
+    assert "[NotAFunction]" in err
+
+
+@pytest.mark.parametrize("command", FREQUENCY)
+def test_frequency_commands_type_main_once(
+    command, project, capsys, tmp_path, typings
+):
+    """The forced call is typed once, by check_program; the frequency
+    table and the trust verdict type nothing."""
+    prog, orc = project("#c!")
+    code, _, _ = run(frequency_argv(command, prog, orc, tmp_path), capsys)
+    assert code == 0
+    assert {module for module, _ in typings} == {"olam.checker"}
+    assert [term for _, term in typings].count("#c!") == 1
+
+
 def test_trust_trusted_writes_certificate(project, capsys, tmp_path):
     prog, orc = project("#c!")
     target = tmp_path / "target.dist"
@@ -742,6 +780,37 @@ def test_deep_input_is_a_coded_error(project, capsys, tmp_path):
         assert err.startswith("error: [DepthExceeded]")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+
+def right_nested_tuple(items):
+    text = items[-1]
+    for item in reversed(items[:-1]):
+        text = f"<{item}, {text}>"
+    return text
+
+
+@pytest.mark.parametrize(
+    "main_term, outcome",
+    [
+        # g (g (... a)), 400 applications deep
+        ("g (" * 400 + "a" + ")" * 400, "g (" * 399 + "g a" + ")" * 399),
+        # a right-nested 400-tuple of beta redexes
+        (
+            right_nested_tuple(["(\\x:A. x) a"] * 400),
+            right_nested_tuple(["a"] * 400),
+        ),
+    ],
+    ids=["deep", "wide_beta"],
+)
+def test_dist_reads_400_levels(main_term, outcome, capsys, tmp_path):
+    """A term nesting level takes two Python frames of the parser."""
+    program = tmp_path / "prog.olam"
+    program.write_text(
+        f"atom A : *\natom a : A\natom g : A -> A\nmain = {main_term}\n"
+    )
+    code, out, err = run(["dist", str(program)], capsys)
+    assert (code, err) == (0, "")
+    assert out == f"{outcome} = 1\n"
 
 
 def test_oracle_freq_600_samples_runs(project, capsys):

@@ -153,9 +153,20 @@ def test_step_stale_redex_rejected():
             step(t, TermRedex(path, "beta"))
         assert e.value.code == "InvalidRedexPath"
     # a path past the children of a node
-    for path in [(2,), (1, 0), (0, 1, 0)]:
-        with pytest.raises(IndexError):
+    for path in [(2,), (1, 0), (0, 1, 0), (-1,)]:
+        with pytest.raises(ReductionError) as e:
             step(t, TermRedex(path, "beta"))
+        assert e.value.code == "InvalidRedexPath"
+    # a redex that the search never yields: inside a type annotation, and
+    # inside an evidence term
+    lam = surface.parse_term("\\y:P ((\\x:A. x) a). y")
+    inner = surface.parse_term("(\\x:A. x) a")
+    evidence = Pair(TraceTerm((inner, Var("a")), Fraction(1)), inner)
+    for s, path in [(lam, (0, 1)), (lam, (5,)), (evidence, (0, 0))]:
+        assert redex_at(s, path) is None
+        with pytest.raises(ReductionError) as e:
+            step(s, TermRedex(path, "beta"))
+        assert e.value.code == "InvalidRedexPath"
     with pytest.raises(ReductionError) as e:
         step(
             surface.parse_term("#c!"),

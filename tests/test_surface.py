@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_surface
 from generators import (
     ORACLE_SOURCE,
     SIGNATURE_SOURCE,
@@ -632,3 +633,81 @@ def test_parsers_raise_only_parse_errors(parse, term, edits):
         getattr(surface, parse)(text)
     except ParseError:
         pass
+
+
+def _parse_or_error(parse, text):
+    """The tree parse reads from text, or its error's code, message and
+    place."""
+    try:
+        return parse(text)
+    except ParseError as e:
+        return (e.code, e.message, e.span)
+
+
+def assert_parses_as_reference(text):
+    for name in ("parse_term", "parse_type", "parse_kind"):
+        assert _parse_or_error(getattr(surface, name), text) == (
+            _parse_or_error(getattr(reference_surface, name), text)
+        ), (name, text)
+
+
+def test_round_trip_texts_parse_as_reference():
+    """Every text the three round-trip tests can draw."""
+    for seed in range(3001):
+        assert_parses_as_reference(printer.show(gen_closed_term(seed)))
+    for seed in range(2001):
+        assert_parses_as_reference(printer.show(gen_closed_con(seed)))
+    for seed in range(1001):
+        assert_parses_as_reference(printer.show(gen_kind(seed)))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "A /\\ B /\\ C -> D /\\ E",
+        "Oplus Sigma P a!.1 (g a) /\\ Bot b",
+        "(A /\\ B) /\\ (P <a, b>.0)",
+        "A /\\ forall x:A. P x",
+        "A /\\",
+        "Oplus",
+        "P (",
+        "P (a",
+        "Sigma forall",
+        "f (g a!)!.0 #c b!",
+        "efq(a : A /\\ B) c",
+        "pi x:A /\\ B. pi y:P x. *",
+        "",
+    ],
+)
+def test_grammar_edges_parse_as_reference(text):
+    assert_parses_as_reference(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(sorted(PARSE_TEMPLATES)),
+    TERM_TEXTS,
+    st.lists(
+        st.tuples(st.integers(0, 50), st.sampled_from(PARSE_PIECES)), max_size=4
+    ),
+)
+def test_mutated_texts_parse_as_reference(parse, term, edits):
+    """The texts of test_parsers_raise_only_parse_errors, each whole and
+    as the spliced term alone."""
+    spliced = _splice(term, edits)
+    assert_parses_as_reference(spliced)
+    assert_parses_as_reference(PARSE_TEMPLATES[parse].format(spliced))
+
+
+def deep(d):
+    """g (g (... a)), d applications deep."""
+    return "g (" * d + "a" + ")" * d
+
+
+def test_parse_term_reads_450_levels():
+    """A term nesting level takes two Python frames of the descent."""
+    t = surface.parse_term(deep(450))
+    for _ in range(450):
+        assert t.fun == Var("g")
+        t = t.arg
+    assert t == Var("a")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from generators import gen_closed_term, signature
 from olam import surface, traces
-from olam.errors import CheckError, OlamError, TraceError
+from olam.errors import OlamError, TraceError
 from olam.reducer import RULE_KIND, find_redexes, run_sample, step
 from olam.traces import (
     Distribution,
@@ -536,12 +536,6 @@ def test_oracle_frequency_bad_width():
     with pytest.raises(TraceError) as e:
         oracle_frequency(env, "c", None, 0, reg)
     assert e.value.code == "FrequencyWidth"
-
-
-def test_oracle_frequency_argument_typechecked():
-    env, reg = signature()
-    with pytest.raises(CheckError):
-        oracle_frequency(env, "d", Var("q"), 2, reg)
 
 
 def brute_force_merge_sums(sequences, registry):
