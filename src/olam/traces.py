@@ -19,7 +19,7 @@ from typing import Sequence
 from .checker import Environment, infer_type
 from .errors import OlamError, TraceError
 from .oracles import OracleRegistry
-from .printer import term_key
+from .printer import show, term_key
 from .reducer import (
     RULE_KIND,
     Pending,
@@ -63,6 +63,8 @@ __all__ = [
     "derive_judgment",
     "enumerate_paths",
     "enumerate_distribution",
+    "StepGraph",
+    "step_graph",
     "oracle_frequency",
 ]
 
@@ -620,6 +622,116 @@ def enumerate_paths(
                 (outcome.term, prob * outcome.prob, *branch, redex, outcome.parent)
             )
     return finished
+
+
+@dataclass(frozen=True, slots=True)
+class StepGraph:
+    """The reduction paths of a term under the deterministic strategy,
+    with one node per distinct term.
+
+    Node 0 is the term itself, and the nodes come in left-first
+    first-visit order.  texts[i] is node i's printed form, which is also
+    its key.  An edge (i, label, prob, j) is one positive-probability
+    outcome of node i's redex.  The edges are grouped by node, and each
+    node's edges are in the order of its outcomes.  leaves lists each
+    normal form that is reached, in node order, with its mass.
+    """
+
+    terms: tuple[Term, ...]
+    texts: tuple[str, ...]
+    edges: tuple[tuple[int, StepLabel, Fraction, int], ...]
+    leaves: tuple[tuple[int, Fraction], ...]
+
+
+def step_graph(
+    t: Term,
+    registry: OracleRegistry | None = None,
+    fuel: Fuel | int = DEFAULT_FUEL,
+) -> tuple[Distribution, StepGraph]:
+    """Exact output distribution of t, with its step graph as evidence.
+
+    t must be typed, as for enumerate_paths, and the graph folds the same
+    paths.  A term's future depends only on the term, because oracle
+    call sites and their contexts are part of it.  So each distinct
+    printed term is stepped once, and a path that reaches a term already
+    seen stops there.  Each edge explored spends one unit of fuel.  Masses
+    flow forward in one pass in topological order, and each leaf adds its
+    mass to its outcome.  A reduction that comes back to a term on its own
+    path would never end, so it spends all the fuel.
+    """
+    budget = fuel if isinstance(fuel, Fuel) else Fuel(fuel)
+    text = show(t)
+    terms, texts, index = [t], [text], {text: 0}
+    out: list[list[tuple[int, StepLabel, Fraction]]] = [[]]
+    closed = [False]
+    order: list[int] = []
+    leaves: list[int] = []
+    # frames of the nodes on the current path: the node, the redex it
+    # fires, its live outcomes, its pending positions and the next outcome
+    frames: list[list] = []
+    enter: tuple | None = (0, [(t, ())], None, None)
+    while True:
+        if enter is not None:
+            node, pending, fired, parent = enter
+            enter = None
+            current = terms[node]
+            redex = next_redex(current, pending, fired, parent)
+            if redex is None:
+                leaves.append(node)
+                closed[node] = True
+                order.append(node)
+            else:
+                live = [o for o in step(current, redex, registry) if o.prob > 0]
+                frames.append([node, redex, live, pending, 0])
+        if not frames:
+            break
+        frame = frames[-1]
+        node, redex, live, pending, i = frame
+        if i == len(live):
+            frames.pop()
+            closed[node] = True
+            order.append(node)
+            continue
+        frame[4] = i + 1
+        budget.spend()
+        outcome = live[i]
+        text = show(outcome.term)
+        child = index.get(text)
+        if child is None:
+            child = index[text] = len(terms)
+            terms.append(outcome.term)
+            texts.append(text)
+            out.append([])
+            closed.append(False)
+            # the last outcome takes the pending positions, the others a copy
+            if i + 1 < len(live):
+                pending = list(pending)
+            enter = (child, pending, redex, outcome.parent)
+        elif not closed[child]:
+            budget.spend(budget.left)
+            budget.spend()
+        out[node].append((child, (redex.path, outcome.label), outcome.prob))
+    # the reverse of the order in which nodes close is topological
+    mass = [Fraction(0)] * len(terms)
+    mass[0] = Fraction(1)
+    for node in reversed(order):
+        m = mass[node]
+        for child, _, prob in out[node]:
+            mass[child] += m * prob
+    dist = Distribution()
+    for leaf in leaves:
+        dist._add_keyed(term_key(terms[leaf]), terms[leaf], mass[leaf])
+    graph = StepGraph(
+        tuple(terms),
+        tuple(texts),
+        tuple(
+            (node, label, prob, child)
+            for node, edges in enumerate(out)
+            for child, label, prob in edges
+        ),
+        tuple((leaf, mass[leaf]) for leaf in leaves),
+    )
+    return dist, graph
 
 
 def enumerate_distribution(

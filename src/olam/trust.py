@@ -23,11 +23,9 @@ from .reducer import find_redexes
 from .syntax import (
     DEFAULT_FUEL,
     Fuel,
-    MergeTerm,
     Rational,
     StepLabel,
     Term,
-    TraceTerm,
     TypeCon,
     alpha_eq,
     pair_spine,
@@ -35,13 +33,15 @@ from .syntax import (
 from .traces import (
     Distribution,
     MapstoJudgment,
-    enumerate_distribution,
+    StepGraph,
     forced_oracle_form,
     oracle_frequency,
+    step_graph,
 )
 
 # unused here; bench/tracing.py traces evidence checks at trust.check_trace
-from .traces import check_trace  # noqa: F401
+# and enumerations at trust.enumerate_distribution
+from .traces import check_trace, enumerate_distribution  # noqa: F401
 
 __all__ = [
     "TrustSpec",
@@ -74,7 +74,9 @@ class TrustRow:
 
 @dataclass(frozen=True)
 class TrustReport:
-    """Full result of a trust check, including the evidence it rests on."""
+    """Full result of a trust check, including the evidence it rests on:
+    in enumerate mode the step graph, in frequency mode one judgment per
+    outcome."""
 
     verdict: str
     rows: tuple[TrustRow, ...]
@@ -85,6 +87,7 @@ class TrustReport:
     distribution: Distribution
     judgments: tuple[MapstoJudgment, ...]
     mode: str
+    graph: StepGraph | None
 
 
 def _validate_spec(spec: TrustSpec) -> list[str]:
@@ -124,6 +127,8 @@ def trust_check(
     registry: OracleRegistry | None = None,
     fuel: Fuel | int = DEFAULT_FUEL,
     freq_width: int | None = None,
+    *,
+    _program_type: TypeCon | None = None,
 ) -> TrustReport:
     """Derive t's distribution and compare it against the declared targets.
 
@@ -136,21 +141,28 @@ def trust_check(
     mass, which must stay below epsilon; report.extra names the unlisted
     ones.
 
+    The enumeration builds t's step graph (traces.step_graph), which
+    report.graph holds; a frequency table's judgments are in
+    report.judgments.
+
     Errors come in this order: the spec's own (range, duplicate, total),
     then the derivation's (it spends the fuel), then a listed outcome the
     derivation did not reach that is not a normal form of the program's
     type or of a reached outcome's type.  A reached outcome is one.  Only
     such an outcome makes trust_check type terms: the outcome, then the
-    program and the reached outcomes until one has its type.
+    program and the reached outcomes until one has its type.  The private
+    _program_type is the program's type where replay has it already.
     """
     keys = _validate_spec(spec)
     oracle = forced_oracle_form(t)
+    graph = None
     if freq_width is not None and oracle is not None:
         name, arg = oracle
         dist, judgments = oracle_frequency(env, name, arg, freq_width, registry)
         mode = "frequency"
     else:
-        dist, judgments = enumerate_distribution(env, t, registry, fuel)
+        dist, graph = step_graph(t, registry, fuel)
+        judgments = []
         mode = "enumerate"
     derived = dist.as_key_map()
     # the program's type, then each reached outcome's, typed on first need:
@@ -158,6 +170,9 @@ def trust_check(
     # it, which alpha-equality does not take
     types: list[TypeCon] = []
     untyped = chain((t,), (outcome for outcome, _ in dist.items()))
+    if _program_type is not None:
+        types.append(_program_type)
+        next(untyped)
 
     def known_type(outcome_type: TypeCon) -> bool:
         if any(alpha_eq(outcome_type, typ) for typ in types):
@@ -218,14 +233,15 @@ def trust_check(
         distribution=dist,
         judgments=tuple(judgments),
         mode=mode,
+        graph=graph,
     )
 
 
 # ---------------------------------------------------------- certificates
 
 
-# Printed terms keyed by identity: evidence shares its term objects along
-# common prefixes, and an entry holds its term, so its id stays unique
+# Printed terms keyed by identity: a frequency table's witnesses share
+# their term objects, and an entry holds its term, so its id stays unique
 # while the entry lives.
 _Shown = dict[int, tuple[Term, str]]
 
@@ -246,79 +262,79 @@ def _label_to_text(label: StepLabel) -> str:
     return " ".join((rule, *map(str, path)))
 
 
-def _witness_to_json(witness: Term, shown: _Shown) -> dict:
-    match witness:
-        case TraceTerm(steps, prob, labels):
-            out = {
-                "kind": "steps",
-                "terms": [_show(s, shown) for s in steps],
-                "probability": None if prob is None else str(prob),
-            }
-            if labels is not None:
-                out["labels"] = [_label_to_text(x) for x in labels]
-            return out
-        case MergeTerm(source, branches, target, prob, labels):
-            out = {
-                "kind": "merge",
-                "source": _show(source, shown),
-                "branches": [[_show(s, shown) for s in br] for br in branches],
-                "target": _show(target, shown),
-                "probability": None if prob is None else str(prob),
-            }
-            if labels is not None:
-                out["labels"] = [
-                    [_label_to_text(x) for x in br] for br in labels
-                ]
-            return out
-    raise TrustError(
-        "CertificateMismatch",
-        f"{type(witness).__name__} cannot appear in a certificate",
-    )
-
-
 def _certificate(t: Term, report: TrustReport) -> dict:
     """The certificate trust writes for the verdict report on program t,
     for build_certificate and rewritten by replay_certificate.  Each term
-    object is printed once."""
+    object is printed once; a step graph's node texts, the program's
+    among them, come printed.
+
+    A step graph (schema 2) is written as its node texts, each distinct
+    term once, and its edges as (from, label, probability, to) with the
+    nodes by index.  Each outcome's claim is (leaf, probability): it
+    names the outcome's leaf, the first leaf of its alpha class, and
+    gives the outcome's mass.  The claims come in the distribution's
+    order.  A frequency table (schema 1) is written as its distribution
+    and one witness per outcome."""
     shown: _Shown = {}
-    return {
-        "schema": 1,
+    graph = report.graph
+    if graph is not None:
+        shown[id(graph.terms[0])] = (graph.terms[0], graph.texts[0])
+    cert = {
+        "schema": 1 if graph is None else 2,
         "program": _show(t, shown),
         "mode": report.mode,
         "seedless": True,
         "epsilon": str(report.epsilon),
         "verdict": report.verdict,
         "totality": str(report.total),
-        "distribution": [
+    }
+    if graph is None:
+        cert["distribution"] = [
             [_show(rep, shown), str(prob)]
             for rep, prob in report.distribution.items()
-        ],
-        "witnesses": [
+        ]
+        cert["witnesses"] = [
             {
                 "source": _show(j.source, shown),
                 "target": _show(j.target, shown),
                 "probability": str(j.prob),
-                "witness": _witness_to_json(j.witness, shown),
+                # the table's trace: the tuple of calls, the rewritten tuple
+                "witness": {
+                    "kind": "steps",
+                    "terms": [_show(s, shown) for s in j.witness.steps],
+                    "probability": str(j.witness.prob),
+                },
             }
             for j in report.judgments
-        ],
-        "threshold_checks": [
-            {
-                "outcome": _show(row.outcome, shown),
-                "target": str(row.target),
-                "derived": str(row.derived),
-                "deviation": str(row.deviation),
-                "passed": row.passed,
-            }
-            for row in report.rows
-        ],
-    }
+        ]
+    else:
+        leaf_of = {id(graph.terms[leaf]): leaf for leaf, _ in graph.leaves}
+        cert["nodes"] = list(graph.texts)
+        cert["edges"] = [
+            [node, _label_to_text(label), str(prob), child]
+            for node, label, prob, child in graph.edges
+        ]
+        cert["claims"] = [
+            [leaf_of[id(rep)], str(prob)]
+            for rep, prob in report.distribution.items()
+        ]
+    cert["threshold_checks"] = [
+        {
+            "outcome": _show(row.outcome, shown),
+            "target": str(row.target),
+            "derived": str(row.derived),
+            "deviation": str(row.deviation),
+            "passed": row.passed,
+        }
+        for row in report.rows
+    ]
+    return cert
 
 
 def build_certificate(env: Environment, t: Term, report: TrustReport) -> dict:
     """Self-contained record of a trust verdict: the program, its derived
-    distribution, every outcome's claim with its evidence, and every
-    threshold comparison."""
+    distribution, its evidence (the step graph and each leaf's claim, or
+    the frequency table's witnesses), and every threshold comparison."""
     return _certificate(t, report)
 
 
@@ -329,7 +345,6 @@ def build_certificate(env: Environment, t: Term, report: TrustReport) -> dict:
 _READ = {
     "program": str,
     "epsilon": str,
-    "witnesses": list,
     "threshold_checks": [{"outcome": str, "target": str}],
 }
 
@@ -393,15 +408,19 @@ def replay_certificate(
     Only what replay reads is shape-checked before it is read: the
     program, the tolerance, the threshold rows and, in frequency mode,
     the first term of the first witness, the tuple of calls whose length
-    is the table's width (without it the program is enumerated).
+    is the table's width (without it the program is enumerated).  An
+    enumerate-mode certificate's step graph is only compared: the graph
+    trust_check builds is the text that must be there.
 
     The program is untrusted text, so replay types it, once, after
     parsing all it reads and before trust_check: a type error of the
-    program comes before the spec's errors.
+    program comes before the spec's errors, and trust_check takes the
+    type instead of typing the program again.
     """
     _require_shape(cert, _READ, "certificate")
     width = None
     if cert.get("mode") == "frequency":
+        _require_shape(cert.get("witnesses"), list, "certificate.witnesses")
         first = cert["witnesses"][:1]
         shape = [{"witness": {"terms": [str]}}]
         _require_shape(first, shape, "certificate.witnesses")
@@ -419,8 +438,10 @@ def replay_certificate(
         ),
         surface.parse_rational_text(cert["epsilon"]),
     )
-    infer_type(env, t, registry)
-    report = trust_check(env, t, spec, registry, fuel, width)
+    program_type = infer_type(env, t, registry)
+    report = trust_check(
+        env, t, spec, registry, fuel, width, _program_type=program_type
+    )
     for field, written in _certificate(t, report).items():
         bad = _difference(cert.get(field), written)
         if bad is None:

@@ -118,14 +118,14 @@ def test_trust_verdicts_and_certificate_integrity():
 
     mutations = [
         mutate(("verdict",), "untrusted"),
-        mutate(("schema",), 2),
+        mutate(("schema",), 1),
         mutate(("program",), "choose[1/2]{a}{b}!"),
         mutate(("epsilon",), "0"),
         mutate(("totality",), "1/2"),
         mutate(("mode",), "frequency"),
-        mutate(("distribution", 0, 1), "1/2"),
-        mutate(("witnesses", 0, "probability"), "1/2"),
-        mutate(("witnesses", 0, "target"), "b"),
+        mutate(("claims", 0, 1), "1/2"),
+        mutate(("edges", 0, 2), "1/2"),
+        mutate(("claims", 0, 0), 2),
         mutate(("threshold_checks", 0, "derived"), "1/2"),
         mutate(("threshold_checks", 0, "passed"), False),
     ]

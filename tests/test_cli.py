@@ -450,7 +450,8 @@ def test_trust_json_emits_certificate(project, capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload == json.loads((tmp_path / "prog.trust.json").read_text())
-    assert payload["distribution"] == [["a", "1/3"], ["b", "2/3"]]
+    assert payload["nodes"] == ["choose[1/3]{a}{b}!", "a", "b"]
+    assert payload["claims"] == [[1, "1/3"], [2, "2/3"]]
 
 
 def test_trust_bad_epsilon_is_usage_error(project, capsys, tmp_path):

@@ -502,6 +502,139 @@ def test_enumerate_distribution_normal_form_is_point_mass():
     assert j.witness == TraceTerm((Var("a"),), Fraction(1))
 
 
+def unfolded_walks(graph):
+    """Every walk of a step graph from node 0 to a node without edges, as
+    its probability, its labels and its node texts, in left-first order."""
+    edges = {}
+    for node, label, prob, child in graph.edges:
+        edges.setdefault(node, []).append((label, prob, child))
+    walks = []
+    stack = [(0, Fraction(1), (), (graph.texts[0],))]
+    while stack:
+        node, prob, labels, texts = stack.pop()
+        if node not in edges:
+            walks.append((prob, labels, texts))
+        for label, p, child in reversed(edges.get(node, [])):
+            stack.append(
+                (child, prob * p, labels + (label,), texts + (graph.texts[child],))
+            )
+    return walks
+
+
+def test_step_graph_folds_the_enumerated_paths():
+    """Unfolding the step graph gives enumerate_paths' paths, in their
+    order, and its distribution is enumerate_distribution's, with the
+    same printed outcomes.  The graph spends one unit of fuel per edge, no
+    more than the paths spend, so at a fuel that ends the paths early
+    the graph either ends with the same code or finishes with the whole
+    distribution."""
+    env, reg = signature()
+    codes = set()
+    for seed in range(1500):
+        t = gen_closed_term(seed)
+        budget = Fuel(DEFAULT_FUEL)
+        dist, graph = traces.step_graph(t, reg, budget)
+        assert DEFAULT_FUEL - budget.left == len(graph.edges), seed
+        paths = enumerate_paths(env, t, reg)
+        assert unfolded_walks(graph) == [
+            (
+                prob,
+                tuple((q.path, q.label) for q in quads),
+                (str(t), *(str(q.after) for q in quads)),
+            )
+            for prob, quads in paths
+        ], seed
+        expected, _ = enumerate_distribution(env, t, reg)
+        assert dist == expected, seed
+        assert list(map(str, dist.items())) == list(map(str, expected.items()))
+        assert sorted(graph.texts) == sorted(set(graph.texts))
+        fuel = 2 + seed % 30
+        got = result_or_code(traces.step_graph, t, reg, fuel)
+        want = result_or_code(enumerate_paths, env, t, reg, fuel)
+        codes.add((got[0], want[0]))
+        if got[0] == "error":
+            assert got == want, seed
+        else:
+            assert got[1][0] == dist, seed
+    assert codes == {("ok", "ok"), ("ok", "error"), ("error", "error")}
+
+
+def result_or_code(run, *args):
+    try:
+        return "ok", run(*args)
+    except OlamError as err:
+        return "error", err.code
+
+
+def collapse(n):
+    """n nested applications of a fair choice between two equal sides."""
+    t = Var("a")
+    for _ in range(n):
+        t = App(surface.parse_term("\\x:A. choose[1/2]{x}{x}!"), t)
+    return t
+
+
+@pytest.mark.parametrize("n", [8, 14, 20])
+def test_step_graph_of_collapse_grows_linearly(n, monkeypatch):
+    """collapse(n) has 2^n paths to one outcome, but 2n + 1 distinct
+    terms: the graph steps each non-leaf node once and prints the term
+    and each edge's target once."""
+    env, reg = signature()
+    calls = {"step": 0, "show": 0}
+    for name in calls:
+        original = getattr(traces, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(traces, name, counted)
+    dist, graph = traces.step_graph(collapse(n), reg)
+    assert dist.as_key_map() == {"a": 1}
+    assert len(graph.texts) == 2 * n + 1
+    assert len(graph.edges) == 3 * n
+    assert calls == {"step": 2 * n, "show": 3 * n + 1}
+    assert graph.leaves == ((2 * n, 1),)
+
+
+def test_step_graph_merges_paths_by_their_printed_terms():
+    """Both sides of a choice between equal terms lead to one node, whose
+    mass is the sum; alpha-variant normal forms are two leaves of one
+    outcome, and the outcome's term is the first of them."""
+    env, reg = signature()
+    t = surface.parse_term("choose[1/3]{\\x:A. x}{choose[1/2]{\\y:A. y}{\\x:A. x}!}!")
+    dist, graph = traces.step_graph(t, reg)
+    assert graph.texts == (
+        str(t), "\\x:A. x", "choose[1/2]{\\y:A. y}{\\x:A. x}!", "\\y:A. y"
+    )
+    assert graph.edges == (
+        (0, ((), "left"), Fraction(1, 3), 1),
+        (0, ((), "right"), Fraction(2, 3), 2),
+        (2, ((), "left"), HALF, 3),
+        (2, ((), "right"), HALF, 1),
+    )
+    assert graph.leaves == ((1, Fraction(2, 3)), (3, Fraction(1, 3)))
+    assert dist.as_key_map() == {"\\?0:A. ?0": 1}
+    assert [str(rep) for rep, _ in dist.items()] == ["\\x:A. x"]
+
+
+def test_a_cycle_spends_all_the_fuel():
+    """A term that steps back to itself (possible only untyped) has
+    paths that never end: the graph spends every unit of fuel and fails
+    as the paths do."""
+    env, reg = signature()
+    omega = surface.parse_term("(\\x:A. x x) (\\x:A. x x)")
+    for run, args in (
+        (traces.step_graph, (omega, reg)),
+        (enumerate_paths, (env, omega, reg)),
+    ):
+        budget = Fuel(50)
+        with pytest.raises(OlamError) as e:
+            run(*args, budget)
+        assert e.value.code == "FuelExhausted"
+        assert budget.left == 0
+
+
 def test_oracle_frequency_cyclic():
     env, reg = signature()
     dist, judgments = oracle_frequency(env, "c", None, 3, reg)

@@ -318,25 +318,30 @@ def trusted_coin_certificate():
 def test_certificate_shape_and_replay():
     env, reg, t, cert = trusted_coin_certificate()
     json.dumps(cert)
-    assert cert["schema"] == 1
+    assert cert["schema"] == 2
     assert cert["mode"] == "enumerate"
     assert cert["seedless"] is True
     assert cert["verdict"] == "trusted"
     assert cert["totality"] == "1"
-    assert cert["distribution"] == [["a", "1/3"], ["b", "2/3"]]
-    assert len(cert["witnesses"]) == 2
-    assert all(w["witness"]["kind"] == "steps" for w in cert["witnesses"])
+    assert cert["nodes"] == [COIN, "a", "b"]
+    assert cert["edges"] == [[0, "left", "1/3", 1], [0, "right", "2/3", 2]]
+    assert cert["claims"] == [[1, "1/3"], [2, "2/3"]]
+    assert "distribution" not in cert and "witnesses" not in cert
     replayed = replay_certificate(env, reg, cert)
     assert replayed.verdict == "trusted"
 
 
-def test_certificate_with_merge_witness_replays():
+def test_certificate_with_merging_paths_replays():
+    """Both sides of the choice lead to one node, and the outcome's claim
+    names it with the sum of their masses."""
     env, reg = signature()
     t = surface.parse_term("choose[1/2]{a}{a}!")
     spec = TrustSpec(((Var("a"), Fraction(1)),), Fraction(1, 100))
     report = trust_check(env, t, spec, reg)
     cert = build_certificate(env, t, report)
-    assert cert["witnesses"][0]["witness"]["kind"] == "merge"
+    assert cert["nodes"] == ["choose[1/2]{a}{a}!", "a"]
+    assert cert["edges"] == [[0, "left", "1/2", 1], [0, "right", "1/2", 1]]
+    assert cert["claims"] == [[1, "1"]]
     assert replay_certificate(env, reg, cert).verdict == "trusted"
 
 
@@ -385,22 +390,29 @@ def six_coins():
 
 
 def test_certificate_prints_each_term_object_once(monkeypatch):
-    """Writing a certificate prints every term object of the report once,
-    and keys them by identity: no node is hashed."""
-    env, _, t, report = six_coins()
-    assert len(report.judgments) == 64
-    terms = [t, *(rep for rep, _ in report.distribution.items())]
-    terms += [row.outcome for row in report.rows]
-    for j in report.judgments:
-        terms += [j.source, j.target, *j.witness.steps]
+    """The derivation prints each node of the six coins' step graph once,
+    and writing the certificate prints only each listed outcome; no node
+    is hashed."""
+    env, reg = signature()
+    t = syntax.make_tuple([surface.parse_term("choose[1/2]{a}{b}!")] * 6)
+    dist, _ = enumerate_distribution(env, t, registry=reg)
+    spec = TrustSpec(tuple(dist.items()), Fraction(1, 100))
     printed = []
-    show = trust.show
-    monkeypatch.setattr(
-        trust, "show", lambda term: printed.append(term) or show(term)
-    )
+    for module in (traces, trust):
+        show = module.show
+        monkeypatch.setattr(
+            module,
+            "show",
+            lambda term, show=show: printed.append(term) or show(term),
+        )
     hashed = count_node_hashes(monkeypatch)
+    report = trust_check(env, t, spec, reg)
+    assert len(report.graph.terms) == 127
+    assert sorted(map(id, printed)) == sorted(map(id, report.graph.terms))
+    printed.clear()
     build_certificate(env, t, report)
-    assert sorted(map(id, printed)) == sorted(set(map(id, terms)))
+    outcomes = [row.outcome for row in report.rows]
+    assert sorted(map(id, printed)) == sorted(map(id, outcomes))
     assert hashed == Counter()
 
 
@@ -495,7 +507,7 @@ def test_frequency_witnesses_must_share_one_width():
 
 def test_replay_rejects_schema_change():
     env, reg, _, cert = trusted_coin_certificate()
-    cert["schema"] = 2
+    cert["schema"] = 1
     with pytest.raises(TrustError) as e:
         replay_certificate(env, reg, cert)
     assert e.value.code == "CertificateMismatch"
@@ -510,8 +522,8 @@ def test_replay_rejects_seeded_certificate():
 
 
 def test_collapse_certificates_replay_within_bound():
-    """collapse(n) merges 2^n branches with identical term sequences; the
-    checker must not try every subset of them."""
+    """collapse(n) has 2^n paths with identical term sequences; its
+    certificate lists the 2n + 1 terms on them and 3n edges."""
     env, reg = signature()
     spec = TrustSpec(((Var("a"), Fraction(1)),), Fraction(1, 100))
     start = time.perf_counter()
@@ -523,7 +535,9 @@ def test_collapse_certificates_replay_within_bound():
         report = trust_check(env, t, spec, reg)
         assert report.verdict == "trusted"
         cert = build_certificate(env, t, report)
-        assert len(cert["witnesses"][0]["witness"]["branches"]) == 2**n
+        assert len(cert["nodes"]) == 2 * n + 1
+        assert len(cert["edges"]) == 3 * n
+        assert cert["claims"] == [[2 * n, "1"]]
         assert replay_certificate(env, reg, cert).verdict == "trusted"
     assert time.perf_counter() - start < 10
 
@@ -537,19 +551,45 @@ def collapse(n):
 
 
 def strip_labels(cert):
-    """A copy of cert in the paper's form: witnesses without step labels."""
+    """A copy of cert with the step labels taken out of its edges."""
     bare = copy.deepcopy(cert)
-    for w in bare["witnesses"]:
-        del w["witness"]["labels"]
+    for edge in bare["edges"]:
+        del edge[1]
     return bare
 
 
 def test_collapse_8_replays_within_two_seconds():
     env, reg, cert = exact_certificate(collapse(8))
-    assert len(cert["witnesses"][0]["witness"]["labels"]) == 2**8
+    assert [edge[1] for edge in cert["edges"][:3]] == ["beta", "left", "right"]
     start = time.perf_counter()
     assert replay_certificate(env, reg, cert).verdict == "trusted"
     assert time.perf_counter() - start < 2
+
+
+def test_collapse_20_is_written_and_replayed_within_a_second_each():
+    """2^20 paths, 41 distinct terms: writing and replaying cost the
+    graph, not the paths."""
+    env, reg = signature()
+    t = surface.parse_term(collapse(20))
+    spec = TrustSpec(((Var("a"), Fraction(1)),), Fraction(1, 100))
+    start = time.perf_counter()
+    report = trust_check(env, t, spec, reg)
+    text = json.dumps(build_certificate(env, t, report), indent=2)
+    written = time.perf_counter() - start
+    start = time.perf_counter()
+    assert replay_certificate(env, reg, json.loads(text)).verdict == "trusted"
+    replayed = time.perf_counter() - start
+    assert len(json.loads(text)["nodes"]) == 41
+    assert written < 1 and replayed < 1
+
+
+def test_coins_10_certificate_is_a_fifth_of_the_path_form():
+    """Each of the 2047 terms is listed once, not once per path through
+    it: the certificate trust writes is at most a fifth of the 2702767
+    bytes the certificate of one witness per path took."""
+    env, reg, cert = exact_certificate(str(coins(10)))
+    assert len(cert["nodes"]) == 2047 and len(cert["claims"]) == 1024
+    assert 5 * len((json.dumps(cert, indent=2) + "\n").encode()) <= 2702767
 
 
 def label_from_text(text):
@@ -570,33 +610,38 @@ def relabelled(witness, labels):
 
 def test_replay_checks_labels():
     """A certificate with labels other than trust writes does not replay,
-    and check_trace rejects the evidence with those labels by its code."""
+    and check_trace rejects the paper-form evidence with those labels by
+    its code."""
     env, reg, coin_cert = exact_certificate(COIN)
     _, _, merge_cert = exact_certificate(collapse(1))
     annotated = "(\\y:P ((\\z:A. z) a). b) (u ((\\z:A. z) a))"
     _, _, annotated_cert = exact_certificate(annotated)
-    assert coin_cert["witnesses"][0]["witness"]["labels"] == ["left"]
-    assert merge_cert["witnesses"][0]["witness"]["labels"] == [
-        ["beta", "left"],
-        ["beta", "right"],
-    ]
-    assert annotated_cert["witnesses"][0]["witness"]["labels"] == ["beta"]
-    for cert, labels, code in (
+    assert [edge[1] for edge in coin_cert["edges"]] == ["left", "right"]
+    assert [edge[1] for edge in merge_cert["edges"]] == ["beta", "left", "right"]
+    assert [edge[1] for edge in annotated_cert["edges"]] == ["beta"]
+    # each case relabels one edge, and the first path or merge through it
+    for cert, edge, label, labels, code in (
         # the flipped side leads elsewhere, or merges two branches on one
-        (coin_cert, ["right"], "RuleMismatch"),
-        (merge_cert, [["beta", "left"], ["beta", "left"]], "NDConditionViolated"),
+        (coin_cert, 0, "right", ["right"], "RuleMismatch"),
+        (
+            merge_cert, 2, "left",
+            [["beta", "left"], ["beta", "left"]], "NDConditionViolated",
+        ),
         # the choice sits below the force at the root, not at its path
-        (coin_cert, ["left 0"], "LabelMismatch"),
+        (coin_cert, 0, "left 0", ["left 0"], "LabelMismatch"),
         # a beta redex of the type annotation is no term redex
-        (annotated_cert, ["beta 0 0 1"], "LabelMismatch"),
+        (annotated_cert, 0, "beta 0 0 1", ["beta 0 0 1"], "LabelMismatch"),
     ):
-        claim = replay_certificate(env, reg, copy.deepcopy(cert)).judgments[0]
+        t = surface.parse_term(cert["program"])
+        claim = enumerate_distribution(env, t, registry=reg)[1][0]
         broken = copy.deepcopy(cert)
-        broken["witnesses"][0]["witness"]["labels"] = labels
+        broken["edges"][edge][1] = label
         with pytest.raises(TrustError) as e:
             replay_certificate(env, reg, broken)
-        assert e.value.code == "CertificateMismatch"
-        assert e.value.message.startswith("witness 0 ")
+        assert str(e.value) == (
+            "[CertificateMismatch] certificate field 'edges' differs from "
+            f"the recomputed one at [{edge}][1]"
+        )
         with pytest.raises(TraceError) as e:
             check_trace(env, relabelled(claim.witness, labels), claim, reg)
         assert e.value.code == code
@@ -614,16 +659,17 @@ def test_replay_checks_labels():
 
 def test_unlabelled_evidence_is_checked_through_the_search(monkeypatch):
     """Evidence in the paper's form, without labels, is checked by
-    check_trace's search; a certificate carrying it is not the text trust
-    writes, so it does not replay."""
+    check_trace's search; a certificate whose edges carry no labels is
+    not the text trust writes, so it does not replay."""
     labels = record_readings(monkeypatch)
     for src in (COIN, f"<{COIN}, {COIN}>", collapse(3)):
         env, reg, cert = exact_certificate(src)
         with pytest.raises(TrustError) as e:
             replay_certificate(env, reg, strip_labels(cert))
         assert e.value.code == "CertificateMismatch"
-        report = replay_certificate(env, reg, cert)
-        for j in report.judgments:
+        assert replay_certificate(env, reg, cert).verdict == "trusted"
+        t = surface.parse_term(src)
+        for j in enumerate_distribution(env, t, registry=reg)[1]:
             bare = dataclasses.replace(j.witness, labels=None)
             assert check_trace(env, bare, j, reg)
     assert labels and all(label is None for label in labels)
@@ -644,6 +690,7 @@ def test_unlabelled_merge_search_spends_fuel():
 def test_malformed_certificates_fail_with_a_code():
     env, reg, cert = exact_certificate(f"<{COIN}, {COIN}>")
     _, _, merge_cert = exact_certificate(collapse(1))
+    _, _, table_cert = frequency_certificate()
 
     def drop(key):
         return lambda c: c.pop(key)
@@ -659,41 +706,60 @@ def test_malformed_certificates_fail_with_a_code():
     def witness(i, key, value):
         return put(value, "witnesses", i, "witness", key)
 
+    def label(text):
+        return put(text, "edges", 2, 1)
+
     mutations = [
-        drop("witnesses"),
+        drop("nodes"),
+        drop("edges"),
+        drop("claims"),
         drop("program"),
+        lambda c: c["claims"][0].pop(),
+        put(5, "nodes"),
+        put(["a", 5], "nodes"),
+        put("tree", "edges", 0),
+        put(1, "edges", 0, 2),
+        put([["a", "1/9", "x"]], "claims"),
+        put("yes", "threshold_checks", 0, "passed"),
+        put(True, "schema"),
+        # an edge's length, and its step label: unknown rule, non-integer
+        # paths, wrong spacing, not text
+        put([0, "left 0", "1/2"], "edges", 0),
+        put([0, "left 0", "left 1", "1/2", 1], "edges", 0),
+        label("sideways 1"),
+        label("left x"),
+        label("left 1.5"),
+        label("left -1"),
+        label("left  1"),
+        label(["left", 1]),
+        # a compare-only field is missing, or true written as 1
+        drop("verdict"),
+        put(1, "threshold_checks", 0, "passed"),
+    ]
+    merge_mutations = [
+        lambda c: c["edges"].pop(),
+        put([[0, "beta", "1", 1]], "edges"),
+        put([0, ["beta"], "1", 1], "edges", 0),
+        put([["a"], 5], "nodes"),
+    ]
+    # the frequency table's witnesses
+    table_mutations = [
+        drop("witnesses"),
         lambda c: c["witnesses"][0].pop("source"),
         witness(0, "terms", 5),
         witness(0, "terms", ["a", 5]),
         witness(0, "kind", "tree"),
         witness(0, "probability", 1),
         put([["a", "1/9", "x"]], "distribution"),
-        put("yes", "threshold_checks", 0, "passed"),
-        put(True, "schema"),
-        # step labels: wrong length, unknown rule, non-integer paths
-        witness(0, "labels", ["left"]),
-        witness(0, "labels", ["left", "left 1", "left"]),
-        witness(0, "labels", ["left 0", "sideways 1"]),
-        witness(0, "labels", ["left 0", "left x"]),
-        witness(0, "labels", ["left 0", "left 1.5"]),
-        witness(0, "labels", ["left 0", "left -1"]),
-        witness(0, "labels", ["left 0", "left  1"]),
-        witness(0, "labels", "left 0"),
-        # a compare-only field is missing, or true written as 1
-        drop("verdict"),
-        put(1, "threshold_checks", 0, "passed"),
+        witness(0, "labels", ["oracle 0"]),
     ]
-    merge_mutations = [
-        witness(0, "labels", [["beta", "left"]]),
-        witness(0, "labels", [["beta", "left"], ["beta"]]),
-        witness(0, "labels", ["beta", "left"]),
-        witness(0, "branches", [["a"], 5]),
-    ]
-    replay_certificate(env, reg, copy.deepcopy(cert))
-    replay_certificate(env, reg, copy.deepcopy(merge_cert))
-    for original, mutate in [(cert, m) for m in mutations] + [
-        (merge_cert, m) for m in merge_mutations
-    ]:
+    for original in (cert, merge_cert, table_cert):
+        replay_certificate(env, reg, copy.deepcopy(original))
+    for original, mutate in (
+        [(cert, m) for m in mutations]
+        + [(merge_cert, m) for m in merge_mutations]
+        + [(table_cert, m) for m in table_mutations]
+    ):
         broken = copy.deepcopy(original)
         mutate(broken)
         with pytest.raises(TrustError) as e:
@@ -708,44 +774,53 @@ def test_malformed_certificates_fail_with_a_code():
 DIFFERS = "certificate field 'witnesses' differs from the recomputed one"
 
 
+def differs(field):
+    return f"certificate field {field!r} differs from the recomputed one"
+
+
 def test_replay_error_names_the_witness():
-    """A witness that differs is named by its index and the outcome trust
-    derives for it, with the place of its first differing value."""
-    env, reg, _, cert = trusted_coin_certificate()
-    cert["witnesses"][1]["witness"]["terms"][-1] = "a"
-    with pytest.raises(TrustError) as e:
-        replay_certificate(env, reg, cert)
-    assert str(e.value) == (
-        f"[CertificateMismatch] witness 1 (outcome b): {DIFFERS} "
-        "at .witness.terms[1]"
-    )
+    """A frequency witness that differs is named by its index and the
+    outcome trust derives for it, with the place of its first differing
+    value; a step graph's field names the place in it."""
+    env, reg, cert = frequency_certificate()
+    assert cert["witnesses"][1]["witness"]["terms"][1] == "<a, <a, b>>"
+    rewritten = copy.deepcopy(cert)
+    rewritten["witnesses"][1]["witness"]["terms"][-1] = "<a, <a, a>>"
+    # the outcome named is the one trust derives, not the one claimed
+    retargeted = copy.deepcopy(cert)
+    retargeted["witnesses"][1]["target"] = "a"
+    for broken, place in (
+        (rewritten, ".witness.terms[1]"),
+        (retargeted, ".target"),
+    ):
+        with pytest.raises(TrustError) as e:
+            replay_certificate(env, reg, broken)
+        assert str(e.value) == (
+            f"[CertificateMismatch] witness 1 (outcome b): {DIFFERS} at {place}"
+        )
     _, _, pair_cert = exact_certificate(f"<{COIN}, {COIN}>")
     _, _, merge_cert = exact_certificate(collapse(1))
-    assert pair_cert["witnesses"][0]["witness"]["terms"][1] == f"<a, {COIN}>"
+    assert pair_cert["nodes"][1] == f"<a, {COIN}>"
     for cert, mutate, message in (
-        # the outcome named is the one trust derives, not the one claimed
-        (pair_cert, retarget_first_witness, "witness 0 (outcome <a, a>): "
-         f"{DIFFERS} at .target"),
-        (merge_cert, swap_second_branch, "witness 0 (outcome a): "
-         f"{DIFFERS} at .witness.branches[1][0]"),
-        (strip_labels(merge_cert), lambda w: None, "witness 0 (outcome a): "
-         f"{DIFFERS} at .witness.labels"),
+        (pair_cert, retarget_first_claim, f"{differs('claims')} at [0][0]"),
+        (merge_cert, swap_second_side, f"{differs('edges')} at [2][3]"),
+        (strip_labels(merge_cert), lambda c: None, f"{differs('edges')} at [0][1]"),
     ):
         broken = copy.deepcopy(cert)
-        mutate(broken["witnesses"][0])
+        mutate(broken)
         with pytest.raises(TrustError) as e:
             replay_certificate(env, reg, broken)
         assert str(e.value) == f"[CertificateMismatch] {message}"
 
 
-def retarget_first_witness(w):
-    """Make the last step of a two-step witness lead to <b, b>."""
-    w["target"] = w["witness"]["terms"][-1] = "<b, b>"
+def retarget_first_claim(cert):
+    """Make the first outcome's claim name the leaf <b, b>."""
+    cert["claims"][0][0] = cert["nodes"].index("<b, b>")
 
 
-def swap_second_branch(w):
-    """Replace the one middle term of a merge's second branch."""
-    w["witness"]["branches"][1] = ["choose[1/2]{b}{a}!"]
+def swap_second_side(cert):
+    """Lead the right side of the choice back to the choice."""
+    cert["edges"][2][3] = 1
 
 
 def test_replay_rejects_flipped_verdict():
@@ -765,18 +840,28 @@ def test_replay_rejects_swapped_program():
 
 
 def test_replay_rejects_tampered_distribution():
+    """The claims are the step graph's distribution; a frequency table
+    writes its own."""
     env, reg, _, cert = trusted_coin_certificate()
-    cert["distribution"][0][1] = "1/2"
-    with pytest.raises(TrustError) as e:
-        replay_certificate(env, reg, cert)
-    assert e.value.code == "CertificateMismatch"
+    cert["claims"][0][1] = "1/2"
+    _, _, table_cert = frequency_certificate()
+    table_cert["distribution"][0][1] = "1/2"
+    for broken in (cert, table_cert):
+        with pytest.raises(TrustError) as e:
+            replay_certificate(env, reg, broken)
+        assert e.value.code == "CertificateMismatch"
 
 
 def test_replay_rejects_tampered_witness_probability():
     env, reg, _, cert = trusted_coin_certificate()
-    cert["witnesses"][0]["probability"] = "1/2"
+    cert["edges"][0][2] = "1/2"
     with pytest.raises(TrustError) as e:
         replay_certificate(env, reg, cert)
+    assert str(e.value) == f"[CertificateMismatch] {differs('edges')} at [0][2]"
+    _, _, table_cert = frequency_certificate()
+    table_cert["witnesses"][0]["probability"] = "1/2"
+    with pytest.raises(TrustError) as e:
+        replay_certificate(env, reg, table_cert)
     assert str(e.value) == (
         f"[CertificateMismatch] witness 0 (outcome a): {DIFFERS} at .probability"
     )
@@ -785,38 +870,48 @@ def test_replay_rejects_tampered_witness_probability():
 def test_replay_rejects_tampered_witness_steps():
     env, reg, _, coin_cert = trusted_coin_certificate()
     _, _, pair_cert = exact_certificate(f"<{COIN}, {COIN}>")
-    # the first two witnesses of the pair share their middle term
-    first, second = (w["witness"]["terms"] for w in pair_cert["witnesses"][:2])
-    assert first[1] == second[1] == f"<a, {COIN}>"
-    for cert, witness, position, text, message in (
-        (coin_cert, 0, 1, "q", "witness 0 (outcome a)"),
-        # a term shared with an untampered witness is still compared
-        (pair_cert, 1, 1, f"<b, {COIN}>", "witness 1 (outcome <a, b>)"),
+    # node 1 of the pair lies on the paths to <a, a> and to <a, b>
+    assert pair_cert["nodes"][1] == f"<a, {COIN}>"
+    for cert, position, text in (
+        (coin_cert, 1, "q"),
+        (pair_cert, 1, f"<b, {COIN}>"),
     ):
         replay_certificate(env, reg, copy.deepcopy(cert))
-        cert["witnesses"][witness]["witness"]["terms"][position] = text
+        cert["nodes"][position] = text
         with pytest.raises(TrustError) as e:
             replay_certificate(env, reg, cert)
         assert str(e.value) == (
-            f"[CertificateMismatch] {message}: {DIFFERS} "
-            f"at .witness.terms[{position}]"
+            f"[CertificateMismatch] {differs('nodes')} at [{position}]"
         )
+    # the table's two witnesses share their terms; the second's is still
+    # compared
+    env, reg, table_cert = frequency_certificate()
+    first, second = (w["witness"]["terms"] for w in table_cert["witnesses"])
+    assert first == second
+    second[1] = "<b, <a, b>>"
+    with pytest.raises(TrustError) as e:
+        replay_certificate(env, reg, table_cert)
+    assert str(e.value) == (
+        f"[CertificateMismatch] witness 1 (outcome b): {DIFFERS} "
+        "at .witness.terms[1]"
+    )
 
 
 def test_replay_derives_once_and_reads_no_witness(monkeypatch):
-    """Replaying the eight traces of a three-coin tuple parses the program
-    and each threshold outcome, derives the distribution once, and neither
-    parses a witness nor reads a step."""
+    """Replaying the eight outcomes of a three-coin tuple parses the
+    program and each threshold outcome, builds the step graph once, and
+    neither parses a node nor reads a step."""
     env, reg, cert = exact_certificate(f"<{COIN}, <{COIN}, {COIN}>>")
-    assert len(cert["witnesses"]) == 8
+    assert len(cert["claims"]) == 8
     calls = Counter()
     count_calls(monkeypatch, calls, surface, "parse_term")
     count_calls(monkeypatch, calls, traces, "_readings")
+    count_calls(monkeypatch, calls, trust, "step_graph")
     count_calls(monkeypatch, calls, trust, "enumerate_distribution")
     assert replay_certificate(env, reg, cert).verdict == "trusted"
     assert calls == {
         "parse_term": 1 + len(cert["threshold_checks"]),
-        "enumerate_distribution": 1,
+        "step_graph": 1,
     }
 
 
@@ -825,6 +920,18 @@ def test_replay_types_the_parsed_program_once(typings):
     typings.clear()
     assert replay_certificate(env, reg, cert).verdict == "trusted"
     assert typings == [("olam.trust", cert["program"])]
+
+
+def test_replay_types_the_program_once_beside_an_unreached_row(typings):
+    """A listed outcome the derivation did not reach is typed and its
+    type compared with the program's, which replay has typed already."""
+    env, reg = signature()
+    t = surface.parse_term("choose[1/3]{a}{a}!")
+    spec = TrustSpec(((Var("a"), Fraction(1)), (Var("b"), Fraction(0))), Fraction(1, 100))
+    cert = build_certificate(env, t, trust_check(env, t, spec, reg))
+    typings.clear()
+    assert replay_certificate(env, reg, cert).verdict == "trusted"
+    assert typings == [("olam.trust", cert["program"]), ("olam.trust", "b")]
 
 
 OMEGA = "(\\x:A. x x x) (\\x:A. x x x)"
@@ -898,20 +1005,20 @@ def test_replay_rejects_mode_swap():
 
 def test_replay_requires_the_text_trust_writes():
     """Every field must equal what trust writes: rows in another order, an
-    equal fraction, an equivalent program text or evidence without its
+    equal fraction, an equivalent program text or edges without their
     labels is a different certificate, and the error names the field."""
     env, reg, _, cert = trusted_coin_certificate()
     swapped = copy.deepcopy(cert)
-    swapped["distribution"].reverse()
+    swapped["claims"].reverse()
     unreduced_mass = copy.deepcopy(cert)
-    unreduced_mass["distribution"][0][1] = "2/6"
+    unreduced_mass["claims"][0][1] = "2/6"
     unreduced_derived = copy.deepcopy(cert)
     unreduced_derived["threshold_checks"][0]["derived"] = "2/6"
     bracketed = copy.deepcopy(cert)
     bracketed["program"] = "choose[1/3]{(a)}{b}!"
     for broken, field in (
-        (swapped, "distribution"),
-        (unreduced_mass, "distribution"),
+        (swapped, "claims"),
+        (unreduced_mass, "claims"),
         (unreduced_derived, "threshold_checks"),
         (bracketed, "program"),
     ):
@@ -923,25 +1030,33 @@ def test_replay_requires_the_text_trust_writes():
     with pytest.raises(TrustError) as e:
         replay_certificate(env, reg, strip_labels(cert))
     assert e.value.code == "CertificateMismatch"
-    assert repr("witnesses") in e.value.message
+    assert repr("edges") in e.value.message
 
 
 def test_replay_requires_the_witness_claims_trust_writes():
-    """Each witness's claim must be the text trust writes, in its order:
-    witnesses reordered or repeated, or a target in brackets, is a
-    different certificate even when every witness checks."""
+    """Each claim and each frequency witness must be the text trust
+    writes, in its order: claims or witnesses reordered or repeated, or
+    a term in brackets, is a different certificate even when every step
+    it lists is one."""
     env, reg, _, cert = trusted_coin_certificate()
-    reordered = copy.deepcopy(cert)
-    reordered["witnesses"].reverse()
-    repeated = copy.deepcopy(cert)
-    repeated["witnesses"].append(copy.deepcopy(cert["witnesses"][0]))
-    bracketed = copy.deepcopy(cert)
-    bracketed["witnesses"][0]["target"] = "(a)"
-    for broken in (reordered, repeated, bracketed):
+    _, _, table_cert = frequency_certificate()
+    cases = []
+    for original, field in ((cert, "claims"), (table_cert, "witnesses")):
+        reordered = copy.deepcopy(original)
+        reordered[field].reverse()
+        repeated = copy.deepcopy(original)
+        repeated[field].append(copy.deepcopy(original[field][0]))
+        cases += [(reordered, field), (repeated, field)]
+    bracketed_node = copy.deepcopy(cert)
+    bracketed_node["nodes"][1] = "(a)"
+    bracketed_target = copy.deepcopy(table_cert)
+    bracketed_target["witnesses"][0]["target"] = "(a)"
+    cases += [(bracketed_node, "nodes"), (bracketed_target, "witnesses")]
+    for broken, field in cases:
         with pytest.raises(TrustError) as e:
             replay_certificate(env, reg, broken)
         assert e.value.code == "CertificateMismatch"
-        assert repr("witnesses") in e.value.message
+        assert repr(field) in e.value.message
     # the key order of an object is no part of the comparison
     resorted = json.loads(json.dumps(cert, sort_keys=True))
     assert list(resorted) != list(cert)
@@ -1015,6 +1130,7 @@ def single_leaf_tampers(cert):
 # differs from the one trust writes
 COMPARED = {
     "witnesses", "distribution", "schema", "seedless", "verdict", "totality", "mode",
+    "nodes", "edges", "claims",
 }
 
 
@@ -1035,7 +1151,58 @@ def test_every_single_leaf_tamper_is_rejected():
                 replay_certificate(env, reg, broken)
             if field in COMPARED:
                 assert e.value.code == "CertificateMismatch", (field, broken)
-    assert tampers == 496
+    assert tampers == 459
+
+
+def test_graph_tampers_are_rejected():
+    """A step graph that is not the one trust derives does not replay,
+    whatever the change to its nodes or edges."""
+    env, reg, cert = exact_certificate("choose[1/2]{a}{choose[1/3]{a}{b}!}!")
+    assert cert["nodes"][1:] == ["a", "choose[1/3]{a}{b}!", "b"]
+    assert cert["edges"] == [
+        [0, "left", "1/2", 1],
+        [0, "right", "1/2", 2],
+        [2, "left", "1/3", 1],
+        [2, "right", "2/3", 3],
+    ]
+    assert cert["claims"] == [[1, "2/3"], [3, "1/3"]]
+
+    def dropped_edge(c):
+        c["edges"].pop(2)
+
+    def extra_edge(c):
+        c["edges"].append([2, "left", "1/3", 1])
+
+    def wrong_probability(c):
+        c["edges"][3][2] = "1/3"
+
+    def wrong_node(c):
+        c["edges"][2][3] = 3
+
+    def cycle(c):
+        c["edges"][3][3] = 0
+
+    def out_of_a_normal_form(c):
+        c["edges"].append([1, "beta", "1", 3])
+
+    def swapped_nodes(c):
+        c["nodes"][1], c["nodes"][3] = c["nodes"][3], c["nodes"][1]
+
+    for mutate, field in (
+        (dropped_edge, "edges"),
+        (extra_edge, "edges"),
+        (wrong_probability, "edges"),
+        (wrong_node, "edges"),
+        (cycle, "edges"),
+        (out_of_a_normal_form, "edges"),
+        (swapped_nodes, "nodes"),
+    ):
+        broken = copy.deepcopy(cert)
+        mutate(broken)
+        with pytest.raises(TrustError) as e:
+            replay_certificate(env, reg, broken)
+        assert e.value.code == "CertificateMismatch", mutate.__name__
+        assert repr(field) in e.value.message
 
 
 def certificate_sha256(cert):
@@ -1043,11 +1210,11 @@ def certificate_sha256(cert):
 
 
 def test_certificate_bytes_are_pinned():
-    """The text trust writes for a merge and for a frequency table."""
+    """The text trust writes for a step graph and for a frequency table."""
     _, _, merge_cert = exact_certificate(collapse(1))
     _, _, table_cert = frequency_certificate()
     assert certificate_sha256(merge_cert) == (
-        "5476f114b53479e13697408f44c7a503965818adad82270cf57b0e4706bbc884"
+        "8de0996e89f97e131acda8f61a72031841a406aad8ee962a117f9fccd62f17d2"
     )
     assert certificate_sha256(table_cert) == (
         "0f134ba27dfc1ba701781277f59102e3f79c6ba9c0057d0c23fac402f6fd2093"
