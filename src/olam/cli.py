@@ -311,9 +311,10 @@ def _cmd_trust(args: argparse.Namespace) -> int:
         checked.env, checked.main_term, report
     )
     cert_path = Path(args.program).with_suffix(".trust.json")
-    cert_path.write_text(json.dumps(certificate, indent=2) + "\n")
+    cert_text = json.dumps(certificate, indent=2) + "\n"
+    cert_path.write_text(cert_text)
     if args.format == "json":
-        _emit_json(certificate)
+        print(cert_text, end="")
     else:
         print(f"verdict: {report.verdict}")
         print(f"epsilon: {report.epsilon}")

@@ -161,15 +161,8 @@ def redex_at(t: Term, path: tuple[int, ...]) -> TermRedex | None:
     redex.  For beta, proj and choice that is being one of find_redexes(t);
     an oracle redex must also be its oracle's first occurrence, which the
     path does not show."""
-    node = t
-    for i in path:
-        if isinstance(node, (TraceTerm, MergeTerm)):
-            return None
-        kids = children(node)
-        if not 0 <= i < len(kids) or not isinstance(kids[i], Term):
-            return None
-        node = kids[i]
-    return _recognise(node, path)
+    walked = _walk(t, path)
+    return None if walked is None else _recognise(walked[1], path)
 
 
 def step(
@@ -184,17 +177,9 @@ def step(
     no term and at an index out of range: such a path fires nothing."""
     if redex.kind == "oracle":
         return [_oracle_step(t, redex, registry)]
-    above: _Spine = []
-    node: Node = t
-    for i in redex.path:
-        if isinstance(node, (TraceTerm, MergeTerm)):
-            break
-        kids = children(node)
-        if not 0 <= i < len(kids) or not isinstance(kids[i], Term):
-            break
-        above.append((node, kids, i))
-        node = kids[i]
-    else:
+    walked = _walk(t, redex.path)
+    if walked is not None:
+        above, node = walked
         match node:
             case App(Lam(x, _, body), arg) if redex.kind == "beta":
                 new = substitute(body, x, arg)
@@ -216,6 +201,24 @@ def step(
 # The nodes above a position, root first, each with its children and the
 # index of the child the path goes on to.
 _Spine = list[tuple[Node, tuple[Node, ...], int]]
+
+
+def _walk(t: Term, path: tuple[int, ...]) -> tuple[_Spine, Node] | None:
+    """The spine above path's end and the node there, or None unless every
+    node on the path is a searched term position: the walk stops at an
+    evidence term, at a child that is no term and at an index out of
+    range."""
+    above: _Spine = []
+    node: Node = t
+    for i in path:
+        if isinstance(node, (TraceTerm, MergeTerm)):
+            return None
+        kids = children(node)
+        if not 0 <= i < len(kids) or not isinstance(kids[i], Term):
+            return None
+        above.append((node, kids, i))
+        node = kids[i]
+    return above, node
 
 
 def _plug(above: _Spine, new: Node, prob: Rational, label: str) -> StepOutcome:

@@ -240,20 +240,6 @@ def trust_check(
 # ---------------------------------------------------------- certificates
 
 
-# Printed terms keyed by identity: a frequency table's witnesses share
-# their term objects, and an entry holds its term, so its id stays unique
-# while the entry lives.
-_Shown = dict[int, tuple[Term, str]]
-
-
-def _show(term: Term, shown: _Shown) -> str:
-    """The text of term, printed on the first visit of the object to shown."""
-    entry = shown.get(id(term))
-    if entry is None:
-        entry = shown[id(term)] = (term, show(term))
-    return entry[1]
-
-
 def _label_to_text(label: StepLabel) -> str:
     """A step label as its rule followed by the redex path, all separated
     by single spaces: "left 1 0" is the left side of the choice at path
@@ -265,23 +251,20 @@ def _label_to_text(label: StepLabel) -> str:
 def _certificate(t: Term, report: TrustReport) -> dict:
     """The certificate trust writes for the verdict report on program t,
     for build_certificate and rewritten by replay_certificate.  Each term
-    object is printed once; a step graph's node texts, the program's
+    it lists is printed once; a step graph's node texts, the program's
     among them, come printed.
 
-    A step graph (schema 2) is written as its node texts, each distinct
-    term once, and its edges as (from, label, probability, to) with the
-    nodes by index.  Each outcome's claim is (leaf, probability): it
-    names the outcome's leaf, the first leaf of its alpha class, and
-    gives the outcome's mass.  The claims come in the distribution's
-    order.  A frequency table (schema 1) is written as its distribution
-    and one witness per outcome."""
-    shown: _Shown = {}
+    A step graph is written as its node texts, each distinct term once,
+    and its edges as (from, label, probability, to) with the nodes by
+    index.  Each outcome's claim is (leaf, probability): it names the
+    outcome's leaf, the first leaf of its alpha class, and gives the
+    outcome's mass.  The claims come in the distribution's order.  A
+    frequency table is written as its distribution and its one trace,
+    the table: the tuple of calls and the rewritten tuple."""
     graph = report.graph
-    if graph is not None:
-        shown[id(graph.terms[0])] = (graph.terms[0], graph.texts[0])
     cert = {
-        "schema": 1 if graph is None else 2,
-        "program": _show(t, shown),
+        "schema": 2,
+        "program": show(t) if graph is None else graph.texts[0],
         "mode": report.mode,
         "seedless": True,
         "epsilon": str(report.epsilon),
@@ -290,23 +273,10 @@ def _certificate(t: Term, report: TrustReport) -> dict:
     }
     if graph is None:
         cert["distribution"] = [
-            [_show(rep, shown), str(prob)]
-            for rep, prob in report.distribution.items()
+            [show(rep), str(prob)] for rep, prob in report.distribution.items()
         ]
-        cert["witnesses"] = [
-            {
-                "source": _show(j.source, shown),
-                "target": _show(j.target, shown),
-                "probability": str(j.prob),
-                # the table's trace: the tuple of calls, the rewritten tuple
-                "witness": {
-                    "kind": "steps",
-                    "terms": [_show(s, shown) for s in j.witness.steps],
-                    "probability": str(j.witness.prob),
-                },
-            }
-            for j in report.judgments
-        ]
+        # every judgment of the table shares its one trace
+        cert["table"] = [show(s) for s in report.judgments[0].witness.steps]
     else:
         leaf_of = {id(graph.terms[leaf]): leaf for leaf, _ in graph.leaves}
         cert["nodes"] = list(graph.texts)
@@ -320,7 +290,7 @@ def _certificate(t: Term, report: TrustReport) -> dict:
         ]
     cert["threshold_checks"] = [
         {
-            "outcome": _show(row.outcome, shown),
+            "outcome": show(row.outcome),
             "target": str(row.target),
             "derived": str(row.derived),
             "deviation": str(row.deviation),
@@ -334,7 +304,7 @@ def _certificate(t: Term, report: TrustReport) -> dict:
 def build_certificate(env: Environment, t: Term, report: TrustReport) -> dict:
     """Self-contained record of a trust verdict: the program, its derived
     distribution, its evidence (the step graph and each leaf's claim, or
-    the frequency table's witnesses), and every threshold comparison."""
+    the frequency table's one trace), and every threshold comparison."""
     return _certificate(t, report)
 
 
@@ -402,13 +372,13 @@ def replay_certificate(
     is the text of a fresh derivation by the reduction rules needs no
     second check step by step.  Fields are compared as JSON values, so 1
     is not true and list order counts, but the key order of an object
-    does not.  A difference raises, naming the field, and for a witness
-    its index, its outcome and the place of the first differing value.
+    does not.  A difference raises, naming the field and the place of its
+    first differing value.
 
     Only what replay reads is shape-checked before it is read: the
     program, the tolerance, the threshold rows and, in frequency mode,
-    the first term of the first witness, the tuple of calls whose length
-    is the table's width (without it the program is enumerated).  An
+    the table, whose first term, the tuple of calls, has the table's
+    width as its length (without it the program is enumerated).  An
     enumerate-mode certificate's step graph is only compared: the graph
     trust_check builds is the text that must be there.
 
@@ -420,13 +390,9 @@ def replay_certificate(
     _require_shape(cert, _READ, "certificate")
     width = None
     if cert.get("mode") == "frequency":
-        _require_shape(cert.get("witnesses"), list, "certificate.witnesses")
-        first = cert["witnesses"][:1]
-        shape = [{"witness": {"terms": [str]}}]
-        _require_shape(first, shape, "certificate.witnesses")
-        calls = [text for w in first for text in w["witness"]["terms"][:1]]
-        if calls:
-            width = len(pair_spine(surface.parse_term(calls[0])))
+        _require_shape(cert.get("table"), [str], "certificate.table")
+        if cert["table"]:
+            width = len(pair_spine(surface.parse_term(cert["table"][0])))
     t = surface.parse_term(cert["program"])
     spec = TrustSpec(
         tuple(
@@ -444,19 +410,11 @@ def replay_certificate(
     )
     for field, written in _certificate(t, report).items():
         bad = _difference(cert.get(field), written)
-        if bad is None:
-            continue
-        witness = ""
-        if field == "witnesses":
-            index, *bad = bad
-            witness = f"witness {index} (not derived): "
-            if index < len(written):
-                outcome = written[index]["target"]
-                witness = f"witness {index} (outcome {outcome}): "
-        at = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in bad)
-        raise TrustError(
-            "CertificateMismatch",
-            f"{witness}certificate field {field!r} differs from the "
-            "recomputed one" + (f" at {at}" if at else ""),
-        )
+        if bad is not None:
+            at = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in bad)
+            raise TrustError(
+                "CertificateMismatch",
+                f"certificate field {field!r} differs from the recomputed one"
+                + (f" at {at}" if at else ""),
+            )
     return report

@@ -354,7 +354,7 @@ def test_trust_trusted_writes_certificate(project, capsys, tmp_path):
 
 CERTIFICATE_TEXT = """\
 {
-  "schema": 1,
+  "schema": 2,
   "program": "#c!",
   "mode": "frequency",
   "seedless": true,
@@ -371,33 +371,9 @@ CERTIFICATE_TEXT = """\
       "1/3"
     ]
   ],
-  "witnesses": [
-    {
-      "source": "#c!",
-      "target": "a",
-      "probability": "2/3",
-      "witness": {
-        "kind": "steps",
-        "terms": [
-          "<#c!, <#c!, #c!>>",
-          "<a, <a, b>>"
-        ],
-        "probability": "1"
-      }
-    },
-    {
-      "source": "#c!",
-      "target": "b",
-      "probability": "1/3",
-      "witness": {
-        "kind": "steps",
-        "terms": [
-          "<#c!, <#c!, #c!>>",
-          "<a, <a, b>>"
-        ],
-        "probability": "1"
-      }
-    }
+  "table": [
+    "<#c!, <#c!, #c!>>",
+    "<a, <a, b>>"
   ],
   "threshold_checks": [
     {
@@ -448,8 +424,9 @@ def test_trust_json_emits_certificate(project, capsys, tmp_path):
         capsys,
     )
     assert code == 0
+    # the text written is the text printed
+    assert out.encode() == (tmp_path / "prog.trust.json").read_bytes()
     payload = json.loads(out)
-    assert payload == json.loads((tmp_path / "prog.trust.json").read_text())
     assert payload["nodes"] == ["choose[1/3]{a}{b}!", "a", "b"]
     assert payload["claims"] == [[1, "1/3"], [2, "2/3"]]
 

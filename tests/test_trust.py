@@ -326,7 +326,7 @@ def test_certificate_shape_and_replay():
     assert cert["nodes"] == [COIN, "a", "b"]
     assert cert["edges"] == [[0, "left", "1/3", 1], [0, "right", "2/3", 2]]
     assert cert["claims"] == [[1, "1/3"], [2, "2/3"]]
-    assert "distribution" not in cert and "witnesses" not in cert
+    assert "distribution" not in cert and "table" not in cert
     replayed = replay_certificate(env, reg, cert)
     assert replayed.verdict == "trusted"
 
@@ -392,7 +392,8 @@ def six_coins():
 def test_certificate_prints_each_term_object_once(monkeypatch):
     """The derivation prints each node of the six coins' step graph once,
     and writing the certificate prints only each listed outcome; no node
-    is hashed."""
+    is hashed.  A frequency table's certificate prints the program, the
+    table's two terms, each outcome and each listed outcome once each."""
     env, reg = signature()
     t = syntax.make_tuple([surface.parse_term("choose[1/2]{a}{b}!")] * 6)
     dist, _ = enumerate_distribution(env, t, registry=reg)
@@ -414,6 +415,20 @@ def test_certificate_prints_each_term_object_once(monkeypatch):
     outcomes = [row.outcome for row in report.rows]
     assert sorted(map(id, printed)) == sorted(map(id, outcomes))
     assert hashed == Counter()
+    t = surface.parse_term("#c!")
+    spec = spec_ab(Fraction(2, 3), Fraction(1, 3), Fraction(1, 100))
+    report = trust_check(env, t, spec, reg, freq_width=3)
+    printed.clear()
+    build_certificate(env, t, report)
+    table = report.judgments[0].witness.steps
+    assert len(table) == 2 and len(report.rows) == 2
+    written = [
+        t,
+        *table,
+        *(rep for rep, _ in report.distribution.items()),
+        *(row.outcome for row in report.rows),
+    ]
+    assert sorted(map(id, printed)) == sorted(map(id, written))
 
 
 def test_certificate_replay_hashes_no_node(monkeypatch):
@@ -440,7 +455,8 @@ def test_frequency_certificate_replays(monkeypatch):
     report = trust_check(env, t, spec, reg, freq_width=3)
     cert = build_certificate(env, t, report)
     assert cert["mode"] == "frequency"
-    assert len(cert["witnesses"]) == 2
+    assert cert["table"] == ["<#c!, <#c!, #c!>>", "<a, <a, b>>"]
+    assert "witnesses" not in cert
     calls = Counter()
     count_calls(monkeypatch, calls, OracleRegistry, "rewrite")
     replayed = replay_certificate(env, reg, cert)
@@ -482,9 +498,11 @@ def test_frequency_certificate_step_is_read_as_one_oracle_step(monkeypatch):
     assert labels == []
 
 
-def test_frequency_witnesses_must_share_one_width():
-    """A width-6 table's witness for b claims what the width-3 one does (2
-    of 6 is 1/3), but a certificate reads one table, not one per witness."""
+def test_frequency_table_of_another_width_is_rejected():
+    """A width-6 table gives each outcome the mass the width-3 one does (2
+    of 6 is 1/3), but the table is the one of the width its tuple of
+    calls has: a table whose two terms have different widths is
+    rejected."""
     env, reg = signature()
     t = surface.parse_term("#c!")
     spec = spec_ab(Fraction(2, 3), Fraction(1, 3), Fraction(1, 100))
@@ -492,15 +510,16 @@ def test_frequency_witnesses_must_share_one_width():
         build_certificate(env, t, trust_check(env, t, spec, reg, freq_width=n))
         for n in (3, 6)
     )
-    assert [w["target"] for w in narrow["witnesses"]] == ["a", "b"]
-    assert narrow["witnesses"][1]["probability"] == "1/3"
-    mixed = copy.deepcopy(narrow)
-    mixed["witnesses"][1] = copy.deepcopy(wide["witnesses"][1])
-    assert mixed["witnesses"][1]["probability"] == "1/3"
-    with pytest.raises(TrustError) as e:
-        replay_certificate(env, reg, mixed)
-    assert e.value.code == "CertificateMismatch"
-    assert "witness 1" in e.value.message
+    assert narrow["distribution"] == wide["distribution"]
+    assert narrow["table"][1] == "<a, <a, b>>"
+    for i in (0, 1):
+        mixed = copy.deepcopy(narrow)
+        mixed["table"][i] = wide["table"][i]
+        with pytest.raises(TrustError) as e:
+            replay_certificate(env, reg, mixed)
+        assert str(e.value) == (
+            f"[CertificateMismatch] {differs('table')} at [1]"
+        )
     for cert in (narrow, wide):
         assert replay_certificate(env, reg, cert).verdict == "trusted"
 
@@ -703,9 +722,6 @@ def test_malformed_certificates_fail_with_a_code():
 
         return mutate
 
-    def witness(i, key, value):
-        return put(value, "witnesses", i, "witness", key)
-
     def label(text):
         return put(text, "edges", 2, 1)
 
@@ -742,16 +758,18 @@ def test_malformed_certificates_fail_with_a_code():
         put([0, ["beta"], "1", 1], "edges", 0),
         put([["a"], 5], "nodes"),
     ]
-    # the frequency table's witnesses
+    # the frequency table
     table_mutations = [
-        drop("witnesses"),
-        lambda c: c["witnesses"][0].pop("source"),
-        witness(0, "terms", 5),
-        witness(0, "terms", ["a", 5]),
-        witness(0, "kind", "tree"),
-        witness(0, "probability", 1),
+        drop("table"),
+        put(5, "table"),
+        put([5, "<a, <a, b>>"], "table"),
+        put(["<#c!, <#c!, #c!>>", 5], "table"),
+        put([], "table"),
+        lambda c: c["table"].append("<a, <a, b>>"),
+        put({"kind": "steps", "terms": ["<#c!, <#c!, #c!>>"]}, "table"),
         put([["a", "1/9", "x"]], "distribution"),
-        witness(0, "labels", ["oracle 0"]),
+        # the per-outcome witnesses of the earlier layout, for the table
+        lambda c: c.update(witnesses=[{"witness": {"terms": c.pop("table")}}]),
     ]
     for original in (cert, merge_cert, table_cert):
         replay_certificate(env, reg, copy.deepcopy(original))
@@ -771,33 +789,27 @@ def test_malformed_certificates_fail_with_a_code():
         assert e.value.code == "CertificateMismatch"
 
 
-DIFFERS = "certificate field 'witnesses' differs from the recomputed one"
-
-
 def differs(field):
     return f"certificate field {field!r} differs from the recomputed one"
 
 
 def test_replay_error_names_the_witness():
-    """A frequency witness that differs is named by its index and the
-    outcome trust derives for it, with the place of its first differing
-    value; a step graph's field names the place in it."""
+    """A field that differs is named with the place of its first
+    differing value: in a frequency certificate, the table's term or the
+    distribution's entry; in a step graph, the place in it."""
     env, reg, cert = frequency_certificate()
-    assert cert["witnesses"][1]["witness"]["terms"][1] == "<a, <a, b>>"
+    assert cert["table"][1] == "<a, <a, b>>"
     rewritten = copy.deepcopy(cert)
-    rewritten["witnesses"][1]["witness"]["terms"][-1] = "<a, <a, a>>"
-    # the outcome named is the one trust derives, not the one claimed
+    rewritten["table"][1] = "<a, <a, a>>"
     retargeted = copy.deepcopy(cert)
-    retargeted["witnesses"][1]["target"] = "a"
-    for broken, place in (
-        (rewritten, ".witness.terms[1]"),
-        (retargeted, ".target"),
+    retargeted["distribution"][1][0] = "a"
+    for broken, message in (
+        (rewritten, f"{differs('table')} at [1]"),
+        (retargeted, f"{differs('distribution')} at [1][0]"),
     ):
         with pytest.raises(TrustError) as e:
             replay_certificate(env, reg, broken)
-        assert str(e.value) == (
-            f"[CertificateMismatch] witness 1 (outcome b): {DIFFERS} at {place}"
-        )
+        assert str(e.value) == f"[CertificateMismatch] {message}"
     _, _, pair_cert = exact_certificate(f"<{COIN}, {COIN}>")
     _, _, merge_cert = exact_certificate(collapse(1))
     assert pair_cert["nodes"][1] == f"<a, {COIN}>"
@@ -858,12 +870,13 @@ def test_replay_rejects_tampered_witness_probability():
     with pytest.raises(TrustError) as e:
         replay_certificate(env, reg, cert)
     assert str(e.value) == f"[CertificateMismatch] {differs('edges')} at [0][2]"
+    # a frequency table's outcome probabilities are its distribution
     _, _, table_cert = frequency_certificate()
-    table_cert["witnesses"][0]["probability"] = "1/2"
+    table_cert["distribution"][0][1] = "1/2"
     with pytest.raises(TrustError) as e:
         replay_certificate(env, reg, table_cert)
     assert str(e.value) == (
-        f"[CertificateMismatch] witness 0 (outcome a): {DIFFERS} at .probability"
+        f"[CertificateMismatch] {differs('distribution')} at [0][1]"
     )
 
 
@@ -883,18 +896,12 @@ def test_replay_rejects_tampered_witness_steps():
         assert str(e.value) == (
             f"[CertificateMismatch] {differs('nodes')} at [{position}]"
         )
-    # the table's two witnesses share their terms; the second's is still
-    # compared
+    # the table's rewritten tuple is compared like a node
     env, reg, table_cert = frequency_certificate()
-    first, second = (w["witness"]["terms"] for w in table_cert["witnesses"])
-    assert first == second
-    second[1] = "<b, <a, b>>"
+    table_cert["table"][1] = "<b, <a, b>>"
     with pytest.raises(TrustError) as e:
         replay_certificate(env, reg, table_cert)
-    assert str(e.value) == (
-        f"[CertificateMismatch] witness 1 (outcome b): {DIFFERS} "
-        "at .witness.terms[1]"
-    )
+    assert str(e.value) == f"[CertificateMismatch] {differs('table')} at [1]"
 
 
 def test_replay_derives_once_and_reads_no_witness(monkeypatch):
@@ -1034,14 +1041,14 @@ def test_replay_requires_the_text_trust_writes():
 
 
 def test_replay_requires_the_witness_claims_trust_writes():
-    """Each claim and each frequency witness must be the text trust
-    writes, in its order: claims or witnesses reordered or repeated, or
-    a term in brackets, is a different certificate even when every step
-    it lists is one."""
+    """Each claim and each term of a frequency table must be the text
+    trust writes, in its order: claims or table terms reordered or
+    repeated, or a term in brackets, is a different certificate even when
+    every step it lists is one."""
     env, reg, _, cert = trusted_coin_certificate()
     _, _, table_cert = frequency_certificate()
     cases = []
-    for original, field in ((cert, "claims"), (table_cert, "witnesses")):
+    for original, field in ((cert, "claims"), (table_cert, "table")):
         reordered = copy.deepcopy(original)
         reordered[field].reverse()
         repeated = copy.deepcopy(original)
@@ -1049,9 +1056,11 @@ def test_replay_requires_the_witness_claims_trust_writes():
         cases += [(reordered, field), (repeated, field)]
     bracketed_node = copy.deepcopy(cert)
     bracketed_node["nodes"][1] = "(a)"
-    bracketed_target = copy.deepcopy(table_cert)
-    bracketed_target["witnesses"][0]["target"] = "(a)"
-    cases += [(bracketed_node, "nodes"), (bracketed_target, "witnesses")]
+    cases.append((bracketed_node, "nodes"))
+    for i in (0, 1):
+        bracketed_term = copy.deepcopy(table_cert)
+        bracketed_term["table"][i] = f"({table_cert['table'][i]})"
+        cases.append((bracketed_term, "table"))
     for broken, field in cases:
         with pytest.raises(TrustError) as e:
             replay_certificate(env, reg, broken)
@@ -1129,7 +1138,7 @@ def single_leaf_tampers(cert):
 # top-level fields whose every tamper must read as a certificate that
 # differs from the one trust writes
 COMPARED = {
-    "witnesses", "distribution", "schema", "seedless", "verdict", "totality", "mode",
+    "table", "distribution", "schema", "seedless", "verdict", "totality", "mode",
     "nodes", "edges", "claims",
 }
 
@@ -1151,7 +1160,7 @@ def test_every_single_leaf_tamper_is_rejected():
                 replay_certificate(env, reg, broken)
             if field in COMPARED:
                 assert e.value.code == "CertificateMismatch", (field, broken)
-    assert tampers == 459
+    assert tampers == 415
 
 
 def test_graph_tampers_are_rejected():
@@ -1217,5 +1226,5 @@ def test_certificate_bytes_are_pinned():
         "8de0996e89f97e131acda8f61a72031841a406aad8ee962a117f9fccd62f17d2"
     )
     assert certificate_sha256(table_cert) == (
-        "0f134ba27dfc1ba701781277f59102e3f79c6ba9c0057d0c23fac402f6fd2093"
+        "321c65533844a62f6af4809b7aaf7cb2e9dddb0dbfc7cffb994f23870b60642f"
     )
