@@ -32,7 +32,6 @@ from .oracles import OracleDef, OracleRegistry, OracleRule
 from .printer import show, term_key
 from .reducer import (
     SampleResult,
-    StepOutcome,
     TermRedex,
     deterministic_strategy,
     find_redexes,

@@ -41,7 +41,7 @@ from .syntax import (
 
 __all__ = [
     "TermRedex",
-    "StepOutcome",
+    "TraceQuadruple",
     "RULE_KIND",
     "SampleResult",
     "find_redexes",
@@ -77,17 +77,21 @@ RULE_KIND = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class StepOutcome:
-    """One result of firing a redex, with its probability and rule label.
+@dataclass(slots=True)
+class TraceQuadruple:
+    """One reduction step: the terms before and after it, its probability,
+    its rule label, and the path of the redex it fired (None where nobody
+    recorded it).
 
-    parent is the node of term just above the fired position, which the
+    parent is the node of after just above the fired position, which the
     step rebuilt; None for a step at the root and for an oracle step.
-    Equality ignores it."""
+    Equality ignores it.  Not frozen: a walk builds one on every edge."""
 
-    term: Term
+    before: Term
+    after: Term
     prob: Rational
     label: str
+    path: tuple[int, ...] | None = None
     parent: Term | None = field(default=None, compare=False, repr=False)
 
 
@@ -97,7 +101,7 @@ class SampleResult:
 
     term: Term
     prob: Rational
-    trace: tuple[StepOutcome, ...]
+    trace: tuple[TraceQuadruple, ...]
 
 
 # Positions still to search, as (node, path) pairs; the next is on top.
@@ -167,11 +171,12 @@ def redex_at(t: Term, path: tuple[int, ...]) -> TermRedex | None:
 
 def step(
     t: Term, redex: TermRedex, registry: OracleRegistry | None = None
-) -> list[StepOutcome]:
-    """All outcomes of firing the redex.  Deterministic rules give one
-    outcome with probability 1; a choice gives exactly two.
+) -> list[TraceQuadruple]:
+    """The steps of positive probability that firing the redex takes.
+    Deterministic rules give one step with probability 1; a choice gives
+    its left and its right side, or one side alone at probability 1 or 0.
 
-    The path is walked once, down to the redex; each outcome rebuilds the
+    The path is walked once, down to the redex; each step rebuilds the
     nodes above it from the bottom up, out of the children that walk
     read.  Like redex_at, it stops at an evidence term, at a child that is
     no term and at an index out of range: such a path fires nothing."""
@@ -183,15 +188,17 @@ def step(
         match node:
             case App(Lam(x, _, body), arg) if redex.kind == "beta":
                 new = substitute(body, x, arg)
-                return [_plug(above, new, Fraction(1), "beta")]
+                return [_plug(t, redex, above, new, Fraction(1), "beta")]
             case Proj(Pair(left, right), index) if redex.kind == "proj":
                 new = left if index == 0 else right
-                return [_plug(above, new, Fraction(1), "proj")]
+                return [_plug(t, redex, above, new, Fraction(1), "proj")]
             case Force(Choice(left, prob, right)) if redex.kind == "choice":
-                return [
-                    _plug(above, left, prob, "left"),
-                    _plug(above, right, 1 - prob, "right"),
-                ]
+                steps = []
+                if prob:
+                    steps.append(_plug(t, redex, above, left, prob, "left"))
+                if rest := 1 - prob:
+                    steps.append(_plug(t, redex, above, right, rest, "right"))
+                return steps
     raise ReductionError(
         "InvalidRedexPath",
         f"no {redex.kind} redex at position {list(redex.path)}",
@@ -221,8 +228,15 @@ def _walk(t: Term, path: tuple[int, ...]) -> tuple[_Spine, Node] | None:
     return above, node
 
 
-def _plug(above: _Spine, new: Node, prob: Rational, label: str) -> StepOutcome:
-    """The outcome whose term has new at the position below above."""
+def _plug(
+    t: Term,
+    redex: TermRedex,
+    above: _Spine,
+    new: Node,
+    prob: Rational,
+    label: str,
+) -> TraceQuadruple:
+    """The step from t to the term with new at the position below above."""
     parent = None
     for node, kids, i in reversed(above):
         rebuilt = list(kids)
@@ -230,12 +244,14 @@ def _plug(above: _Spine, new: Node, prob: Rational, label: str) -> StepOutcome:
         new = rebuild(node, tuple(rebuilt))
         if parent is None:
             parent = new
-    return StepOutcome(new, prob, label, parent)  # type: ignore[arg-type]
+    return TraceQuadruple(
+        t, new, prob, label, redex.path, parent  # type: ignore[arg-type]
+    )
 
 
 def _oracle_step(
     t: Term, redex: TermRedex, registry: OracleRegistry | None
-) -> StepOutcome:
+) -> TraceQuadruple:
     if registry is None:
         raise ReductionError(
             "MissingRegistry",
@@ -248,7 +264,7 @@ def _oracle_step(
             "InvalidRedexPath",
             f"no redex of oracle {redex.oracle} at position {list(redex.path)}",
         )
-    return StepOutcome(result, Fraction(1), "oracle")
+    return TraceQuadruple(t, result, Fraction(1), "oracle", redex.path)
 
 
 def deterministic_strategy(t: Term) -> TermRedex | None:
@@ -258,16 +274,12 @@ def deterministic_strategy(t: Term) -> TermRedex | None:
 
 
 def next_redex(
-    t: Term,
-    pending: Pending,
-    fired: TermRedex | None = None,
-    parent: Term | None = None,
+    pending: Pending, last: TraceQuadruple | None = None
 ) -> TermRedex | None:
-    """The redex the deterministic strategy fires next in t, resuming the
-    search that found fired; pending, updated in place, holds the
-    positions after it (start a run with [(t, ())] and fired None).
-    parent is the node of t above fired's position, the parent of the
-    outcome that step handed back.
+    """The redex the deterministic strategy fires next, resuming the search
+    that found the redex of the last step; pending, updated in place,
+    holds the positions after it (start a run of t with [(t, ())] and no
+    last step).
 
     Firing a beta, proj or choice redex at p leaves every position before p
     redex-free and unchanged, and every pending position valid.  Being a
@@ -277,24 +289,21 @@ def next_redex(
     oracle step rewrites every occurrence, so the search starts again at
     the root.
     """
-    if fired is not None:
-        path = fired.path
-        if fired.kind == "oracle":
-            pending.clear()
-            pending.append((t, ()))
+    if last is not None:
+        path = last.path
+        if last.label == "oracle":
+            pending[:] = [(last.after, ())]
+        elif path:
+            up = path[:-1]
+            redex = _recognise(last.parent, up)  # type: ignore[arg-type]
+            if redex is not None:
+                depth = len(up)
+                while pending and pending[-1][1][:depth] == up:
+                    pending.pop()
+                return redex
+            pending.append((children(last.parent)[path[-1]], path))
         else:
-            node = t
-            if path:
-                assert parent is not None
-                up = path[:-1]
-                redex = _recognise(parent, up)
-                if redex is not None:
-                    depth = len(up)
-                    while pending and pending[-1][1][:depth] == up:
-                        pending.pop()
-                    return redex
-                node = children(parent)[path[-1]]
-            pending.append((node, path))
+            pending.append((last.after, ()))
     return next(_search(pending), None)
 
 
@@ -313,22 +322,21 @@ def run_sample(
     budget = fuel if isinstance(fuel, Fuel) else Fuel(fuel)
     rng = random.Random(seed)
     prob = Fraction(1)
-    steps: list[StepOutcome] = []
+    steps: list[TraceQuadruple] = []
     current = t
     pending: Pending = [(t, ())]
-    redex = next_redex(t, pending)
+    redex = next_redex(pending)
     while redex is not None:
         budget.spend()
         outcomes = step(current, redex, registry)
+        chosen = outcomes[0]
         if redex.kind == "choice":
-            draw = Fraction(rng.getrandbits(64), 2**64)
-            chosen = outcomes[0] if draw < outcomes[0].prob else outcomes[1]
-        else:
-            chosen = outcomes[0]
+            if Fraction(rng.getrandbits(64), 2**64) >= chosen.prob:
+                chosen = outcomes[1]
         prob *= chosen.prob
         steps.append(chosen)
-        current = chosen.term
-        redex = next_redex(current, pending, redex, chosen.parent)
+        current = chosen.after
+        redex = next_redex(pending, chosen)
     return SampleResult(current, prob, tuple(steps))
 
 

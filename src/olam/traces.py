@@ -23,7 +23,7 @@ from .printer import show, term_key
 from .reducer import (
     RULE_KIND,
     Pending,
-    TermRedex,
+    TraceQuadruple,
     find_redexes,
     next_redex,
     redex_at,
@@ -70,18 +70,6 @@ __all__ = [
 
 
 @dataclass(frozen=True, slots=True)
-class TraceQuadruple:
-    """One rechecked reduction step: terms, probability, rule label, and
-    the path of the redex it fired (None where nobody recorded it)."""
-
-    before: Term
-    after: Term
-    prob: Rational
-    label: str
-    path: tuple[int, ...] | None = None
-
-
-@dataclass(frozen=True, slots=True)
 class MapstoJudgment:
     """source evaluates to target with this probability, per the witness."""
 
@@ -116,7 +104,7 @@ class Distribution:
         return [self._entries[key] for key in sorted(self._entries)]
 
     def total(self) -> Fraction:
-        return sum((p for _, p in self.items()), Fraction(0))
+        return sum((p for _, p in self._entries.values()), Fraction(0))
 
     def as_key_map(self) -> dict[str, Fraction]:
         return {key: prob for key, (_, prob) in self._entries.items()}
@@ -211,10 +199,9 @@ def _readings(
         for outcome in step(u, redex, registry):
             reading = (Fraction(outcome.prob), (redex.path, outcome.label))
             if (
-                outcome.prob != 0
-                and label in (None, reading[1])
+                label in (None, reading[1])
                 and reading not in found
-                and alpha_eq(outcome.term, v)
+                and alpha_eq(outcome.after, v)
             ):
                 found.append(reading)
     if found:
@@ -580,47 +567,34 @@ def enumerate_paths(
 
     t must be typed under env, as check_program's main_term is: the paths
     of an ill-typed term need not end, and this function does not type
-    it.  Branches at each choice, drops zero-probability sides, and spends
-    fuel per explored edge.  Paths come back in left-first order, each
-    with its probability and its fully labeled steps.
+    it.  Branches at each choice and spends fuel per explored edge.  Paths
+    come back in left-first order, each with its probability and the
+    steps step took along it.
     """
     budget = fuel if isinstance(fuel, Fuel) else Fuel(fuel)
     finished: list[tuple[Fraction, tuple[TraceQuadruple, ...]]] = []
     # each path keeps its steps so far and resumes its own redex search
-    # from the last redex it fired, the node step rebuilt above it and the
-    # positions after it; a step extends the steps and the positions in
-    # place, and the two sides of a choice each take a copy
-    stack: list[
-        tuple[
-            Term,
-            Fraction,
-            list[TraceQuadruple],
-            Pending,
-            TermRedex | None,
-            Term | None,
-        ]
-    ] = [(t, Fraction(1), [], [(t, ())], None, None)]
+    # from its last step and the positions after it; the first of a
+    # step's outcomes extends the steps and the positions in place, and
+    # the others each take a copy before it does
+    stack: list[tuple[Fraction, list[TraceQuadruple], Pending]]
+    stack = [(Fraction(1), [], [(t, ())])]
     while stack:
-        current, prob, quads, pending, fired, parent = stack.pop()
-        redex = next_redex(current, pending, fired, parent)
+        prob, steps, pending = stack.pop()
+        last = steps[-1] if steps else None
+        redex = next_redex(pending, last)
         if redex is None:
-            finished.append((prob, tuple(quads)))
+            finished.append((prob, tuple(steps)))
             continue
-        outcomes = step(current, redex, registry)
-        live = [o for o in outcomes if o.prob > 0]
-        for outcome in reversed(live):
+        outcomes = step(t if last is None else last.after, redex, registry)
+        for outcome in reversed(outcomes):
             budget.spend()
-            quad = TraceQuadruple(
-                current, outcome.term, outcome.prob, outcome.label, redex.path
-            )
-            if len(live) > 1:
-                branch = ([*quads, quad], list(pending))
+            if outcome is outcomes[0]:
+                steps.append(outcome)
+                branch = steps, pending
             else:
-                quads.append(quad)
-                branch = (quads, pending)
-            stack.append(
-                (outcome.term, prob * outcome.prob, *branch, redex, outcome.parent)
-            )
+                branch = [*steps, outcome], list(pending)
+            stack.append((prob * outcome.prob, *branch))
     return finished
 
 
@@ -666,51 +640,50 @@ def step_graph(
     closed = [False]
     order: list[int] = []
     leaves: list[int] = []
-    # frames of the nodes on the current path: the node, the redex it
-    # fires, its live outcomes, its pending positions and the next outcome
+    # frames of the nodes on the current path: the node, its outcomes, its
+    # pending positions and the next outcome
     frames: list[list] = []
-    enter: tuple | None = (0, [(t, ())], None, None)
+    enter: tuple | None = (0, [(t, ())], None)
     while True:
         if enter is not None:
-            node, pending, fired, parent = enter
+            node, pending, last = enter
             enter = None
-            current = terms[node]
-            redex = next_redex(current, pending, fired, parent)
+            redex = next_redex(pending, last)
             if redex is None:
                 leaves.append(node)
                 closed[node] = True
                 order.append(node)
             else:
-                live = [o for o in step(current, redex, registry) if o.prob > 0]
-                frames.append([node, redex, live, pending, 0])
+                outcomes = step(terms[node], redex, registry)
+                frames.append([node, outcomes, pending, 0])
         if not frames:
             break
         frame = frames[-1]
-        node, redex, live, pending, i = frame
-        if i == len(live):
+        node, outcomes, pending, i = frame
+        if i == len(outcomes):
             frames.pop()
             closed[node] = True
             order.append(node)
             continue
-        frame[4] = i + 1
+        frame[3] = i + 1
         budget.spend()
-        outcome = live[i]
-        text = show(outcome.term)
+        outcome = outcomes[i]
+        text = show(outcome.after)
         child = index.get(text)
         if child is None:
             child = index[text] = len(terms)
-            terms.append(outcome.term)
+            terms.append(outcome.after)
             texts.append(text)
             out.append([])
             closed.append(False)
             # the last outcome takes the pending positions, the others a copy
-            if i + 1 < len(live):
+            if i + 1 < len(outcomes):
                 pending = list(pending)
-            enter = (child, pending, redex, outcome.parent)
+            enter = (child, pending, outcome)
         elif not closed[child]:
             budget.spend(budget.left)
             budget.spend()
-        out[node].append((child, (redex.path, outcome.label), outcome.prob))
+        out[node].append((child, (outcome.path, outcome.label), outcome.prob))
     # the reverse of the order in which nodes close is topological
     mass = [Fraction(0)] * len(terms)
     mass[0] = Fraction(1)

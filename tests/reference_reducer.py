@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from olam.reducer import SampleResult, StepOutcome, TermRedex, step
+from olam.reducer import SampleResult, TermRedex, TraceQuadruple, step
 from olam.syntax import (
     DEFAULT_FUEL,
     App,
@@ -27,7 +27,6 @@ from olam.syntax import (
     TraceTerm,
     children,
 )
-from olam.traces import TraceQuadruple
 
 
 def first_redex(t: Term) -> TermRedex | None:
@@ -60,7 +59,7 @@ def run_sample(
     budget = Fuel(fuel)
     rng = random.Random(seed)
     prob = Fraction(1)
-    steps: list[StepOutcome] = []
+    steps: list[TraceQuadruple] = []
     current = t
     while (redex := first_redex(current)) is not None:
         budget.spend()
@@ -72,7 +71,7 @@ def run_sample(
             chosen = outcomes[0]
         prob *= chosen.prob
         steps.append(chosen)
-        current = chosen.term
+        current = chosen.after
     return SampleResult(current, prob, tuple(steps))
 
 
@@ -93,6 +92,6 @@ def enumerate_paths(
         live = [o for o in step(current, redex, registry) if o.prob > 0]
         for o in reversed(live):
             budget.spend()
-            quad = TraceQuadruple(current, o.term, o.prob, o.label, redex.path)
-            stack.append((o.term, prob * o.prob, quads + (quad,)))
+            quad = TraceQuadruple(current, o.after, o.prob, o.label, redex.path)
+            stack.append((o.after, prob * o.prob, quads + (quad,)))
     return finished

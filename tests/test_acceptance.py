@@ -159,7 +159,7 @@ def test_one_step_reducts_keep_type_skeleton():
         skeleton = connective_skeleton(infer_type(env, t, reg))
         for redex in find_redexes(t):
             for outcome in step(t, redex, reg):
-                after = connective_skeleton(infer_type(env, outcome.term, reg))
+                after = connective_skeleton(infer_type(env, outcome.after, reg))
                 if after != skeleton:
                     failures += 1
     elapsed = time.perf_counter() - start

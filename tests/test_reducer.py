@@ -97,7 +97,7 @@ def test_find_redexes_two_oracles_two_redexes():
 def test_step_beta():
     t = surface.parse_term("(\\x:A. g x) a")
     (out,) = step(t, find_redexes(t)[0])
-    assert out.term == surface.parse_term("g a")
+    assert out.after == surface.parse_term("g a")
     assert out.prob == 1
     assert out.label == "beta"
 
@@ -105,14 +105,14 @@ def test_step_beta():
 def test_step_proj():
     t = surface.parse_term("<a, b>.1")
     (out,) = step(t, find_redexes(t)[0])
-    assert out.term == Var("b")
+    assert out.after == Var("b")
     assert out.label == "proj"
 
 
 def test_step_choice_two_outcomes():
     t = surface.parse_term("choose[1/3]{a}{b}!")
     outs = step(t, find_redexes(t)[0])
-    assert [(o.term, o.prob, o.label) for o in outs] == [
+    assert [(o.after, o.prob, o.label) for o in outs] == [
         (Var("a"), Fraction(1, 3), "left"),
         (Var("b"), Fraction(2, 3), "right"),
     ]
@@ -123,7 +123,7 @@ def test_step_oracle_simultaneous():
     t = surface.parse_term("<#c!, #c!>")
     (out,) = step(t, find_redexes(t)[0], registry=reg)
     # holes 1 and 2 answered in one step: index rule gives a, a
-    assert out.term == surface.parse_term("<a, a>")
+    assert out.after == surface.parse_term("<a, a>")
     assert out.prob == 1
     assert out.label == "oracle"
 
@@ -134,7 +134,7 @@ def test_step_oracle_nested_outermost_only():
     (out,) = step(t, find_redexes(t)[0], registry=reg)
     # the inner forced call is swallowed by the outer redex; its argument
     # does not match the arg rule, so the default answers
-    assert out.term == Var("a")
+    assert out.after == Var("a")
 
 
 def test_step_oracle_requires_registry():
@@ -261,14 +261,25 @@ def test_samples_reach_oracle_free_normal_forms(seed):
 @given(st.integers(0, 1500))
 @settings(max_examples=60, deadline=None)
 def test_step_outcome_probabilities_sum_to_one(seed):
+    """Every step has positive probability and they sum to 1; a choice
+    steps to both sides inside (0, 1) and to one side at 1 or 0."""
     env, reg = signature()
     t = gen_closed_term(seed)
     for redex in find_redexes(t):
         outs = step(t, redex, registry=reg)
+        assert all(o.prob > 0 for o in outs)
         assert sum(o.prob for o in outs) == 1
-        assert {o.label for o in outs} in (
-            {"beta"}, {"proj"}, {"oracle"}, {"left", "right"},
-        )
+        labels = {o.label for o in outs}
+        if redex.kind == "choice":
+            p = syntax.subnode_at(t, redex.path).body.prob
+            if p == 1:
+                assert labels == {"left"}
+            elif p == 0:
+                assert labels == {"right"}
+            else:
+                assert labels == {"left", "right"}
+        else:
+            assert labels in ({"beta"}, {"proj"}, {"oracle"})
 
 
 @given(st.integers(0, 1500))
@@ -405,7 +416,7 @@ def test_step_rebuilds_the_path_and_hands_back_its_parent(seed):
             continue
         path = redex.path
         for outcome in step(t, redex):
-            out = outcome.term
+            out = outcome.after
             if not path:
                 assert outcome.parent is None
                 continue

@@ -3,15 +3,17 @@ frequency tables, and exact enumeration with witnesses."""
 
 import itertools
 import random
+import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import gen_closed_term, signature
-from olam import surface, traces
+from olam import reducer, surface, traces
 from olam.errors import OlamError, TraceError
 from olam.reducer import RULE_KIND, find_redexes, run_sample, step
 from olam.traces import (
@@ -746,7 +748,7 @@ def random_walk(rng, t, registry):
         outs = [
             o for o in step(seq[-1], rng.choice(redexes), registry) if o.prob > 0
         ]
-        seq.append(rng.choice(outs).term)
+        seq.append(rng.choice(outs).after)
     return tuple(seq)
 
 
@@ -769,7 +771,7 @@ def readings_by_search(u, v, label, registry):
                 outcome.prob != 0
                 and label in (None, reading[1])
                 and reading not in found
-                and alpha_eq(outcome.term, v)
+                and alpha_eq(outcome.after, v)
             ):
                 found.append(reading)
     if found:
@@ -892,6 +894,43 @@ def test_enumerate_paths_records_redex_paths():
         [((1,), "left")],
         [((1,), "right")],
     ]
+
+
+def test_walks_keep_the_records_step_returns(monkeypatch):
+    """Every step of an enumerated path and of a sampled run is a record
+    that step returned, not a copy of one."""
+    env, reg = signature()
+    # id -> record; holding each record keeps its id from being reused
+    returned = {}
+
+    def recording(original):
+        def wrapper(*args, **kwargs):
+            records = original(*args, **kwargs)
+            returned.update((id(r), r) for r in records)
+            return records
+
+        return wrapper
+
+    monkeypatch.setattr(traces, "step", recording(traces.step))
+    monkeypatch.setattr(reducer, "step", recording(reducer.step))
+    kept = []
+    for seed in range(300):
+        t = gen_closed_term(seed)
+        for _, quads in enumerate_paths(env, t, reg):
+            kept.extend(quads)
+        kept.extend(run_sample(t, seed, registry=reg).trace)
+    assert kept
+    assert all(returned.get(id(q)) is q for q in kept)
+
+
+def test_only_the_reducer_builds_step_records():
+    src = Path(traces.__file__).parent
+    builders = sorted(
+        path.name
+        for path in src.glob("*.py")
+        if re.search(r"\bTraceQuadruple\(", path.read_text())
+    )
+    assert builders == ["reducer.py"]
 
 
 def test_labelled_merge_rejects_what_the_pass_cannot_split():
