@@ -14,7 +14,6 @@ from .checker import (
     check_kind,
     check_program,
     check_type,
-    connective_skeleton,
     infer_kind,
     infer_type,
 )

@@ -40,11 +40,11 @@ from .syntax import (
     TypeName,
     Var,
     alpha_eq,
-    children,
     free_term_vars,
     fresh_name,
     substitute,
     substitute_all,
+    subnodes,
 )
 
 
@@ -241,7 +241,7 @@ def infer_type(
                 )
             _check_star(env, target, registry)
             target_norm = conversion.normalize_con(target)
-            if _mentions_forall(target_norm):
+            if any(type(n) is Forall for n in subnodes(target_norm)):
                 raise CheckError(
                     "EfqTargetContainsForall",
                     f"target {target_norm} contains a quantifier",
@@ -262,12 +262,6 @@ def _registry_lookup(registry: OracleRegistry | None, name: str):
     return registry.lookup(name)
 
 
-def _mentions_forall(node: Node) -> bool:
-    if isinstance(node, Forall):
-        return True
-    return any(_mentions_forall(c) for c in children(node))
-
-
 def check_type(
     env: Environment,
     term: Term,
@@ -280,29 +274,6 @@ def check_type(
         raise CheckError(
             "TypeMismatch", f"expected {expected_norm}, found {found}"
         )
-
-
-def connective_skeleton(con: TypeCon):
-    """Shape of a type with embedded terms erased: the tree of quantifiers,
-    connectives and atoms, invariant under one-step reduction of a subject."""
-    match con:
-        case TypeName(n):
-            return ("atom", n)
-        case Bottom():
-            return ("bottom",)
-        case TypeApp(fun, _):
-            return ("apply", connective_skeleton(fun))
-        case TypeAbs(_, a, body):
-            return ("abstract", connective_skeleton(a), connective_skeleton(body))
-        case Forall(_, a, body):
-            return ("forall", connective_skeleton(a), connective_skeleton(body))
-        case ChoiceType(body):
-            return ("choice", connective_skeleton(body))
-        case OpaqueType(body):
-            return ("opaque", connective_skeleton(body))
-        case Conj(left, right):
-            return ("conj", connective_skeleton(left), connective_skeleton(right))
-    raise CheckError("IllFormedKind", f"not a constructor: {con!r}")
 
 
 # ------------------------------------------------------------ whole programs

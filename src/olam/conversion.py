@@ -13,8 +13,6 @@ argument give a normal result.
 """
 from __future__ import annotations
 
-from operator import is_not
-
 from .syntax import (
     Kind,
     MergeTerm,
@@ -24,8 +22,7 @@ from .syntax import (
     TypeApp,
     TypeCon,
     alpha_eq,
-    children,
-    rebuild,
+    rewrite,
     substitute,
 )
 
@@ -33,14 +30,14 @@ from .syntax import (
 def normalize_node(node: Node) -> Node:
     """The constructor normal form of node.  Recorded computations are left
     as they are."""
-    if isinstance(node, (TraceTerm, MergeTerm)):
-        return node
-    kids = children(node)
-    if not kids:
-        return node
-    new = tuple([normalize_node(k) for k in kids])
-    if any(map(is_not, new, kids)):
-        node = rebuild(node, new)
+    return rewrite(node, None, _enter, _contract)
+
+
+def _enter(node: Node, ctx: None) -> Node | None:
+    return node if isinstance(node, (TraceTerm, MergeTerm)) else None
+
+
+def _contract(node: Node) -> Node:
     if isinstance(node, TypeApp) and isinstance(node.con, TypeAbs):
         return substitute(node.con.body, node.con.var, node.arg)
     return node

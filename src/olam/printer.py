@@ -1,7 +1,10 @@
 """Pretty-printer.  parse(show(x)) is the identity up to alpha-renaming for
 every term, type constructor and kind that the surface grammar covers;
 recorded computations ([...] forms) and context holes (variables [_i]) print
-but do not re-parse."""
+but do not re-parse.
+
+Printing is one loop over a stack of text pieces and (node, precedence)
+items, so a node of any depth prints in one Python frame."""
 from __future__ import annotations
 
 from . import syntax as s
@@ -11,135 +14,108 @@ from . import syntax as s
 
 
 def show(node: s.Node) -> str:
-    if isinstance(node, s.Term):
-        return show_term(node, 0)
-    if isinstance(node, s.TypeCon):
-        return show_type(node, 0)
-    return show_kind(node)
+    return _text(node, False)
 
 
 def term_key(t: s.Term) -> str:
     """Canonical alpha-class key: t printed with its bound variables renamed
-    ?0, ?1, ... in printed order (see _Renaming), in one walk."""
-    return show_term(t, 0, _Renaming())
-
-
-class _Renaming:
-    """Canonical names for bound term variables while printing: binders are
-    numbered from 0 in printed order, each after its annotation and before
-    its body, and binder k prints as ?k.
-
-    `?` is not an identifier character, so canonical names cannot collide
-    with free names."""
-
-    __slots__ = ("names", "count")
-
-    def __init__(self) -> None:
-        self.names: dict[str, str] = {}
-        self.count = 0
-
-
-def _bound(x: str, body, show_body, ren: _Renaming | None) -> tuple[str, str]:
-    """A binder's printed name and the text of its body, printed at
-    precedence 0 under the binder's canonical name if renaming."""
-    if ren is None:
-        return x, show_body(body, 0)
-    name = f"?{ren.count}"
-    ren.count += 1
-    outer = ren.names
-    ren.names = {**outer, x: name}
-    text = show_body(body, 0, ren)
-    ren.names = outer
-    return name, text
-
-
-def _wrap(text: str, need: bool) -> str:
-    return f"({text})" if need else text
-
-
-def show_term(t: s.Term, prec: int = 0, ren: _Renaming | None = None) -> str:
-    match t:
-        case s.Var(n):
-            return n if ren is None else ren.names.get(n, n)
-        case s.OracleRef(o):
-            return f"#{o}"
-        case s.OracleCall(o, arg):
-            return _wrap(f"#{o} {show_term(arg, 2, ren)}", prec > 1)
-        case s.Lam(x, a, b):
-            ann = show_type(a, 0, ren)
-            x, body = _bound(x, b, show_term, ren)
-            return _wrap(f"\\{x}:{ann}. {body}", prec > 0)
-        case s.App(f, a):
-            return _wrap(
-                f"{show_term(f, 1, ren)} {show_term(a, 2, ren)}", prec > 1
-            )
-        case s.Choice(l, p, r):
-            return (
-                f"choose[{p}]{{{show_term(l, 0, ren)}}}"
-                f"{{{show_term(r, 0, ren)}}}"
-            )
-        case s.Force(b):
-            return f"{show_term(b, 2, ren)}!"
-        case s.Pair(l, r):
-            return f"<{show_term(l, 0, ren)}, {show_term(r, 0, ren)}>"
-        case s.Proj(b, i):
-            return f"{show_term(b, 2, ren)}.{i}"
-        case s.Efq(b, a):
-            return f"efq({show_term(b, 0, ren)} : {show_type(a, 0, ren)})"
-        case s.TraceTerm(steps, p):
-            inner = ", ".join(show_term(u, 0, ren) for u in steps)
-            return f"[{inner}]{_prob_suffix(p)}"
-        case s.MergeTerm(src, branches, tgt, p):
-            head = show_term(src, 0, ren)
-            mid = " / ".join(
-                ", ".join(show_term(u, 0, ren) for u in br) for br in branches
-            )
-            tail = show_term(tgt, 0, ren)
-            return f"[{head}, [{mid}], {tail}]{_prob_suffix(p)}"
-    raise TypeError(f"not a term: {t!r}")
+    ?0, ?1, ... in printed order, in one walk.  Binders are numbered from 0,
+    each after its annotation and before its body, and binder k prints as
+    ?k.  `?` is not an identifier character, so canonical names cannot
+    collide with free names."""
+    return _text(t, True)
 
 
 def _prob_suffix(p) -> str:
     return "" if p is None else f"^{p}"
 
 
-def show_type(c: s.TypeCon, prec: int = 0, ren: _Renaming | None = None) -> str:
-    match c:
-        case s.TypeName(n):
-            return n
-        case s.Bottom():
-            return "Bot"
-        case s.Forall(x, a, b):
-            arrow = x not in s.free_term_vars(b)
-            ann = show_type(a, 1 if arrow else 0, ren)
-            x, body = _bound(x, b, show_type, ren)
-            if arrow:
-                return _wrap(f"{ann} -> {body}", prec > 0)
-            return _wrap(f"forall {x}:{ann}. {body}", prec > 0)
-        case s.TypeAbs(x, a, b):
-            ann = show_type(a, 0, ren)
-            x, body = _bound(x, b, show_type, ren)
-            return _wrap(f"\\\\{x}:{ann}. {body}", prec > 0)
-        case s.Conj(l, r):
-            return _wrap(
-                f"{show_type(l, 2, ren)} /\\ {show_type(r, 1, ren)}", prec > 1
-            )
-        case s.ChoiceType(b):
-            return _wrap(f"Oplus {show_type(b, 2, ren)}", prec > 2)
-        case s.OpaqueType(b):
-            return _wrap(f"Sigma {show_type(b, 2, ren)}", prec > 2)
-        case s.TypeApp(f, a):
-            return f"{show_type(f, 3, ren)} {show_term(a, 2, ren)}"
-    raise TypeError(f"not a type constructor: {c!r}")
+def _listed(nodes, sep: str) -> list:
+    return [piece for u in nodes for piece in (sep, (u, 0))][1:]
 
 
-def show_kind(k: s.Kind) -> str:
-    match k:
-        case s.Star():
-            return "*"
-        case s.KindPi(x, a, b):
-            return f"pi {x}:{show_type(a, 0)}. {show_kind(b)}"
-    raise TypeError(f"not a kind: {k!r}")
+def _merge(n: s.MergeTerm) -> tuple:
+    mid = [piece for br in n.branches for piece in (" / ", *_listed(br, ", "))]
+    return ("[", (n.source, 0), ", [", *mid[1:], "], ", (n.target, 0),
+            "]" + _prob_suffix(n.prob))
+
+
+# the pieces of each node that binds no name, in printed order
+_LAYOUT = {
+    s.OracleRef: lambda n: ("#" + n.oracle,),
+    s.OracleCall: lambda n: (f"#{n.oracle} ", (n.arg, 2)),
+    s.App: lambda n: ((n.fun, 1), " ", (n.arg, 2)),
+    s.Choice: lambda n: (f"choose[{n.prob}]{{", (n.left, 0), "}{", (n.right, 0), "}"),
+    s.Force: lambda n: ((n.body, 2), "!"),
+    s.Pair: lambda n: ("<", (n.left, 0), ", ", (n.right, 0), ">"),
+    s.Proj: lambda n: ((n.pair, 2), f".{n.index}"),
+    s.Efq: lambda n: ("efq(", (n.body, 0), " : ", (n.target, 0), ")"),
+    s.TraceTerm: lambda n: ("[", *_listed(n.steps, ", "), "]" + _prob_suffix(n.prob)),
+    s.MergeTerm: _merge,
+    s.TypeName: lambda n: (n.name,),
+    s.Bottom: lambda n: ("Bot",),
+    s.Conj: lambda n: ((n.left, 2), " /\\ ", (n.right, 1)),
+    s.ChoiceType: lambda n: ("Oplus ", (n.body, 2)),
+    s.OpaqueType: lambda n: ("Sigma ", (n.body, 2)),
+    s.TypeApp: lambda n: ((n.con, 3), " ", (n.arg, 2)),
+    s.Star: lambda n: ("*",),
+}
+# what a binder prints before its name; a Forall whose name is not free in
+# its body prints as an arrow
+_BINDER_HEAD = {s.Lam: "\\", s.TypeAbs: "\\\\", s.Forall: "forall ", s.KindPi: "pi "}
+# the precedence above which a node is parenthesised
+_WRAP = {s.OracleCall: 1, s.App: 1, s.Conj: 1, s.ChoiceType: 2, s.OpaqueType: 2}
+
+
+def _text(node: s.Node, renaming: bool) -> str:
+    """node printed; if renaming, with bound names canonical (term_key).
+    Then a binder's annotation is followed on the stack by (binder, -k),
+    where out[k - 2] holds its name, or by (binder, -1) if it prints none.
+    That item numbers the binder, writes the number over its name, and
+    pushes the body and then (binder, outer), which restores what the name
+    prints as outside the body ("" for itself)."""
+    out: list[str] = []
+    names: dict[str, str] = {}
+    count = 0
+    stack: list = [(node, 0)]
+    push = stack.append
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, prec = item
+        cls = type(node)
+        if cls is s.Var:
+            out.append(names.get(node.name) or node.name)
+        elif cls in _LAYOUT:
+            if prec > _WRAP.get(cls, 3):
+                out.append("(")
+                push(")")
+            stack += reversed(_LAYOUT[cls](node))
+        elif cls not in _BINDER_HEAD:
+            raise TypeError(f"cannot print {cls.__name__}")
+        elif type(prec) is str:
+            names[node.var] = prec
+        elif prec < 0:
+            name = f"?{count}"
+            count += 1
+            if prec < -1:
+                out[-2 - prec] = name
+            push((node, names.get(node.var, "")))
+            names[node.var] = name
+            push((node.body, 0))
+        else:
+            if prec > 0:
+                out.append("(")
+                push(")")
+            arrow = cls is s.Forall and node.var not in s.free_term_vars(node.body)
+            if not arrow:
+                out += (_BINDER_HEAD[cls], node.var, ":")
+            push((node, -1 if arrow else -len(out)) if renaming else (node.body, 0))
+            push(" -> " if arrow else ". ")
+            push((node.var_type, 1 if arrow else 0))
+    return "".join(out)
 
 
 # reduction step labels, displayed exactly as the calculus writes them

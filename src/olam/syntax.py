@@ -359,33 +359,92 @@ def subnode_at(node: Node, path: tuple[int, ...]) -> Node:
     return node
 
 
-# ------------------------------------------------------------ free names
+# ---------------------------------------------------------------- walks
+#
+# Every walk runs in one Python frame, on an explicit stack or list, so it
+# takes a node of any depth: subnodes for the folds, rewrite for the rebuilds.
+
+
+def subnodes(node: Node) -> list[Node]:
+    """node and every node below it, each after its parent, for the folds
+    that need no order."""
+    nodes = [node]
+    for n in nodes:  # the loop reads the children it appends
+        nodes += children(n)
+    return nodes
+
+
+def rewrite(node: Node, ctx, enter: Callable, leave: Callable | None = None) -> Node:
+    """node rebuilt top-down by enter and bottom-up by leave; an unchanged
+    subtree comes back as the same object.
+
+    enter(node, ctx) returns a node to stand in node's place, which is not
+    walked; or None, to walk node's children under ctx; or a tuple of
+    contexts, one per child.  leave, if given, maps each walked node once
+    its children are rebuilt."""
+    got = enter(node, ctx)
+    if got is not None and type(got) is not tuple:
+        return got
+    kids = children(node)
+    if not kids:
+        return node if leave is None else leave(node)
+    # the frames above the current node: (node, kids, contexts, ctx, new, i)
+    stack: list[tuple] = []
+    ctxs, new, i = got, None, 0
+    while True:
+        if i < len(kids):
+            kid = kids[i]
+            i += 1
+            kid_ctx = ctx if ctxs is None else ctxs[i - 1]
+            got = enter(kid, kid_ctx)
+            if got is None or type(got) is tuple:
+                below = children(kid)
+                if below:
+                    stack.append((node, kids, ctxs, ctx, new, i))
+                    node, kids, ctxs, ctx, new, i = kid, below, got, kid_ctx, None, 0
+                    continue
+                got = kid if leave is None else leave(kid)
+        else:
+            got = node if new is None else rebuild(node, tuple(new))
+            if leave is not None:
+                got = leave(got)
+            if not stack:
+                return got
+            kid = node
+            node, kids, ctxs, ctx, new, i = stack.pop()
+        if got is not kid:
+            if new is None:
+                new = list(kids)
+            new[i - 1] = got
 
 
 def free_term_vars(node: Node) -> frozenset[str]:
-    match node:
-        case Var(n):
-            return frozenset((n,))
-        case Lam(x, a, b) | TypeAbs(x, a, b) | Forall(x, a, b) | KindPi(x, a, b):
-            return free_term_vars(a) | (free_term_vars(b) - {x})
-        case _:
-            out: frozenset[str] = frozenset()
-            for c in children(node):
-                out |= free_term_vars(c)
-            return out
+    """The term variables free in node.  A binder's name is pushed above
+    its annotation and below its body: popping it closes the scope, and the
+    annotation, outside the scope, is read after."""
+    free: set[str] = set()
+    bound: dict[str, int] = {}
+    stack: list[Node | str] = [node]
+    while stack:
+        node = stack.pop()
+        cls = type(node)
+        if cls is Var:
+            if not bound.get(node.name):  # type: ignore[union-attr]
+                free.add(node.name)  # type: ignore[union-attr]
+        elif cls is str:
+            bound[node] -= 1  # type: ignore[index]
+        elif cls in BINDERS:
+            x = node.var  # type: ignore[union-attr]
+            bound[x] = bound.get(x, 0) + 1
+            stack += (node.var_type, x, node.body)  # type: ignore[union-attr]
+        else:
+            stack += children(node)  # type: ignore[arg-type]
+    return frozenset(free)
 
 
 def oracle_names(node: Node) -> frozenset[str]:
-    match node:
-        case OracleRef(o):
-            return frozenset((o,))
-        case OracleCall(o, arg):
-            return frozenset((o,)) | oracle_names(arg)
-        case _:
-            out: frozenset[str] = frozenset()
-            for c in children(node):
-                out |= oracle_names(c)
-            return out
+    oracles = (OracleRef, OracleCall)
+    return frozenset([n.oracle for n in subnodes(node) if type(n) in oracles])  # type: ignore
 
 
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
@@ -422,121 +481,98 @@ def substitute_all(
 
     A binder is renamed only where substitution of one entry would rename
     it: where its name is free in that entry's replacement and the entry's
-    name is free in its body.  So the walk passes every binder whose name
-    no replacement has free.  At any other binder it takes the entries in
-    order, renames the binder where one of them would, and substitutes
-    each run of entries between two renamings in one walk of the body."""
+    name is free in its body.  So the walk passes every other binder on
+    its one stack.  At a binder to rename it takes the entries in order,
+    renames the binder where one of them would, and substitutes each run of
+    entries between two renamings in one nested walk of the body."""
     # the union of the replacements' free names, read at the first binder:
     # a binder-free node never walks a replacement
     free: frozenset[str] | None = None
 
-    def walk(node: Node, names: dict[str, Term]) -> Node:
+    def enter(node: Node, names: dict[str, Term]) -> object:
+        # the substitution rule at one node, under the entries in scope there
         nonlocal free, free_names
         cls = type(node)
         if cls is Var:
             return names.get(node.name, node)  # type: ignore[attr-defined]
-        if cls in BINDERS:
-            x, a, b = node.var, node.var_type, node.body  # type: ignore[attr-defined]
-            if free is None:
-                if free_names is None:
-                    free_names = {n: free_term_vars(r) for n, r in mapping.items()}
-                free = frozenset().union(*free_names.values())
-            a2 = walk(a, names)
-            if x in free:
-                x, b2 = binder_body(x, b, names)
-            else:
-                if x in names:
-                    names = {n: r for n, r in names.items() if n != x}
-                b2 = walk(b, names) if names else b
-            if a2 is a and b2 is b and x == node.var:  # type: ignore[attr-defined]
-                return node
-            return cls(x, a2, b2)
-        kids = children(node)
-        new: list[Node] | None = None
-        for i, kid in enumerate(kids):
-            kid2 = walk(kid, names)
-            if kid2 is not kid:
-                if new is None:
-                    new = list(kids)
-                new[i] = kid2
-        return node if new is None else rebuild(node, tuple(new))
+        if not names:
+            return node
+        if cls not in BINDERS:
+            return None
+        x = node.var  # type: ignore[attr-defined]
+        if free is None:
+            if free_names is None:
+                free_names = {n: free_term_vars(r) for n, r in mapping.items()}
+            free = frozenset().union(*free_names.values())
+        if x in free:
+            b, below = node.body, set(free_term_vars(node.body))  # type: ignore[attr-defined]
+            if any(x in free_names[n] for n in names if n != x and n in below):
+                # an entry would capture x
+                run: dict[str, Term] = {}
+                for n, r in names.items():
+                    if n == x or n not in below:
+                        continue  # shadowed, or not free: it changes nothing
+                    replaced = free_names[n]
+                    if x in replaced:
+                        b, run = rewrite(b, run, enter), {}
+                        fresh = fresh_name(x, replaced | below)
+                        if x in below:
+                            b = substitute(b, x, Var(fresh))
+                            below.discard(x)
+                            below.add(fresh)
+                        x = fresh
+                    run[n] = r
+                    below.discard(n)
+                    below |= replaced
+                a = rewrite(node.var_type, names, enter)  # type: ignore[attr-defined]
+                return cls(x, a, rewrite(b, run, enter))
+        if x in names:
+            return names, {n: r for n, r in names.items() if n != x}
+        return None
 
-    def binder_body(
-        x: str, b: Node, names: dict[str, Term]
-    ) -> tuple[str, Node]:
-        """The binder's name and body after the entries, one at a time."""
-        below = set(free_term_vars(b))
-        run: dict[str, Term] = {}
-        for n, r in names.items():
-            if n == x or n not in below:
-                continue  # shadowed, or not free: the entry changes nothing
-            replaced = free_names[n]  # type: ignore[index]
-            if x in replaced:
-                # the entry would capture: substitute the run so far, then
-                # rename away from this replacement and the body
-                if run:
-                    b = walk(b, run)
-                    run = {}
-                fresh = fresh_name(x, replaced | below)
-                if x in below:
-                    b = substitute(b, x, Var(fresh))
-                    below.discard(x)
-                    below.add(fresh)
-                x = fresh
-            run[n] = r
-            below.discard(n)
-            below |= replaced
-        return x, walk(b, run) if run else b
-
-    return walk(node, mapping) if mapping else node
+    return rewrite(node, mapping, enter)
 
 
 # --------------------------------------------------------- alpha-equality
 
 
 def alpha_eq(a: Node, b: Node) -> bool:
-    return a is b or _alpha(a, b, {}, {}, [0], True)
-
-
-def _alpha(
-    a: Node, b: Node, env_a: dict, env_b: dict, counter: list[int], same: bool
-) -> bool:
-    """same holds while every enclosing binder binds one name on both
-    sides, so that the two binder maps are equal and one shared subterm
-    means the same on both sides; below binders of two names it may not."""
-    if a is b and same:
-        return True
-    if type(a) is not type(b):
-        return False
-    match a:
-        case Var(n):
-            m = b.name  # type: ignore[union-attr]
-            ia, ib = env_a.get(n), env_b.get(m)
-            return (ia is None and ib is None and n == m) or (
-                ia is not None and ia == ib
-            )
-        case Lam(x, ta, body) | TypeAbs(x, ta, body) | Forall(x, ta, body) | KindPi(
-            x, ta, body
-        ):
-            # binders share one field layout, so b reads like a
-            if not _alpha(ta, b.var_type, env_a, env_b, counter, same):  # type: ignore
+    """Each pair on the stack carries same: every binder pair above binds
+    one name on both sides, so one shared subterm means the same on both.
+    A binder pair numbers its names in the two binder maps; an item pushed
+    between its body and its annotation restores their outer numbers."""
+    env_a: dict[str, int | None] = {}
+    env_b: dict[str, int | None] = {}
+    binders = 0
+    stack: list[tuple] = [(a, b, True)]
+    while stack:
+        a, b, same = stack.pop()
+        cls = type(a)
+        if cls is str:  # a restore item: two names, and same their numbers
+            env_a[a], env_b[b] = same  # type: ignore[index]
+        elif a is b and same:
+            continue
+        elif cls is not type(b):
+            return False
+        elif cls is Var:
+            n, m = a.name, b.name  # type: ignore[attr-defined]
+            ia = env_a.get(n)
+            if ia != env_b.get(m) or (ia is None and n != m):
                 return False
-            counter[0] += 1
-            ea = dict(env_a)
-            eb = dict(env_b)
-            ea[x] = counter[0]
-            eb[b.var] = counter[0]  # type: ignore[union-attr]
-            same = same and x == b.var  # type: ignore[union-attr]
-            return _alpha(body, b.body, ea, eb, counter, same)  # type: ignore
-        case _:
-            data = _DATA[type(a)]
+        elif cls in BINDERS:
+            # binders share one field layout, so b reads like a
+            x, y = a.var, b.var  # type: ignore[attr-defined]
+            stack.append((a.var_type, b.var_type, same))  # type: ignore[attr-defined]
+            stack.append((x, y, (env_a.get(x), env_b.get(y))))
+            binders += 1
+            env_a[x] = env_b[y] = binders
+            stack.append((a.body, b.body, same and x == y))  # type: ignore[attr-defined]
+        else:
+            data = _DATA[cls]
             if data(a) != data(b):
                 return False
-            ka, kb = children(a), children(b)
-            return all(
-                _alpha(x, y, env_a, env_b, counter, same)
-                for x, y in zip(ka, kb)
-            )
+            stack += [(u, v, same) for u, v in zip(children(a), children(b))]
+    return True
 
 
 # -------------------------------------------------------------- contexts
@@ -607,26 +643,16 @@ def decompose_oracle_context(
     t back when none of them has free a name bound around it."""
     occurrences: list[OracleOccurrence] = []
 
-    def go(node: Node, path: tuple[int, ...]) -> Node:
+    def enter(node: Node, path: tuple[int, ...]) -> object:
         form = forced_oracle_form(node)  # type: ignore[arg-type]
         if form is not None and form[0] == oracle:
             occurrences.append(OracleOccurrence(len(occurrences) + 1, form[1], path))
             return hole_var(len(occurrences))
         if isinstance(node, (TypeCon, TraceTerm, MergeTerm)):
             return node
-        # the loop substitute_all rebuilds with: one frame per level, and
-        # an unchanged subtree comes back as the same object
-        kids = children(node)
-        new: list[Node] | None = None
-        for i, kid in enumerate(kids):
-            kid2 = go(kid, path + (i,))
-            if kid2 is not kid:
-                if new is None:
-                    new = list(kids)
-                new[i] = kid2
-        return node if new is None else rebuild(node, tuple(new))
+        return tuple([path + (i,) for i in range(len(children(node)))])
 
-    skeleton = go(t, ())
+    skeleton = rewrite(t, (), enter)
     return HoleContext(skeleton, len(occurrences)), tuple(occurrences)  # type: ignore[arg-type]
 
 

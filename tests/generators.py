@@ -3,7 +3,8 @@ constructors over a fixed test signature.
 
 Every generator is a pure function of its seed, so failures replay
 exactly.  Terms draw from two ground types, a dependent family, two
-oracles, weighted choices, pairs, and lambda redexes.
+oracles, weighted choices, pairs, and lambda redexes.  connective_skeleton
+reads the shape of a type that one-step reduction of its subject keeps.
 """
 
 from __future__ import annotations
@@ -244,3 +245,26 @@ def gen_substitution_instance(
     t = gen_ground(rng, "A", 3, ())
     s = gen_ground(rng, "A", 3, scope[:1])
     return subject, "x", t, "y", s
+
+
+def connective_skeleton(con: TypeCon):
+    """Shape of a type with embedded terms erased: the tree of quantifiers,
+    connectives and atoms, invariant under one-step reduction of a subject."""
+    match con:
+        case TypeName(n):
+            return ("atom", n)
+        case Bottom():
+            return ("bottom",)
+        case TypeApp(fun, _):
+            return ("apply", connective_skeleton(fun))
+        case TypeAbs(_, a, body):
+            return ("abstract", connective_skeleton(a), connective_skeleton(body))
+        case Forall(_, a, body):
+            return ("forall", connective_skeleton(a), connective_skeleton(body))
+        case ChoiceType(body):
+            return ("choice", connective_skeleton(body))
+        case OpaqueType(body):
+            return ("opaque", connective_skeleton(body))
+        case Conj(left, right):
+            return ("conj", connective_skeleton(left), connective_skeleton(right))
+    raise TypeError(f"not a constructor: {con!r}")

@@ -6,6 +6,9 @@ It lists the constructor redexes in preorder, contracts the first
 again from the root, until no redex is left.  Tests compare the one pass
 with both orders: that the order of reduction does not matter is the
 calculus's confluence.
+
+normalize_node is the one-pass normalizer as olam.conversion had it before
+its walk moved onto an explicit stack: one Python frame per tree level.
 """
 from __future__ import annotations
 
@@ -22,6 +25,22 @@ from olam.syntax import (
     subnode_at,
     substitute,
 )
+
+
+
+def normalize_node(node: Node) -> Node:
+    if isinstance(node, (TraceTerm, MergeTerm)):
+        return node
+    kids = children(node)
+    if not kids:
+        return node
+    new = tuple([normalize_node(k) for k in kids])
+    if any(a is not b for a, b in zip(new, kids)):
+        node = rebuild(node, new)
+    if isinstance(node, TypeApp) and isinstance(node.con, TypeAbs):
+        return substitute(node.con.body, node.con.var, node.arg)
+    return node
+
 
 LEFTMOST_OUTERMOST = "leftmost-outermost"
 RIGHTMOST_INNERMOST = "rightmost-innermost"

@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 
 from generators import (
+    connective_skeleton,
     gen_closed_con,
     gen_closed_term,
     gen_kind,
@@ -18,7 +19,7 @@ from generators import (
     signature,
 )
 from olam import surface
-from olam.checker import connective_skeleton, infer_type
+from olam.checker import infer_type
 from olam.cli import main
 from olam.conversion import normalize_con
 from olam.errors import OlamError, ReductionError

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from generators import (
     ORACLE_SOURCE,
+    connective_skeleton,
     gen_closed_con,
     gen_closed_term,
     gen_kind,
@@ -20,7 +21,6 @@ from olam.checker import (
     check_kind,
     check_program,
     check_type,
-    connective_skeleton,
     infer_kind,
     infer_type,
 )

@@ -740,18 +740,14 @@ def test_numerals_longer_than_int_accepts_are_parse_errors(project, capsys):
 
 
 def test_deep_input_is_a_coded_error(project, capsys, tmp_path):
-    """Input nested past the recursion limit ends in one coded error line,
-    not a traceback."""
-    prog, orc = project("#c!")
+    """Input nested past the parser's recursion limit ends in one coded
+    error line, not a traceback."""
     deep = tmp_path / "deep.olam"
     deep.write_text(
         "atom A : *\natom a : A\natom g : A -> A\n"
         f"main = {'g (' * 3000}a{')' * 3000}\n"
     )
-    for argv in (
-        ["oracle-freq", prog, "--oracles", orc, "--samples", "3000"],
-        ["dist", str(deep)],
-    ):
+    for argv in (["check", str(deep)], ["dist", str(deep)]):
         code, out, err = run(argv, capsys)
         assert code == 1
         assert out == ""
@@ -791,15 +787,26 @@ def test_dist_reads_400_levels(main_term, outcome, capsys, tmp_path):
     assert out == f"{outcome} = 1\n"
 
 
-def test_oracle_freq_600_samples_runs(project, capsys):
-    """A width-600 table is a tuple nested 600 deep; decomposing and
-    filling it take one frame per level, so it fits the recursion limit."""
+def test_oracle_freq_and_trust_5000_samples_run(project, capsys, tmp_path):
+    """A width-5000 table is a tuple nested 5000 deep; decomposing, filling
+    and printing it run on explicit stacks, so it fits the recursion limit."""
     prog, orc = project("#c!")
     code, out, err = run(
-        ["oracle-freq", prog, "--oracles", orc, "--samples", "600"], capsys
+        ["oracle-freq", prog, "--oracles", orc, "--samples", "5000"], capsys
     )
     assert code == 0
-    assert out == "a = 2/3\nb = 1/3\n"
+    assert out == "a = 1667/2500\nb = 833/2500\n"
+    assert err == ""
+    target = tmp_path / "target.dist"
+    target.write_text("a = 2/3\nb = 1/3\n")
+    code, out, err = run(
+        ["trust", prog, "--oracles", orc, "--target", str(target),
+         "--epsilon", "1/100", "--samples", "5000"],
+        capsys,
+    )
+    assert code == 0
+    assert out.startswith("verdict: trusted\n")
+    assert "a: target 2/3 derived 1667/2500" in out
     assert err == ""
 
 
