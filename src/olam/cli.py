@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from collections import Counter
+from collections.abc import Callable
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from .printer import show, show_label, term_key
 from .reducer import run_sample, sample_seed
 from .syntax import DEFAULT_FUEL, Term
 from .traces import (
+    Distribution,
     enumerate_distribution,
     enumerate_paths,
     forced_oracle_form,
@@ -232,26 +234,30 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_distribution(
+    args: argparse.Namespace, dist: Distribution, payload: Callable[[list], dict]
+) -> int:
+    """Print dist, a "rep = prob" line per outcome, or in JSON the object
+    that payload builds around its [rep, prob] rows."""
+    if args.format == "json":
+        _emit_json(payload([[show(rep), str(p)] for rep, p in dist.items()]))
+        return 0
+    for rep, prob in dist.items():
+        print(f"{rep} = {prob}")
+    return 0
+
+
 def _cmd_dist(args: argparse.Namespace) -> int:
     checked = _load(args)
     dist, _ = enumerate_distribution(
         checked.env, checked.main_term, checked.registry, args.fuel
     )
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema": 1,
-                "main": show(checked.main_term),
-                "distribution": [
-                    [show(rep), str(prob)] for rep, prob in dist.items()
-                ],
-                "total": str(dist.total()),
-            }
-        )
-        return 0
-    for rep, prob in dist.items():
-        print(f"{rep} = {prob}")
-    return 0
+    return _print_distribution(args, dist, lambda rows: {
+        "schema": 1,
+        "main": show(checked.main_term),
+        "distribution": rows,
+        "total": str(dist.total()),
+    })
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -344,21 +350,12 @@ def _cmd_freq(args: argparse.Namespace) -> int:
     dist, _ = oracle_frequency(
         checked.env, name, arg, args.samples, checked.registry
     )
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema": 1,
-                "oracle": name,
-                "width": args.samples,
-                "distribution": [
-                    [show(rep), str(prob)] for rep, prob in dist.items()
-                ],
-            }
-        )
-        return 0
-    for rep, prob in dist.items():
-        print(f"{rep} = {prob}")
-    return 0
+    return _print_distribution(args, dist, lambda rows: {
+        "schema": 1,
+        "oracle": name,
+        "width": args.samples,
+        "distribution": rows,
+    })
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -28,7 +28,7 @@ from .syntax import (
     Term,
     TypeCon,
     alpha_eq,
-    pair_spine,
+    make_tuple,
 )
 from .traces import (
     Distribution,
@@ -248,9 +248,11 @@ def _label_to_text(label: StepLabel) -> str:
     return " ".join((rule, *map(str, path)))
 
 
-def _certificate(t: Term, report: TrustReport) -> dict:
-    """The certificate trust writes for the verdict report on program t,
-    for build_certificate and rewritten by replay_certificate.  Each term
+def build_certificate(env: Environment, t: Term, report: TrustReport) -> dict:
+    """Self-contained record of a trust verdict on program t: the program,
+    its derived distribution, its evidence (the step graph and each leaf's
+    claim, or the frequency table's one trace), and every threshold
+    comparison.  replay_certificate writes it again to compare.  Each term
     it lists is printed once; a step graph's node texts, the program's
     among them, come printed.
 
@@ -299,13 +301,6 @@ def _certificate(t: Term, report: TrustReport) -> dict:
         for row in report.rows
     ]
     return cert
-
-
-def build_certificate(env: Environment, t: Term, report: TrustReport) -> dict:
-    """Self-contained record of a trust verdict: the program, its derived
-    distribution, its evidence (the step graph and each leaf's claim, or
-    the frequency table's one trace), and every threshold comparison."""
-    return _certificate(t, report)
 
 
 # The JSON shape of what replay reads of a certificate, checked before it
@@ -358,6 +353,16 @@ def _difference(value: object, written: object) -> list[str | int] | None:
     return None if value == written else []
 
 
+def _mismatch(field: str, bad: list[str | int]) -> TrustError:
+    """The error for a field first differing where the keys bad lead."""
+    at = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in bad)
+    return TrustError(
+        "CertificateMismatch",
+        f"certificate field {field!r} differs from the recomputed one"
+        + (f" at {at}" if at else ""),
+    )
+
+
 def replay_certificate(
     env: Environment,
     registry: OracleRegistry | None,
@@ -367,32 +372,21 @@ def replay_certificate(
     """Recheck a certificate from scratch.
 
     The verdict is derived once, by the same trust_check that wrote the
-    certificate, and the certificate trust writes for it must equal the
-    given one in every field it writes, evidence included: evidence that
-    is the text of a fresh derivation by the reduction rules needs no
-    second check step by step.  Fields are compared as JSON values, so 1
-    is not true and list order counts, but the key order of an object
-    does not.  A difference raises, naming the field and the place of its
-    first differing value.
+    certificate, and the certificate build_certificate writes for it must
+    equal the given one in every field it writes, evidence included:
+    evidence that is the text of a fresh derivation by the reduction
+    rules needs no second check step by step.  Fields are compared as JSON
+    values, so 1 is not true and list order counts, but the key order of
+    an object does not.  A difference raises, naming the field and the
+    place of its first differing value.
 
-    Only what replay reads is shape-checked before it is read: the
-    program, the tolerance, the threshold rows and, in frequency mode,
-    the table, whose first term, the tuple of calls, has the table's
-    width as its length (without it the program is enumerated).  An
-    enumerate-mode certificate's step graph is only compared: the graph
-    trust_check builds is the text that must be there.
-
-    The program is untrusted text, so replay types it, once, after
-    parsing all it reads and before trust_check: a type error of the
-    program comes before the spec's errors, and trust_check takes the
-    type instead of typing the program again.
+    Replay parses only its inputs: the program, the tolerance and the
+    threshold rows.  Of the evidence it reads one length: a frequency
+    table's first term is the tuple of n calls, n its width, or the table
+    differs at [0].  Errors come in this order: parsing, the width, typing
+    the program, once (trust_check takes its type), then trust_check's.
     """
     _require_shape(cert, _READ, "certificate")
-    width = None
-    if cert.get("mode") == "frequency":
-        _require_shape(cert.get("table"), [str], "certificate.table")
-        if cert["table"]:
-            width = len(pair_spine(surface.parse_term(cert["table"][0])))
     t = surface.parse_term(cert["program"])
     spec = TrustSpec(
         tuple(
@@ -404,17 +398,22 @@ def replay_certificate(
         ),
         surface.parse_rational_text(cert["epsilon"]),
     )
+    width = None
+    if cert.get("mode") == "frequency":
+        table = cert.get("table")
+        _require_shape(table, [str], "certificate.table")
+        # n calls print as n copies of the program inside n - 1 pairs
+        size = len(show(t))
+        pair = len(show(make_tuple([t, t]))) - 2 * size
+        width, rest = divmod(len(table[0]) + pair, size + pair) if table else (0, 0)
+        if rest or not width:
+            raise _mismatch("table", [0])
     program_type = infer_type(env, t, registry)
     report = trust_check(
         env, t, spec, registry, fuel, width, _program_type=program_type
     )
-    for field, written in _certificate(t, report).items():
+    for field, written in build_certificate(env, t, report).items():
         bad = _difference(cert.get(field), written)
         if bad is not None:
-            at = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in bad)
-            raise TrustError(
-                "CertificateMismatch",
-                f"certificate field {field!r} differs from the recomputed one"
-                + (f" at {at}" if at else ""),
-            )
+            raise _mismatch(field, bad)
     return report

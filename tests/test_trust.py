@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -459,12 +460,53 @@ def test_frequency_certificate_replays(monkeypatch):
     assert "witnesses" not in cert
     calls = Counter()
     count_calls(monkeypatch, calls, OracleRegistry, "rewrite")
+    count_calls(monkeypatch, calls, surface, "parse_term")
     replayed = replay_certificate(env, reg, cert)
     assert replayed.verdict == "trusted"
     assert replayed.mode == "frequency"
     # the table is rewritten once, by the derivation; its evidence is the
-    # text that derivation writes, and no step is read again
-    assert calls["rewrite"] == 1
+    # text that derivation writes, and no step is read again; replay
+    # parses the program and each listed outcome, and no table term
+    assert calls == {
+        "rewrite": 1,
+        "parse_term": 1 + len(cert["threshold_checks"]),
+    }
+
+
+def test_frequency_table_of_width_5000_replays():
+    """A table's width is read off the length of its tuple of calls, so a
+    tuple of 5000 calls, nested 5000 deep, replays at the default
+    recursion limit."""
+    assert sys.getrecursionlimit() <= 1000
+    env, reg = signature()
+    t = surface.parse_term("#c!")
+    spec = spec_ab(Fraction(2, 3), Fraction(1, 3), Fraction(1, 100))
+    report = trust_check(env, t, spec, reg, freq_width=5000)
+    cert = json.loads(json.dumps(build_certificate(env, t, report)))
+    assert len(cert["table"][0]) == 5000 * len("#c!") + 4999 * len("<, >")
+    start = time.perf_counter()
+    replayed = replay_certificate(env, reg, cert)
+    assert time.perf_counter() - start < 2
+    assert replayed.verdict == "trusted"
+    assert replayed.distribution.as_key_map() == {
+        "a": Fraction(1667, 2500),
+        "b": Fraction(833, 2500),
+    }
+
+
+def test_frequency_table_of_no_width_differs_at_its_first_term():
+    """A first table term whose length fits no tuple of calls, whether it
+    does not parse, is the rewritten tuple, or is empty, differs at [0],
+    and so does an empty table; a term of the right length that is not
+    the tuple of calls differs there too, found by the comparison."""
+    env, reg, cert = frequency_certificate()
+    calls, rewritten = cert["table"]
+    firsts = ("<#c!, <#c!,, #c!>>", rewritten, "", calls.replace(",", ";"))
+    for table in [[first, rewritten] for first in firsts] + [[]]:
+        broken = dict(cert, table=table)
+        with pytest.raises(TrustError) as e:
+            replay_certificate(env, reg, broken)
+        assert str(e.value) == f"[CertificateMismatch] {differs('table')} at [0]"
 
 
 def record_readings(monkeypatch):
@@ -969,6 +1011,26 @@ def test_replay_error_order_parse_then_type_then_spec():
         replay_certificate(env, reg, cert)
 
 
+def test_replay_error_order_parse_then_table_then_type():
+    """A frequency table's width is read after parsing and before typing:
+    a first table term that does not parse is a table that differs, not a
+    parse error, and it is reported after a listed outcome that does not
+    parse and before an ill-typed program."""
+    env, reg, cert = frequency_certificate()
+    # a table of one call is the program's own text
+    cert["program"] = cert["table"][0] = OMEGA
+    cert["epsilon"] = "2"
+    with pytest.raises(CheckError):
+        replay_certificate(env, reg, copy.deepcopy(cert))
+    cert["table"][0] = "<#c!, <#c!"
+    with pytest.raises(TrustError) as e:
+        replay_certificate(env, reg, copy.deepcopy(cert))
+    assert str(e.value) == f"[CertificateMismatch] {differs('table')} at [0]"
+    cert["threshold_checks"][0]["outcome"] = "a ("
+    with pytest.raises(ParseError):
+        replay_certificate(env, reg, cert)
+
+
 def test_replay_rejects_tampered_threshold_row():
     env, reg, _, cert = trusted_coin_certificate()
     cert["threshold_checks"][0]["derived"] = "1/2"
@@ -1048,6 +1110,8 @@ def test_replay_requires_the_witness_claims_trust_writes():
     env, reg, _, cert = trusted_coin_certificate()
     _, _, table_cert = frequency_certificate()
     cases = []
+    # the reversed table's first term is the rewritten tuple, which is no
+    # tuple of calls: it differs at [0] before the verdict is compared
     for original, field in ((cert, "claims"), (table_cert, "table")):
         reordered = copy.deepcopy(original)
         reordered[field].reverse()
