@@ -412,24 +412,39 @@ def _atom(ts: _Stream) -> Term:
 
 
 def _type(ts: _Stream) -> TypeCon:
-    if ts.at_keyword("forall"):
+    """A type; an arrow chain is read in a loop and folded to the right."""
+    lefts: list[TypeCon] = []
+    while True:
+        if ts.at_keyword("forall"):
+            ts.next()
+            right = Forall(*_binder(ts, _type))
+            break
+        if ts.peek().kind == "CONLAM":
+            ts.next()
+            right = TypeAbs(*_binder(ts, _type))
+            break
+        conjuncts = [_unary(ts)]
+        while ts.peek().kind == "AND":
+            ts.next()
+            conjuncts.append(_unary(ts))
+        right = conjuncts.pop()
+        while conjuncts:  # /\ nests to the right
+            right = Conj(conjuncts.pop(), right)
+        if ts.peek().kind != "ARROW":
+            break
         ts.next()
-        return Forall(*_binder(ts, _type))
-    if ts.peek().kind == "CONLAM":
-        ts.next()
-        return TypeAbs(*_binder(ts, _type))
-    conjuncts = [_unary(ts)]
-    while ts.peek().kind == "AND":
-        ts.next()
-        conjuncts.append(_unary(ts))
-    left = conjuncts.pop()
-    while conjuncts:  # /\ nests to the right
-        left = Conj(conjuncts.pop(), left)
-    if ts.peek().kind == "ARROW":
-        ts.next()
-        right = _type(ts)
-        return Forall(fresh_name("_", free_term_vars(right)), left, right)
-    return left
+        lefts.append(right)
+    if not lefts:
+        return right
+    # each arrow binds a name not free on its right, so the names free in
+    # the arrow are those on its right and its left's
+    free = set(free_term_vars(right))
+    while True:
+        left = lefts.pop()
+        right = Forall(fresh_name("_", free), left, right)
+        if not lefts:
+            return right
+        free |= free_term_vars(left)
 
 
 def _unary(ts: _Stream) -> TypeCon:

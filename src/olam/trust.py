@@ -90,34 +90,33 @@ class TrustReport:
     graph: StepGraph | None
 
 
-def _validate_spec(spec: TrustSpec) -> list[str]:
+def _check_tolerance(epsilon: Rational) -> None:
+    """Reject a tolerance outside (0, 1]."""
+    if not 0 < epsilon <= 1:
+        raise TrustError("EpsilonRange", f"tolerance {epsilon} outside (0, 1]")
+
+
+def _validate_spec(spec: TrustSpec, keys: list[str]) -> None:
     """Reject a spec that is malformed whatever the program: a tolerance
-    or a target out of range, an outcome listed twice, or targets that do
-    not sum to 1.  Return the key of each listed outcome, in order."""
-    if not 0 < spec.epsilon <= 1:
-        raise TrustError(
-            "EpsilonRange", f"tolerance {spec.epsilon} outside (0, 1]"
-        )
-    keys: list[str] = []
+    or a target out of range, an outcome listed twice (keys holds each
+    listed outcome's key, in order), or targets that do not sum to 1."""
+    _check_tolerance(spec.epsilon)
     listed: set[str] = set()
-    for outcome, target in spec.entries:
+    for (outcome, target), key in zip(spec.entries, keys):
         if not 0 <= target <= 1:
             raise TrustError(
                 "TargetRange", f"target mass {target} outside [0, 1]"
             )
-        key = term_key(outcome)
         if key in listed:
             raise TrustError(
                 "DuplicateOutcome", f"outcome {outcome} listed twice"
             )
         listed.add(key)
-        keys.append(key)
     total = sum((target for _, target in spec.entries), Fraction(0))
     if total != 1:
         raise TrustError(
             "TargetNotTotal", f"target masses sum to {total}, not 1"
         )
-    return keys
 
 
 def trust_check(
@@ -127,8 +126,6 @@ def trust_check(
     registry: OracleRegistry | None = None,
     fuel: Fuel | int = DEFAULT_FUEL,
     freq_width: int | None = None,
-    *,
-    _program_type: TypeCon | None = None,
 ) -> TrustReport:
     """Derive t's distribution and compare it against the declared targets.
 
@@ -150,28 +147,57 @@ def trust_check(
     derivation did not reach that is not a normal form of the program's
     type or of a reached outcome's type.  A reached outcome is one.  Only
     such an outcome makes trust_check type terms: the outcome, then the
-    program and the reached outcomes until one has its type.  The private
-    _program_type is the program's type where replay has it already.
+    program and the reached outcomes until one has its type.
     """
-    keys = _validate_spec(spec)
+    keys = [term_key(outcome) for outcome, _ in spec.entries]
+    _validate_spec(spec, keys)
+    derivation = _derive(env, t, registry, fuel, freq_width)
+    return _judge(env, t, spec, keys, derivation, registry)
+
+
+# A derivation: the distribution, then the step graph (enumerate mode) or
+# the frequency table's judgments (frequency mode).
+_Derivation = tuple[Distribution, StepGraph | None, list[MapstoJudgment]]
+
+
+def _derive(
+    env: Environment,
+    t: Term,
+    registry: OracleRegistry | None,
+    fuel: Fuel | int,
+    freq_width: int | None,
+) -> _Derivation:
+    """t's distribution and its evidence, as trust_check describes."""
     oracle = forced_oracle_form(t)
-    graph = None
     if freq_width is not None and oracle is not None:
         name, arg = oracle
         dist, judgments = oracle_frequency(env, name, arg, freq_width, registry)
-        mode = "frequency"
-    else:
-        dist, graph = step_graph(t, registry, fuel)
-        judgments = []
-        mode = "enumerate"
+        return dist, None, judgments
+    dist, graph = step_graph(t, registry, fuel)
+    return dist, graph, []
+
+
+def _judge(
+    env: Environment,
+    t: Term,
+    spec: TrustSpec,
+    keys: list[str],
+    derivation: _Derivation,
+    registry: OracleRegistry | None,
+    program_type: TypeCon | None = None,
+) -> TrustReport:
+    """The verdict on a valid spec, whose outcomes have the keys, against
+    the derivation of t; program_type is t's type where the caller has
+    it already."""
+    dist, graph, judgments = derivation
     derived = dist.as_key_map()
     # the program's type, then each reached outcome's, typed on first need:
     # a reduct's type may differ from the program's by a term step inside
     # it, which alpha-equality does not take
     types: list[TypeCon] = []
     untyped = chain((t,), (outcome for outcome, _ in dist.items()))
-    if _program_type is not None:
-        types.append(_program_type)
+    if program_type is not None:
+        types.append(program_type)
         next(untyped)
 
     def known_type(outcome_type: TypeCon) -> bool:
@@ -232,7 +258,7 @@ def trust_check(
         epsilon=Fraction(spec.epsilon),
         distribution=dist,
         judgments=tuple(judgments),
-        mode=mode,
+        mode="enumerate" if graph is not None else "frequency",
         graph=graph,
     )
 
@@ -273,26 +299,39 @@ def build_certificate(env: Environment, t: Term, report: TrustReport) -> dict:
         "verdict": report.verdict,
         "totality": str(report.total),
     }
+    # each derived outcome's text is texts[at[id(outcome)]]: a step graph
+    # holds its leaves printed, and a frequency table's outcomes are
+    # printed here, in the distribution's order
     if graph is None:
+        reps = [rep for rep, _ in report.distribution.items()]
+        texts = [show(rep) for rep in reps]
+        at = {id(rep): i for i, rep in enumerate(reps)}
         cert["distribution"] = [
-            [show(rep), str(prob)] for rep, prob in report.distribution.items()
+            [text, str(prob)]
+            for text, (_, prob) in zip(texts, report.distribution.items())
         ]
         # every judgment of the table shares its one trace
         cert["table"] = [show(s) for s in report.judgments[0].witness.steps]
     else:
-        leaf_of = {id(graph.terms[leaf]): leaf for leaf, _ in graph.leaves}
+        texts = graph.texts
+        at = {id(graph.terms[leaf]): leaf for leaf, _ in graph.leaves}
         cert["nodes"] = list(graph.texts)
         cert["edges"] = [
             [node, _label_to_text(label), str(prob), child]
             for node, label, prob, child in graph.edges
         ]
         cert["claims"] = [
-            [leaf_of[id(rep)], str(prob)]
+            [at[id(rep)], str(prob)]
             for rep, prob in report.distribution.items()
         ]
     cert["threshold_checks"] = [
         {
-            "outcome": show(row.outcome),
+            # a row that replay took from the derivation comes printed
+            "outcome": (
+                texts[at[id(row.outcome)]]
+                if id(row.outcome) in at
+                else show(row.outcome)
+            ),
             "target": str(row.target),
             "derived": str(row.derived),
             "deviation": str(row.deviation),
@@ -371,33 +410,31 @@ def replay_certificate(
 ) -> TrustReport:
     """Recheck a certificate from scratch.
 
-    The verdict is derived once, by the same trust_check that wrote the
-    certificate, and the certificate build_certificate writes for it must
-    equal the given one in every field it writes, evidence included:
-    evidence that is the text of a fresh derivation by the reduction
-    rules needs no second check step by step.  Fields are compared as JSON
+    The verdict is derived once, by the derivation and the judgment that
+    trust_check runs, and the certificate build_certificate writes for it
+    must equal the given one in every field it writes, evidence included:
+    evidence that is the text of a fresh derivation by the reduction rules
+    needs no second check step by step.  Fields are compared as JSON
     values, so 1 is not true and list order counts, but the key order of
     an object does not.  A difference raises, naming the field and the
     place of its first differing value.
 
-    Replay parses only its inputs: the program, the tolerance and the
-    threshold rows.  Of the evidence it reads one length: a frequency
-    table's first term is the tuple of n calls, n its width, or the table
-    differs at [0].  Errors come in this order: parsing, the width, typing
-    the program, once (trust_check takes its type), then trust_check's.
+    Replay parses only what it cannot derive.  It parses the program and
+    the tolerance, types the program once and derives; a threshold row
+    whose outcome text is the printed text of a derived outcome is that
+    outcome, with the key the derivation gave it, and only the other rows'
+    outcomes are parsed, keyed and, if the derivation did not reach them,
+    typed and checked to be normal forms.  Every target is parsed.  Of the
+    evidence it reads one length: a frequency table's first term is the
+    tuple of n calls, n its width, or the table differs at [0].  Errors
+    come in this order: parsing the program and the tolerance, the width,
+    typing the program, the tolerance's range, the derivation's, parsing
+    the rows, then the spec's and the unreached rows' as trust_check
+    orders them, then the first field that differs.
     """
     _require_shape(cert, _READ, "certificate")
     t = surface.parse_term(cert["program"])
-    spec = TrustSpec(
-        tuple(
-            (
-                surface.parse_term(row["outcome"]),
-                surface.parse_rational_text(row["target"]),
-            )
-            for row in cert["threshold_checks"]
-        ),
-        surface.parse_rational_text(cert["epsilon"]),
-    )
+    epsilon = surface.parse_rational_text(cert["epsilon"])
     width = None
     if cert.get("mode") == "frequency":
         table = cert.get("table")
@@ -409,9 +446,28 @@ def replay_certificate(
         if rest or not width:
             raise _mismatch("table", [0])
     program_type = infer_type(env, t, registry)
-    report = trust_check(
-        env, t, spec, registry, fuel, width, _program_type=program_type
-    )
+    _check_tolerance(epsilon)
+    derivation = dist, graph, _ = _derive(env, t, registry, fuel, width)
+    reps = [rep for rep, _ in dist.items()]
+    if graph is None:
+        texts = [show(rep) for rep in reps]
+    else:
+        leaf_of = {id(graph.terms[leaf]): leaf for leaf, _ in graph.leaves}
+        texts = [graph.texts[leaf_of[id(rep)]] for rep in reps]
+    # items come sorted by key, so sorting the keys pairs them up
+    reached = dict(zip(texts, zip(reps, sorted(dist.as_key_map()))))
+    entries, keys = [], []
+    for row in cert["threshold_checks"]:
+        if row["outcome"] in reached:
+            outcome, key = reached[row["outcome"]]
+        else:
+            outcome = surface.parse_term(row["outcome"])
+            key = term_key(outcome)
+        entries.append((outcome, surface.parse_rational_text(row["target"])))
+        keys.append(key)
+    spec = TrustSpec(tuple(entries), epsilon)
+    _validate_spec(spec, keys)
+    report = _judge(env, t, spec, keys, derivation, registry, program_type)
     for field, written in build_certificate(env, t, report).items():
         bad = _difference(cert.get(field), written)
         if bad is not None:

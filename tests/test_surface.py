@@ -15,7 +15,7 @@ from generators import (
     gen_closed_term,
     gen_kind,
 )
-from olam import printer, surface
+from olam import printer, surface, syntax
 from olam.errors import ParseError
 from olam.oracles import (
     GuardArg,
@@ -46,6 +46,7 @@ from olam.syntax import (
     TypeName,
     Var,
     alpha_eq,
+    subnodes,
 )
 
 
@@ -101,6 +102,39 @@ def test_parse_type_arrow_right_associative():
     assert isinstance(t, Forall)
     assert t.var_type == TypeName("A")
     assert isinstance(t.body, Forall)
+
+
+def flat(node):
+    """The nodes of a tree, each after its parent, as their classes and
+    the fields that are not children, binder names among them."""
+    return [(type(n), syntax._DATA[type(n)](n)) for n in subnodes(node)]
+
+
+def test_arrow_chain_reads_each_node_once(monkeypatch):
+    """Each arrow's binder avoids the names free on its right, which are
+    gathered arrow by arrow: the free-name walks read each node of a
+    chain at most once, and build the reference's tree, binder names
+    included (`_`, or `_1` where `_` is free)."""
+    visited = []
+    free_term_vars = surface.free_term_vars
+
+    def counted(node):
+        visited.append(len(subnodes(node)))
+        return free_term_vars(node)
+
+    monkeypatch.setattr(surface, "free_term_vars", counted)
+    for n in (100, 200, 400):
+        for left in ("A", "P _", "A /\\ P _1"):
+            text = " -> ".join([left] * n + ["P _"])
+            visited.clear()
+            t = surface.parse_type(text)
+            # the n arrows are built, not read
+            assert sum(visited) <= len(subnodes(t)) - n
+            # == on the trees would recurse once per arrow
+            assert flat(t) == flat(reference_surface.parse_type(text))
+    assert surface.parse_type("A -> P _") == Forall(
+        "_1", TypeName("A"), TypeApp(TypeName("P"), Var("_"))
+    )
 
 
 def test_parse_type_forall_dependent():

@@ -466,11 +466,9 @@ def test_frequency_certificate_replays(monkeypatch):
     assert replayed.mode == "frequency"
     # the table is rewritten once, by the derivation; its evidence is the
     # text that derivation writes, and no step is read again; replay
-    # parses the program and each listed outcome, and no table term
-    assert calls == {
-        "rewrite": 1,
-        "parse_term": 1 + len(cert["threshold_checks"]),
-    }
+    # parses the program, and no table term, and each listed outcome is
+    # one the table reached, printed as the distribution prints it
+    assert calls == {"rewrite": 1, "parse_term": 1}
 
 
 def test_frequency_table_of_width_5000_replays():
@@ -948,8 +946,8 @@ def test_replay_rejects_tampered_witness_steps():
 
 def test_replay_derives_once_and_reads_no_witness(monkeypatch):
     """Replaying the eight outcomes of a three-coin tuple parses the
-    program and each threshold outcome, builds the step graph once, and
-    neither parses a node nor reads a step."""
+    program, builds the step graph once, and neither parses a node nor
+    reads a step; each threshold outcome is a leaf the graph reached."""
     env, reg, cert = exact_certificate(f"<{COIN}, <{COIN}, {COIN}>>")
     assert len(cert["claims"]) == 8
     calls = Counter()
@@ -958,10 +956,7 @@ def test_replay_derives_once_and_reads_no_witness(monkeypatch):
     count_calls(monkeypatch, calls, trust, "step_graph")
     count_calls(monkeypatch, calls, trust, "enumerate_distribution")
     assert replay_certificate(env, reg, cert).verdict == "trusted"
-    assert calls == {
-        "parse_term": 1 + len(cert["threshold_checks"]),
-        "step_graph": 1,
-    }
+    assert calls == {"parse_term": 1, "step_graph": 1}
 
 
 def test_replay_types_the_parsed_program_once(typings):
@@ -983,6 +978,100 @@ def test_replay_types_the_program_once_beside_an_unreached_row(typings):
     assert typings == [("olam.trust", cert["program"]), ("olam.trust", "b")]
 
 
+def test_replay_parses_a_row_spelled_unlike_its_outcome(monkeypatch):
+    """A row alpha-equal to a reached outcome but printed otherwise is
+    parsed, keyed to that outcome, and replays trusted."""
+    env, reg = signature()
+    t = surface.parse_term("choose[1/2]{\\x:A. x}{\\x:A. a}!")
+    spec = TrustSpec(
+        (
+            (surface.parse_term("\\y:A. y"), Fraction(1, 2)),
+            (surface.parse_term("\\x:A. a"), Fraction(1, 2)),
+        ),
+        Fraction(1, 100),
+    )
+    cert = build_certificate(env, t, trust_check(env, t, spec, reg))
+    assert "\\x:A. x" in [cert["nodes"][leaf] for leaf, _ in cert["claims"]]
+    assert cert["threshold_checks"][0]["outcome"] == "\\y:A. y"
+    calls = Counter()
+    count_calls(monkeypatch, calls, surface, "parse_term")
+    report = replay_certificate(env, reg, cert)
+    assert report.verdict == "trusted"
+    assert calls == {"parse_term": 2}
+    assert str(report.rows[0].outcome) == "\\y:A. y"
+    assert report.rows[0].derived == Fraction(1, 2)
+
+
+def test_replay_rejects_a_reached_row_with_a_tampered_target():
+    """A row taken from the derivation still has its target parsed: a
+    target spelled otherwise is written back as the derivation prints it,
+    and one that does not parse fails; moved within the tolerance, the
+    targets keep the verdict, and the row's deviation differs."""
+    env, reg, _, cert = trusted_coin_certificate()
+    assert cert["threshold_checks"][0]["outcome"] == "a"
+    assert cert["threshold_checks"][0]["target"] == "1/3"
+    for target, error in (
+        ("2/6", f"[CertificateMismatch] {differs('threshold_checks')} at [0].target"),
+        ("1/0", "[MalformedRational] bad rational '1/0'"),
+    ):
+        broken = copy.deepcopy(cert)
+        broken["threshold_checks"][0]["target"] = target
+        with pytest.raises(OlamError) as e:
+            replay_certificate(env, reg, broken)
+        assert str(e.value) == error
+    cert["threshold_checks"][0]["target"] = "67/200"
+    cert["threshold_checks"][1]["target"] = "133/200"
+    with pytest.raises(TrustError) as e:
+        replay_certificate(env, reg, cert)
+    assert str(e.value) == (
+        f"[CertificateMismatch] {differs('threshold_checks')} at [0].deviation"
+    )
+
+
+def test_replay_types_and_reduces_an_unreached_row():
+    """A row the derivation did not reach is parsed, typed against the
+    program, and checked to be a normal form, as trust_check does."""
+    env, reg, _, cert = trusted_coin_certificate()
+    for text, message in (
+        ("\\x:A. x", "outcome \\x:A. x has type A -> A, the program has type A"),
+        ("(\\x:A. x) a", "outcome (\\x:A. x) a is not in normal form"),
+    ):
+        broken = copy.deepcopy(cert)
+        broken["threshold_checks"].append({"outcome": text, "target": "0"})
+        with pytest.raises(TrustError) as e:
+            replay_certificate(env, reg, broken)
+        assert str(e.value) == f"[UnknownOutcome] {message}"
+
+
+def test_replay_of_coins_10_reads_no_reached_row(monkeypatch):
+    """Every one of the 1024 rows is a reached outcome: replay parses one
+    term, the program, and prints and keys no row, so it prints and keys
+    no more terms than writing the certificate did."""
+    env, reg = signature()
+    t = coins(10)
+    dist, _ = traces.step_graph(t, reg)
+    spec = TrustSpec(tuple(dist.items()), Fraction(1, 100))
+    calls = Counter()
+    for module in (traces, trust):
+        for name in ("show", "term_key"):
+            original = getattr(module, name)
+
+            def counted(term, original=original, at=(module.__name__, name)):
+                calls[at] += 1
+                return original(term)
+
+            monkeypatch.setattr(module, name, counted)
+    cert = build_certificate(env, t, trust_check(env, t, spec, reg))
+    written = sum(calls.values())
+    assert len(cert["threshold_checks"]) == 1024
+    calls.clear()
+    count_calls(monkeypatch, calls, surface, "parse_term")
+    assert replay_certificate(env, reg, cert).verdict == "trusted"
+    assert calls.pop("parse_term") == 1
+    assert calls[("olam.trust", "show")] == calls[("olam.trust", "term_key")] == 0
+    assert sum(calls.values()) <= written
+
+
 OMEGA = "(\\x:A. x x x) (\\x:A. x x x)"
 
 
@@ -997,38 +1086,51 @@ def test_replay_types_an_ill_typed_program_before_deriving():
     assert e.value.code == "NotAFunction"
 
 
-def test_replay_error_order_parse_then_type_then_spec():
-    """Replay parses all it reads, then types the program, then checks
-    the spec: an ill-typed program is reported before an out-of-range
-    tolerance, and a listed outcome that does not parse before both."""
+def test_replay_error_order_type_then_tolerance_then_derivation_then_rows():
+    """Replay parses the program and the tolerance, types the program,
+    checks the tolerance's range, derives, then reads the threshold rows:
+    a tolerance that does not parse is reported before an ill-typed
+    program, that before an out-of-range tolerance, that before a
+    derivation out of fuel, and that before a listed outcome that does
+    not parse."""
     env, reg, _, cert = trusted_coin_certificate()
-    cert["program"] = OMEGA
-    cert["epsilon"] = "2"
-    with pytest.raises(CheckError):
-        replay_certificate(env, reg, copy.deepcopy(cert))
     cert["threshold_checks"][1]["outcome"] = "a ("
     with pytest.raises(ParseError):
-        replay_certificate(env, reg, cert)
+        replay_certificate(env, reg, copy.deepcopy(cert))
+    with pytest.raises(ReductionError) as e:
+        replay_certificate(env, reg, copy.deepcopy(cert), fuel=1)
+    assert e.value.code == "FuelExhausted"
+    cert["epsilon"] = "2"
+    with pytest.raises(TrustError) as e:
+        replay_certificate(env, reg, copy.deepcopy(cert), fuel=1)
+    assert e.value.code == "EpsilonRange"
+    cert["program"] = OMEGA
+    with pytest.raises(CheckError):
+        replay_certificate(env, reg, copy.deepcopy(cert), fuel=1)
+    cert["epsilon"] = "x"
+    with pytest.raises(ParseError) as e:
+        replay_certificate(env, reg, cert, fuel=1)
+    assert e.value.code == "MalformedRational"
 
 
-def test_replay_error_order_parse_then_table_then_type():
-    """A frequency table's width is read after parsing and before typing:
-    a first table term that does not parse is a table that differs, not a
-    parse error, and it is reported after a listed outcome that does not
-    parse and before an ill-typed program."""
+def test_replay_error_order_table_then_type_then_rows():
+    """A frequency table's width is read after parsing the program and
+    before typing it: a first table term that does not parse is a table
+    that differs, not a parse error, and it is reported before an
+    ill-typed program, which is reported before a listed outcome that
+    does not parse."""
     env, reg, cert = frequency_certificate()
+    cert["threshold_checks"][0]["outcome"] = "a ("
+    with pytest.raises(ParseError):
+        replay_certificate(env, reg, copy.deepcopy(cert))
     # a table of one call is the program's own text
     cert["program"] = cert["table"][0] = OMEGA
-    cert["epsilon"] = "2"
     with pytest.raises(CheckError):
         replay_certificate(env, reg, copy.deepcopy(cert))
     cert["table"][0] = "<#c!, <#c!"
     with pytest.raises(TrustError) as e:
-        replay_certificate(env, reg, copy.deepcopy(cert))
-    assert str(e.value) == f"[CertificateMismatch] {differs('table')} at [0]"
-    cert["threshold_checks"][0]["outcome"] = "a ("
-    with pytest.raises(ParseError):
         replay_certificate(env, reg, cert)
+    assert str(e.value) == f"[CertificateMismatch] {differs('table')} at [0]"
 
 
 def test_replay_rejects_tampered_threshold_row():
