@@ -76,6 +76,8 @@ def _text(node: s.Node, renaming: bool) -> str:
     prints as outside the body ("" for itself)."""
     out: list[str] = []
     names: dict[str, str] = {}
+    # whether each Forall prints as an arrow, its name not free in its body
+    arrows: dict[int, bool] = {}
     count = 0
     stack: list = [(node, 0)]
     push = stack.append
@@ -109,7 +111,19 @@ def _text(node: s.Node, renaming: bool) -> str:
             if prec > 0:
                 out.append("(")
                 push(")")
-            arrow = cls is s.Forall and node.var not in s.free_term_vars(node.body)
+            if cls is s.Forall and id(node) not in arrows:
+                # the head of a chain of Foralls, each the body of the one
+                # before, decides the chain: the free names fold from the
+                # innermost body outward, so each node is read once
+                chain = [node]
+                while type(chain[-1].body) is s.Forall:
+                    chain.append(chain[-1].body)
+                free = set(s.free_term_vars(chain[-1].body))
+                for link in reversed(chain):
+                    arrows[id(link)] = link.var not in free
+                    free.discard(link.var)
+                    free |= s.free_term_vars(link.var_type)
+            arrow = cls is s.Forall and arrows[id(node)]
             if not arrow:
                 out += (_BINDER_HEAD[cls], node.var, ":")
             push((node, -1 if arrow else -len(out)) if renaming else (node.body, 0))

@@ -625,82 +625,67 @@ def step_graph(
     """Exact output distribution of t, with its step graph as evidence.
 
     t must be typed, as for enumerate_paths, and the graph folds the same
-    paths.  A term's future depends only on the term, because oracle
-    call sites and their contexts are part of it.  So each distinct
-    printed term is stepped once, and a path that reaches a term already
-    seen stops there.  Each edge explored spends one unit of fuel.  Masses
-    flow forward in one pass in topological order, and each leaf adds its
-    mass to its outcome.  A reduction that comes back to a term on its own
-    path would never end, so it spends all the fuel.
+    paths in the same stack loop.  A term's future depends only on the
+    term, because oracle call sites and their contexts are part of it.
+    So each distinct printed term is numbered and stepped once, when the
+    walk first reaches it, and a path that reaches a numbered term stops
+    there.  Each edge spends one unit of fuel.  Masses flow forward over
+    the reverse of the order in which nodes close, which is topological.
+    A reduction that comes back to a term on its own path, numbered but
+    not closed, would never end, so it spends all the fuel.
     """
     budget = fuel if isinstance(fuel, Fuel) else Fuel(fuel)
-    text = show(t)
-    terms, texts, index = [t], [text], {text: 0}
-    out: list[list[tuple[int, StepLabel, Fraction]]] = [[]]
-    closed = [False]
-    order: list[int] = []
-    leaves: list[int] = []
-    # frames of the nodes on the current path: the node, its outcomes, its
-    # pending positions and the next outcome
-    frames: list[list] = []
-    enter: tuple | None = (0, [(t, ())], None)
-    while True:
-        if enter is not None:
-            node, pending, last = enter
-            enter = None
-            redex = next_redex(pending, last)
-            if redex is None:
-                leaves.append(node)
-                closed[node] = True
-                order.append(node)
-            else:
-                outcomes = step(terms[node], redex, registry)
-                frames.append([node, outcomes, pending, 0])
-        if not frames:
-            break
-        frame = frames[-1]
-        node, outcomes, pending, i = frame
-        if i == len(outcomes):
-            frames.pop()
-            closed[node] = True
-            order.append(node)
+    terms: list[Term] = []
+    # each node's number by its text, and its edges as (target text,
+    # label, prob) in outcome order; the nodes closed, in closing order
+    index: dict[str, int] = {}
+    out: list[list[tuple[str, StepLabel, Fraction]]] = []
+    closed: dict[int, None] = {}
+    # a node to visit, with its text, pending positions and the step that
+    # reached it, as in enumerate_paths; a number closes that node
+    stack: list = [(t, show(t), [(t, ())], None)]
+    while stack:
+        item = stack.pop()
+        if type(item) is int:
+            closed[item] = None
             continue
-        frame[3] = i + 1
-        budget.spend()
-        outcome = outcomes[i]
-        text = show(outcome.after)
-        child = index.get(text)
-        if child is None:
-            child = index[text] = len(terms)
-            terms.append(outcome.after)
-            texts.append(text)
-            out.append([])
-            closed.append(False)
-            # the last outcome takes the pending positions, the others a copy
-            if i + 1 < len(outcomes):
-                pending = list(pending)
-            enter = (child, pending, outcome)
-        elif not closed[child]:
-            budget.spend(budget.left)
+        term, text, pending, last = item
+        if text in index:
+            continue
+        node = index[text] = len(terms)
+        terms.append(term)
+        out.append([])
+        stack.append(node)
+        redex = next_redex(pending, last)
+        if redex is None:
+            continue
+        outcomes = step(term, redex, registry)
+        for outcome in reversed(outcomes):
             budget.spend()
-        out[node].append((child, (outcome.path, outcome.label), outcome.prob))
-    # the reverse of the order in which nodes close is topological
+            text = show(outcome.after)
+            if text in index and index[text] not in closed:
+                budget.spend(budget.left)
+                budget.spend()
+            out[node].append((text, (outcome.path, outcome.label), outcome.prob))
+            own = pending if outcome is outcomes[0] else list(pending)
+            stack.append((outcome.after, text, own, outcome))
+        out[node].reverse()
     mass = [Fraction(0)] * len(terms)
     mass[0] = Fraction(1)
-    for node in reversed(order):
-        m = mass[node]
-        for child, _, prob in out[node]:
-            mass[child] += m * prob
+    for node in reversed(closed):
+        for text, _, prob in out[node]:
+            mass[index[text]] += mass[node] * prob
+    leaves = [node for node, edges in enumerate(out) if not edges]
     dist = Distribution()
     for leaf in leaves:
         dist._add_keyed(term_key(terms[leaf]), terms[leaf], mass[leaf])
     graph = StepGraph(
         tuple(terms),
-        tuple(texts),
+        tuple(index),
         tuple(
-            (node, label, prob, child)
+            (node, label, prob, index[text])
             for node, edges in enumerate(out)
-            for child, label, prob in edges
+            for text, label, prob in edges
         ),
         tuple((leaf, mass[leaf]) for leaf in leaves),
     )

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_printer
 import reference_surface
 from generators import (
     ORACLE_SOURCE,
@@ -135,6 +136,31 @@ def test_arrow_chain_reads_each_node_once(monkeypatch):
     assert surface.parse_type("A -> P _") == Forall(
         "_1", TypeName("A"), TypeApp(TypeName("P"), Var("_"))
     )
+
+
+def test_printing_an_arrow_chain_reads_each_node_once(monkeypatch):
+    """The head of a chain decides every arrow in it, folding the free
+    names from the innermost body outward: the free-name walks read each
+    node of the chain at most once, and the text is the reference's."""
+    chains = []
+    for n in (100, 200, 400):
+        for left in ("A", "P _", "A /\\ P _1"):
+            t = surface.parse_type(" -> ".join([left] * n + ["P _"]))
+            chains.append((t, reference_printer.show(t)))
+    visited = []
+    free_term_vars = syntax.free_term_vars
+
+    def counted(node):
+        visited.append(len(subnodes(node)))
+        return free_term_vars(node)
+
+    # the reference printer reads free names through syntax too, so it
+    # runs before the count starts
+    monkeypatch.setattr(syntax, "free_term_vars", counted)
+    for t, want in chains:
+        visited.clear()
+        assert printer.show(t) == want
+        assert sum(visited) <= len(subnodes(t))
 
 
 def test_parse_type_forall_dependent():

@@ -550,6 +550,14 @@ def test_step_graph_folds_the_enumerated_paths():
         assert dist == expected, seed
         assert list(map(str, dist.items())) == list(map(str, expected.items()))
         assert sorted(graph.texts) == sorted(set(graph.texts))
+        # nodes are numbered as the paths, read left-first, first reach them
+        assert graph.texts == tuple(
+            dict.fromkeys(
+                text
+                for _, quads in paths
+                for text in (str(t), *(str(q.after) for q in quads))
+            )
+        ), seed
         fuel = 2 + seed % 30
         got = result_or_code(traces.step_graph, t, reg, fuel)
         want = result_or_code(enumerate_paths, env, t, reg, fuel)
@@ -622,19 +630,27 @@ def test_step_graph_merges_paths_by_their_printed_terms():
 
 def test_a_cycle_spends_all_the_fuel():
     """A term that steps back to itself (possible only untyped) has
-    paths that never end: the graph spends every unit of fuel and fails
-    as the paths do."""
+    paths that never end, at the root or below it: the graph spends
+    every unit of fuel and fails as the paths do."""
     env, reg = signature()
-    omega = surface.parse_term("(\\x:A. x x) (\\x:A. x x)")
-    for run, args in (
-        (traces.step_graph, (omega, reg)),
-        (enumerate_paths, (env, omega, reg)),
+    omega = "(\\x:A. x x) (\\x:A. x x)"
+    for source in (
+        omega,
+        # the cycle comes after a closed sibling leaf
+        f"choose[1/2]{{a}}{{{omega}}}!",
+        # the cycle is under a stepped node
+        f"<choose[1/2]{{a}}{{b}}!, {omega}>",
     ):
-        budget = Fuel(50)
-        with pytest.raises(OlamError) as e:
-            run(*args, budget)
-        assert e.value.code == "FuelExhausted"
-        assert budget.left == 0
+        t = surface.parse_term(source)
+        for run, args in (
+            (traces.step_graph, (t, reg)),
+            (enumerate_paths, (env, t, reg)),
+        ):
+            budget = Fuel(50)
+            with pytest.raises(OlamError) as e:
+                run(*args, budget)
+            assert e.value.code == "FuelExhausted", source
+            assert budget.left == 0, source
 
 
 def test_oracle_frequency_cyclic():
