@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from pathlib import Path
 
@@ -61,94 +61,6 @@ def _at_least(minimum: int):
     return parse
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="olam",
-        description="Type check, run, and audit probabilistic programs.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("program", help="program file")
-    common.add_argument(
-        "--oracles",
-        metavar="FILE",
-        nargs="+",
-        action="extend",
-        default=[],
-        help="oracle definition files",
-    )
-    common.add_argument(
-        "--fuel",
-        type=_at_least(0),
-        default=DEFAULT_FUEL,
-        help=f"step budget (default {DEFAULT_FUEL})",
-    )
-    common.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (default text)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_check = sub.add_parser(
-        "check", parents=[common], help="type check a program"
-    )
-    p_check.set_defaults(handler=_cmd_check)
-
-    p_eval = sub.add_parser(
-        "eval", parents=[common], help="sample runs and report frequencies"
-    )
-    p_eval.add_argument("--seed", type=int, default=0, help="base seed")
-    p_eval.add_argument(
-        "--samples",
-        type=_at_least(1),
-        default=10,
-        help="number of runs (default 10)",
-    )
-    p_eval.set_defaults(handler=_cmd_eval)
-
-    p_dist = sub.add_parser(
-        "dist", parents=[common], help="exact output distribution"
-    )
-    p_dist.set_defaults(handler=_cmd_dist)
-
-    p_trace = sub.add_parser(
-        "trace", parents=[common], help="all reduction paths with labels"
-    )
-    p_trace.set_defaults(handler=_cmd_trace)
-
-    p_trust = sub.add_parser(
-        "trust", parents=[common], help="verdict against a target distribution"
-    )
-    p_trust.add_argument(
-        "--target", required=True, metavar="FILE", help="target distribution"
-    )
-    p_trust.add_argument(
-        "--epsilon", required=True, type=_epsilon_arg, help="tolerance p/q"
-    )
-    p_trust.add_argument(
-        "--samples",
-        type=_at_least(1),
-        default=10,
-        help="frequency width for oracle programs (default 10)",
-    )
-    p_trust.set_defaults(handler=_cmd_trust)
-
-    p_freq = sub.add_parser(
-        "oracle-freq",
-        parents=[common],
-        help="frequency table of an oracle program",
-    )
-    p_freq.add_argument(
-        "--samples",
-        type=_at_least(1),
-        default=10,
-        help="table width (default 10)",
-    )
-    p_freq.set_defaults(handler=_cmd_freq)
-    return parser
-
-
 class _UsageError(Exception):
     """An input file the command cannot use; exit status 2."""
 
@@ -171,39 +83,51 @@ def _load(args: argparse.Namespace) -> CheckedProgram:
     return checker.check_program(surface.parse_program(text), oracle_defs)
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+_Output = tuple[str, int]  # a command's output text and exit status
+
+
+def _render(
+    args: argparse.Namespace,
+    payload: Callable[[], object],
+    lines: Callable[[], Iterable[str]],
+    status: int = 0,
+) -> _Output:
+    """A command's output text in args.format, and its exit status: the
+    object payload() builds as indented JSON (a str it returns is that
+    JSON already), or the lines lines() yields.  Only the chosen format's
+    builder runs."""
+    if args.format == "json":
+        out = payload()
+        return out if isinstance(out, str) else _json(out), status
+    return "".join(f"{line}\n" for line in lines()), status
+
+
+def _json(payload: object) -> str:
+    return json.dumps(payload, indent=2) + "\n"
 
 
 # -------------------------------------------------------------- commands
+# each computes its _Output from its arguments and the loaded program
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    checked = _load(args)
+def _cmd_check(args: argparse.Namespace, checked: CheckedProgram) -> _Output:
     names = [n for n in checked.def_types if n != "main"]
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema": 1,
-                "definitions": [
-                    {"name": n, "type": show(checked.def_types[n])}
-                    for n in names
-                ],
-                "main": {
-                    "term": show(checked.main_term),
-                    "type": show(checked.main_type),
-                },
-            }
-        )
-        return 0
-    for n in names:
-        print(f"{n} : {checked.def_types[n]}")
-    print(f"main : {checked.main_type}")
-    return 0
+    return _render(args, lambda: {
+        "schema": 1,
+        "definitions": [
+            {"name": n, "type": show(checked.def_types[n])} for n in names
+        ],
+        "main": {
+            "term": show(checked.main_term),
+            "type": show(checked.main_type),
+        },
+    }, lambda: [
+        *(f"{n} : {checked.def_types[n]}" for n in names),
+        f"main : {checked.main_type}",
+    ])
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
-    checked = _load(args)
+def _cmd_eval(args: argparse.Namespace, checked: CheckedProgram) -> _Output:
     counts: Counter[str] = Counter()
     reps: dict[str, Term] = {}
     for i in range(args.samples):
@@ -216,43 +140,36 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         key = term_key(result.term)
         counts[key] += 1
         reps.setdefault(key, result.term)
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema": 1,
-                "samples": args.samples,
-                "seed": args.seed,
-                "counts": [
-                    [show(reps[key]), counts[key]] for key in sorted(counts)
-                ],
-            }
-        )
-        return 0
-    print(f"samples: {args.samples}  seed: {args.seed}")
-    for key in sorted(counts):
-        print(f"{reps[key]} = {counts[key]}/{args.samples}")
-    return 0
+    rows = [(show(reps[key]), counts[key]) for key in sorted(counts)]
+    return _render(args, lambda: {
+        "schema": 1,
+        "samples": args.samples,
+        "seed": args.seed,
+        "counts": [list(row) for row in rows],
+    }, lambda: [
+        f"samples: {args.samples}  seed: {args.seed}",
+        *(f"{rep} = {count}/{args.samples}" for rep, count in rows),
+    ])
 
 
-def _print_distribution(
-    args: argparse.Namespace, dist: Distribution, payload: Callable[[list], dict]
-) -> int:
-    """Print dist, a "rep = prob" line per outcome, or in JSON the object
-    that payload builds around its [rep, prob] rows."""
-    if args.format == "json":
-        _emit_json(payload([[show(rep), str(p)] for rep, p in dist.items()]))
-        return 0
-    for rep, prob in dist.items():
-        print(f"{rep} = {prob}")
-    return 0
+def _render_distribution(
+    args: argparse.Namespace,
+    dist: Distribution,
+    payload: Callable[[list], dict],
+) -> _Output:
+    """dist as a "rep = prob" line per outcome, or in JSON the object that
+    payload builds around its [rep, prob] rows."""
+    rows = [[show(rep), str(prob)] for rep, prob in dist.items()]
+    return _render(
+        args, lambda: payload(rows), lambda: (f"{r} = {p}" for r, p in rows)
+    )
 
 
-def _cmd_dist(args: argparse.Namespace) -> int:
-    checked = _load(args)
+def _cmd_dist(args: argparse.Namespace, checked: CheckedProgram) -> _Output:
     dist, _ = enumerate_distribution(
         checked.env, checked.main_term, checked.registry, args.fuel
     )
-    return _print_distribution(args, dist, lambda rows: {
+    return _render_distribution(args, dist, lambda rows: {
         "schema": 1,
         "main": show(checked.main_term),
         "distribution": rows,
@@ -260,87 +177,77 @@ def _cmd_dist(args: argparse.Namespace) -> int:
     })
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    checked = _load(args)
+def _cmd_trace(args: argparse.Namespace, checked: CheckedProgram) -> _Output:
     paths = enumerate_paths(
         checked.env, checked.main_term, checked.registry, args.fuel
     )
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema": 1,
-                "main": show(checked.main_term),
-                "paths": [
-                    {
-                        "probability": str(prob),
-                        "outcome": show(
-                            quads[-1].after if quads else checked.main_term
-                        ),
-                        "steps": [
-                            {
-                                "before": show(q.before),
-                                "after": show(q.after),
-                                "label": q.label,
-                                "probability": str(q.prob),
-                            }
-                            for q in quads
-                        ],
-                    }
-                    for prob, quads in paths
-                ],
-            }
-        )
-        return 0
-    print(f"main: {checked.main_term}")
-    for number, (prob, quads) in enumerate(paths, start=1):
-        outcome = quads[-1].after if quads else checked.main_term
-        print(f"path {number}: probability {prob}, outcome {outcome}")
-        print(f"  {checked.main_term}")
-        for q in quads:
-            print(f"  -> {q.after}  [{show_label(q.label)} {q.prob}]")
-    return 0
+    # each path's terms, main first and its outcome last: a step's before
+    # is its after's predecessor, so every term is printed once
+    main_text = show(checked.main_term)
+    texts = [[main_text, *(show(q.after) for q in qs)] for _, qs in paths]
+
+    def payload() -> dict:
+        return {
+            "schema": 1,
+            "main": main_text,
+            "paths": [
+                {
+                    "probability": str(prob),
+                    "outcome": terms[-1],
+                    "steps": [
+                        {
+                            "before": before,
+                            "after": after,
+                            "label": q.label,
+                            "probability": str(q.prob),
+                        }
+                        for q, before, after in zip(quads, terms, terms[1:])
+                    ],
+                }
+                for (prob, quads), terms in zip(paths, texts)
+            ],
+        }
+
+    def lines() -> Iterator[str]:
+        yield f"main: {main_text}"
+        for number, ((prob, quads), terms) in enumerate(zip(paths, texts), 1):
+            yield f"path {number}: probability {prob}, outcome {terms[-1]}"
+            yield f"  {main_text}"
+            for q, after in zip(quads, terms[1:]):
+                yield f"  -> {after}  [{show_label(q.label)} {q.prob}]"
+
+    return _render(args, payload, lines)
 
 
-def _cmd_trust(args: argparse.Namespace) -> int:
-    checked = _load(args)
+def _cmd_trust(args: argparse.Namespace, checked: CheckedProgram) -> _Output:
     entries = surface.parse_distribution(_read(args.target))
     spec = trust.TrustSpec(tuple(entries), args.epsilon)
+    env, t = checked.env, checked.main_term
     report = trust.trust_check(
-        checked.env,
-        checked.main_term,
-        spec,
-        checked.registry,
-        args.fuel,
-        args.samples,
+        env, t, spec, checked.registry, args.fuel, args.samples
     )
-    certificate = trust.build_certificate(
-        checked.env, checked.main_term, report
-    )
+    certificate = trust.build_certificate(env, t, report)
+    # the certificate is written whatever the verdict, before any output
     cert_path = Path(args.program).with_suffix(".trust.json")
-    cert_text = json.dumps(certificate, indent=2) + "\n"
+    cert_text = _json(certificate)
     cert_path.write_text(cert_text)
-    if args.format == "json":
-        print(cert_text, end="")
-    else:
-        print(f"verdict: {report.verdict}")
-        print(f"epsilon: {report.epsilon}")
-        print(f"mode: {report.mode}")
-        for row in report.rows:
-            status = "pass" if row.passed else "fail"
-            print(
-                f"{row.outcome}: target {row.target} derived {row.derived} "
-                f"deviation {row.deviation} {status}"
-            )
-        for rep, prob in report.extra:
-            print(f"extra {rep} = {prob}")
-        print(f"extra mass: {report.extra_mass}")
-        print(f"totality: {report.total}")
-        print(f"certificate: {cert_path}")
-    return 0 if report.verdict == "trusted" else 1
+    return _render(args, lambda: cert_text, lambda: [
+        f"verdict: {report.verdict}",
+        f"epsilon: {report.epsilon}",
+        f"mode: {report.mode}",
+        *(
+            f"{row.outcome}: target {row.target} derived {row.derived} "
+            f"deviation {row.deviation} {'pass' if row.passed else 'fail'}"
+            for row in report.rows
+        ),
+        *(f"extra {rep} = {prob}" for rep, prob in report.extra),
+        f"extra mass: {report.extra_mass}",
+        f"totality: {report.total}",
+        f"certificate: {cert_path}",
+    ], 0 if report.verdict == "trusted" else 1)
 
 
-def _cmd_freq(args: argparse.Namespace) -> int:
-    checked = _load(args)
+def _cmd_freq(args: argparse.Namespace, checked: CheckedProgram) -> _Output:
     oracle = forced_oracle_form(checked.main_term)
     if oracle is None:
         raise TraceError(
@@ -350,7 +257,7 @@ def _cmd_freq(args: argparse.Namespace) -> int:
     dist, _ = oracle_frequency(
         checked.env, name, arg, args.samples, checked.registry
     )
-    return _print_distribution(args, dist, lambda rows: {
+    return _render_distribution(args, dist, lambda rows: {
         "schema": 1,
         "oracle": name,
         "width": args.samples,
@@ -358,11 +265,75 @@ def _cmd_freq(args: argparse.Namespace) -> int:
     })
 
 
+# ------------------------------------------------------------ the parser
+
+
+def _samples(what: str) -> tuple[str, dict]:
+    return "--samples", dict(
+        type=_at_least(1), default=10, help=f"{what} (default 10)"
+    )
+
+
+# every command's arguments, before its own options
+_COMMON = (
+    ("program", dict(help="program file")),
+    ("--oracles", dict(
+        metavar="FILE", nargs="+", action="extend", default=[],
+        help="oracle definition files",
+    )),
+    ("--fuel", dict(
+        type=_at_least(0), default=DEFAULT_FUEL,
+        help=f"step budget (default {DEFAULT_FUEL})",
+    )),
+    ("--format", dict(
+        choices=("text", "json"), default="text",
+        help="output format (default text)",
+    )),
+)
+
+# (name, help, handler, its own options)
+_COMMANDS = (
+    ("check", "type check a program", _cmd_check, ()),
+    ("eval", "sample runs and report frequencies", _cmd_eval, (
+        ("--seed", dict(type=int, default=0, help="base seed")),
+        _samples("number of runs"),
+    )),
+    ("dist", "exact output distribution", _cmd_dist, ()),
+    ("trace", "all reduction paths with labels", _cmd_trace, ()),
+    ("trust", "verdict against a target distribution", _cmd_trust, (
+        ("--target", dict(
+            required=True, metavar="FILE", help="target distribution"
+        )),
+        ("--epsilon", dict(
+            required=True, type=_epsilon_arg, help="tolerance p/q"
+        )),
+        _samples("frequency width for oracle programs"),
+    )),
+    ("oracle-freq", "frequency table of an oracle program", _cmd_freq, (
+        _samples("table width"),
+    )),
+)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="olam",
+        description="Type check, run, and audit probabilistic programs.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, handler, options in _COMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        for flag, settings in _COMMON + options:
+            command.add_argument(flag, **settings)
+        command.set_defaults(handler=handler)
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        code = args.handler(args)
+        text, code = args.handler(args, _load(args))
+        sys.stdout.write(text)
         # a reader that closed stdout early is found here, not at exit
         sys.stdout.flush()
         return code

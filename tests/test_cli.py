@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from olam import printer
 from olam.cli import main
 
 ORACLE_TEXT = """\
@@ -247,6 +248,33 @@ def test_trace_json(project, capsys):
     assert payload["paths"][0]["steps"][0]["label"] == "left"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_trace_prints_each_term_once(fmt, project, capsys, monkeypatch):
+    """trace prints main once and each step's result once: a step's
+    before is the text printed just ahead of its after."""
+    prog, orc = project("<choose[1/3]{a}{b}!, choose[1/2]{(\\x:A. x) a}{b}!>")
+    text = printer._text
+    printed = []
+
+    def counted(node, renaming):
+        printed.append(node)
+        return text(node, renaming)
+
+    monkeypatch.setattr(printer, "_text", counted)
+    code, out, _ = run(
+        ["trace", prog, "--oracles", orc, "--format", fmt], capsys
+    )
+    assert code == 0
+    if fmt == "json":
+        paths = [p["steps"] for p in json.loads(out)["paths"]]
+        steps = sum(map(len, paths))
+    else:
+        paths = [line for line in out.splitlines() if line.startswith("path")]
+        steps = sum(line.startswith("  -> ") for line in out.splitlines())
+    assert (len(paths), steps) == (4, 10)
+    assert len(printed) == 1 + steps
+
+
 ENUMERATING = ("dist", "trace", "trust")
 
 
@@ -461,6 +489,19 @@ def test_trust_bad_epsilon_is_usage_error(project, capsys, tmp_path):
     ):
         argv = [command, prog, "--oracles", orc, flag, value]
         assert run(argv, capsys)[0] == 0
+
+
+def test_trust_epsilon_that_is_no_rational_names_the_flag(
+    project, capsys, tmp_path
+):
+    prog, orc = project("choose[1/3]{a}{b}!")
+    target = tmp_path / "target.dist"
+    target.write_text("a = 1/3\nb = 2/3\n")
+    argv = ["trust", prog, "--oracles", orc, "--target", str(target)]
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["--epsilon", "abc"])
+    assert e.value.code == 2
+    assert "argument --epsilon: bad rational 'abc'" in capsys.readouterr().err
 
 
 def test_trust_malformed_target_is_domain_error(project, capsys, tmp_path):

@@ -98,3 +98,29 @@ def test_every_command_exits_0_1_or_2_on_fuzzed_input(tmp_path, capsys):
             assert code in (0, 1, 2), (argv, program)
             if err:
                 assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_every_command_exits_0_1_or_2_in_json_format(tmp_path, capsys):
+    """The same inputs through every command's JSON output, which only a
+    --format json run builds."""
+    rng = random.Random(SEED)
+    prog, orc, tgt = (tmp_path / n for n in ("prog.olam", "c.oracles", "t.dist"))
+    commands = {
+        "check": [],
+        "eval": ["--samples", "3", "--seed", "5"],
+        "dist": [],
+        "trace": [],
+        "trust": ["--target", str(tgt), "--epsilon", "1/10", "--samples", "3"],
+        "oracle-freq": ["--samples", "3"],
+    }
+    for program, oracles, target in inputs(rng):
+        prog.write_bytes(program)
+        orc.write_bytes(oracles)
+        tgt.write_bytes(target)
+        for command, extra in commands.items():
+            argv = [command, str(prog), "--oracles", str(orc), "--fuel", "60"]
+            code = main(argv + extra + ["--format", "json"])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), (argv, program)
+            if err:
+                assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -312,6 +312,25 @@ def test_arg_rule_outputs_checked_statically():
     assert e.value.code == "OutputIllTyped"
 
 
+def test_arg_rule_pattern_checked_against_the_domain():
+    """An arg rule's pattern must have the oracle's argument type, and the
+    error names the rule's line."""
+    program = surface.parse_program(
+        "atom A : *\natom a : A\natom g : A -> A\nuse d\nmain = a\n"
+    )
+    defs = surface.parse_oracle_file(
+        "oracle d arity 1 type forall x:A. Sigma A\n"
+        "  rule arg = g -> a\n"
+        "  default -> a\n"
+    )
+    with pytest.raises(OracleError) as e:
+        checker.check_program(program, defs)
+    assert (e.value.code, e.value.span) == ("OutputIllTyped", (2, 1))
+    assert e.value.message == (
+        "oracle d rule for g: [TypeMismatch] expected A, found A -> A"
+    )
+
+
 def test_value_type_accessors():
     assert c_def().value_type() == TypeName("A")
     var, dom, result = d_def().dependent_type()

@@ -468,6 +468,28 @@ ORACLE_HEAD = "oracle e arity 0 type Sigma A\n"
             "'a' declared twice",
             (3, 1),
         ),
+        # the items of a program come in order: atoms, imports, definitions
+        (
+            "parse_program",
+            "atom A : *\nuse c\natom a : A",
+            "Syntax",
+            "atom declarations must precede oracle imports",
+            (3, 1),
+        ),
+        (
+            "parse_program",
+            PROGRAM_HEAD + "k = a\nuse c",
+            "Syntax",
+            "oracle imports must precede definitions",
+            (4, 1),
+        ),
+        (
+            "parse_oracle_file",
+            ORACLE_HEAD + "  rule index in {0} -> a\n  default -> a",
+            "MalformedGuard",
+            "hole indices start at 1",
+            (2, 18),
+        ),
     ],
 )
 def test_lexer_rejects_stray_characters(parse, text, code, message, span):

@@ -365,6 +365,36 @@ def test_check_trace_frequency_result_of_another_shape():
     assert e.value.code == "OracleReplayMismatch"
 
 
+def test_check_trace_frequency_table_carries_probability_1():
+    """A frequency table is one trace of the whole tuple, so an annotation
+    other than 1 is refused."""
+    env, reg = signature()
+    _, judgments = oracle_frequency(env, "c", None, 3, reg)
+    j = judgments[0]
+    w = TraceTerm(j.witness.steps, HALF)
+    with pytest.raises(TraceError) as e:
+        check_trace(env, w, MapstoJudgment(j.source, j.target, j.prob, w), reg)
+    assert (e.value.code, e.value.message) == (
+        "ProbabilityMismatch",
+        "frequency evidence carries probability 1/2, not 1",
+    )
+
+
+def test_check_trace_two_terms_not_all_source_are_a_chain():
+    """A two-term trace whose first term is a tuple with a part other than
+    the source is no frequency table: it is read as an ordinary trace,
+    which must start at the source."""
+    env, reg = signature()
+    src = surface.parse_term("#c!")
+    w = TraceTerm((surface.parse_term("<#c!, a>"), Var("a")), None)
+    with pytest.raises(TraceError) as e:
+        check_trace(env, w, MapstoJudgment(src, Var("a"), HALF, w), reg)
+    assert (e.value.code, e.value.message) == (
+        "BrokenChain",
+        "evidence does not start at the source",
+    )
+
+
 def test_derive_judgment_unique_probability():
     env, reg = signature()
     coin = surface.parse_term(COIN)
