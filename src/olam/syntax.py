@@ -1,19 +1,20 @@
 """Abstract syntax for the calculus: terms, type constructors, kinds.
 
 Three levels share one node protocol (children/rebuild) so that paths,
-substitution and alpha-equality are generic.  Each node's shape comes from
-its dataclass fields: the fields of node type are its children, in field
-order, and the rest are data that alpha-equality compares with ==.  All
-nodes are immutable and hashable; probabilities are exact Fractions.
+substitution and alpha-equality are generic.  Each node class states its
+shape once, in its decorator: its fields in order, the children among them
+marked.  The children are read in field order, and the other fields are data
+that equality and alpha-equality compare with ==.  Nodes are immutable by
+convention, equal when their trees are, and hashable; equality, hashing and
+repr take a node of any depth.  Probabilities are exact Fractions.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import attrgetter
-from typing import get_type_hints
 
 from .errors import ReductionError
 
@@ -34,8 +35,109 @@ class Fuel:
         self.left -= units
 
 
+# ------------------------------------------------------------ node shapes
+#
+# A node class names its fields once, in its decorator, as in
+# `@_node("var *var_type *body")`: a field marked * is a child, and one
+# marked ? defaults to None.  Its children are its fields marked *, in field
+# order, which is also printed order.  _node builds the class from them and
+# enters it in the tables below; only the recorded computations, whose
+# children sit in tuples, have entries written by hand.
+
+_CHILDREN: dict[type, Callable[[Node], tuple[Node, ...]]] = {}
+_REBUILD: dict[type, Callable[[Node, tuple[Node, ...]], Node]] = {}
+# the fields that are not children, compared with == by equality and
+# alpha-equality; for evidence, also the shape its children are read in
+_DATA: dict[type, Callable[[Node], tuple]] = {}
+
+
+def _getter(names: list[str]) -> Callable[[Node], tuple]:
+    """The named fields of a node as a tuple."""
+    if not names:
+        return lambda node: ()
+    if len(names) == 1:
+        get = attrgetter(names[0])
+        return lambda node: (get(node),)
+    return attrgetter(*names)
+
+
+def _rebuilder(
+    cls: type, names: tuple[str, ...], kid_at: list[int]
+) -> Callable[[Node, tuple[Node, ...]], Node]:
+    if not kid_at:
+        return lambda node, kids: node
+    if len(kid_at) == len(names):
+        return lambda node, kids: cls(*kids)
+    every = attrgetter(*names)
+
+    def make(node: Node, kids: tuple[Node, ...]) -> Node:
+        args = list(every(node))
+        for i, kid in zip(kid_at, kids):
+            args[i] = kid
+        return cls(*args)
+
+    return make
+
+
+def _node(fields: str) -> Callable[[type], type]:
+    """A decorator that rebuilds a node class with fields as its __slots__
+    and __match_args__ and an __init__ taking them in order, and enters it
+    in the shape tables."""
+
+    def build(cls: type) -> type:
+        marked = fields.split()
+        names = tuple(f.strip("*?") for f in marked)
+        ns = dict(vars(cls))
+        del ns["__dict__"], ns["__weakref__"]  # the class gets slots instead
+        if names:
+            params = ", ".join(
+                n + "=None" if f.endswith("?") else n for f, n in zip(marked, names)
+            )
+            code = "".join([f"    self.{n} = {n}\n" for n in names])
+            scope: dict = {}
+            exec(f"def __init__(self, {params}):\n{code}", scope)
+            ns["__init__"] = scope["__init__"]
+            ns["__init__"].__qualname__ = f"{cls.__name__}.__init__"
+        ns["__slots__"] = ns["__match_args__"] = names
+        cls = type(cls.__name__, cls.__bases__, ns)
+        kid_at = [i for i, f in enumerate(marked) if f[0] == "*"]
+        _CHILDREN[cls] = _getter([names[i] for i in kid_at])
+        _REBUILD[cls] = _rebuilder(cls, names, kid_at)
+        _DATA[cls] = _getter([n for i, n in enumerate(names) if i not in kid_at])
+        return cls
+
+    return build
+
+
 class Node:
     __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        """Both trees have the same classes and data at every position; one
+        walk, on an explicit stack."""
+        if type(other) is not type(self):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            cls = type(a)
+            if cls is not type(b) or _DATA[cls](a) != _DATA[cls](b):
+                return False
+            stack += zip(_CHILDREN[cls](a), _CHILDREN[cls](b))
+        return True
+
+    def __hash__(self) -> int:
+        """The hash of the class and data of every node below, in one walk."""
+        parts: list = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            cls = type(node)
+            parts += (cls, _DATA[cls](node))
+            stack += _CHILDREN[cls](node)
+        return hash(tuple(parts))
 
     def __str__(self) -> str:
         from . import printer
@@ -61,77 +163,55 @@ class Kind(Node):
 # ---------------------------------------------------------------- terms
 
 
-@dataclass(frozen=True, slots=True)
+@_node("name")
 class Var(Term):
     """Term variable (also signature constants declared with `atom n : T`)."""
 
-    name: str
 
-
-@dataclass(frozen=True, slots=True)
+@_node("oracle")
 class OracleRef(Term):
     """Nullary oracle constant `#name`."""
 
-    oracle: str
 
-
-@dataclass(frozen=True, slots=True)
+@_node("oracle *arg")
 class OracleCall(Term):
     """Unary oracle applied to an argument, `#name t`."""
 
-    oracle: str
-    arg: Term
 
-
-@dataclass(frozen=True, slots=True)
+@_node("var *var_type *body")
 class Lam(Term):
     """Abstraction `\\x:T. t`; the annotation is outside the binder scope."""
 
-    var: str
-    var_type: TypeCon
-    body: Term
 
-
-@dataclass(frozen=True, slots=True)
+@_node("*fun *arg")
 class App(Term):
-    fun: Term
-    arg: Term
+    pass
 
 
-@dataclass(frozen=True, slots=True)
+@_node("*left prob *right")
 class Choice(Term):
-    """Transparent probabilistic choice: left with probability p, right with 1-p."""
-
-    left: Term
-    prob: Rational
-    right: Term
+    """Transparent probabilistic choice: left with probability prob, a
+    Rational, right with 1-prob."""
 
 
-@dataclass(frozen=True, slots=True)
+@_node("*body")
 class Force(Term):
     """Postfix `!`: forces a choice or an oracle computation to yield a value."""
 
-    body: Term
 
-
-@dataclass(frozen=True, slots=True)
+@_node("*left *right")
 class Pair(Term):
-    left: Term
-    right: Term
+    pass
 
 
-@dataclass(frozen=True, slots=True)
+@_node("*pair index")
 class Proj(Term):
-    pair: Term
-    index: int  # 0 or 1
+    """Projection of component index, 0 or 1."""
 
 
-@dataclass(frozen=True, slots=True)
+@_node("*body *target")
 class Efq(Term):
     """`efq(t : T)`: from absurdity t, any quantifier-free type T."""
-
-    body: Term
-    target: TypeCon
 
 
 # A step's label: the path of the redex it fires and the rule it takes
@@ -139,89 +219,63 @@ class Efq(Term):
 StepLabel = tuple[tuple[int, ...], str]
 
 
-@dataclass(frozen=True, slots=True)
+@_node("steps prob? labels?")
 class TraceTerm(Term):
     """Recorded computation [t1, ..., tn]: the produced term sequence of one
-    reduction path.  prob None means the probability is not yet derived.
+    reduction path, a tuple.  prob None means the probability is not yet
+    derived.
 
-    labels, one per step, are a hint for the checker, which verifies them;
-    they are never printed, and equality and alpha-equality ignore them."""
-
-    steps: tuple[Term, ...]
-    prob: Rational | None = None
-    labels: tuple[StepLabel, ...] | None = field(default=None, compare=False)
+    labels, one StepLabel per step, are a hint for the checker, which
+    verifies them; they are never printed, and equality and alpha-equality
+    ignore them."""
 
 
-@dataclass(frozen=True, slots=True)
+@_node("source branches target prob? labels?")
 class MergeTerm(Term):
     """Recorded merge [t, [k1 / ... / kn], s]: several reduction paths from t
-    to s; each branch holds the intermediate terms only.  labels, when
-    present, hold one step label list per branch, as for TraceTerm."""
-
-    source: Term
-    branches: tuple[tuple[Term, ...], ...]
-    target: Term
-    prob: Rational | None = None
-    labels: tuple[tuple[StepLabel, ...], ...] | None = field(
-        default=None, compare=False
-    )
+    to s; each branch, a tuple, holds the intermediate terms only.  labels,
+    when present, hold one step label tuple per branch, as for TraceTerm."""
 
 
 # ------------------------------------------------------- type constructors
 
 
-@dataclass(frozen=True, slots=True)
+@_node("name")
 class TypeName(TypeCon):
     """Atomic constructor declared in the signature."""
 
-    name: str
 
-
-@dataclass(frozen=True, slots=True)
+@_node("var *var_type *body")
 class TypeAbs(TypeCon):
     """Constructor-level abstraction `\\\\x:T. phi` over a term variable."""
 
-    var: str
-    var_type: TypeCon
-    body: TypeCon
 
-
-@dataclass(frozen=True, slots=True)
+@_node("*con *arg")
 class TypeApp(TypeCon):
     """Constructor applied to a term argument."""
 
-    con: TypeCon
-    arg: Term
 
-
-@dataclass(frozen=True, slots=True)
+@_node("var *var_type *body")
 class Forall(TypeCon):
-    var: str
-    var_type: TypeCon
-    body: TypeCon
+    pass
 
 
-@dataclass(frozen=True, slots=True)
+@_node("*body")
 class ChoiceType(TypeCon):
     """Type of transparent probabilistic choices over the body type."""
 
-    body: TypeCon
 
-
-@dataclass(frozen=True, slots=True)
+@_node("*body")
 class OpaqueType(TypeCon):
     """Type of opaque oracle computations yielding the body type."""
 
-    body: TypeCon
 
-
-@dataclass(frozen=True, slots=True)
+@_node("*left *right")
 class Conj(TypeCon):
-    left: TypeCon
-    right: TypeCon
+    pass
 
 
-@dataclass(frozen=True, slots=True)
+@_node("")
 class Bottom(TypeCon):
     pass
 
@@ -229,31 +283,20 @@ class Bottom(TypeCon):
 # ---------------------------------------------------------------- kinds
 
 
-@dataclass(frozen=True, slots=True)
+@_node("")
 class Star(Kind):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_node("var *var_type *body")
 class KindPi(Kind):
     """Kind of constructors abstracting over a term of the annotated type."""
-
-    var: str
-    var_type: TypeCon
-    body: Kind
 
 
 # A binder node owns exactly one bound name; the annotation sits outside it.
 # All four share the field layout (var, var_type, body).
 BINDERS = (Lam, TypeAbs, Forall, KindPi)
-
-
-# ------------------------------------------------------------ node shapes
-#
-# A node's children are its fields of node type, in field order, which is
-# also printed order.  The tables below are read off the dataclasses once;
-# only the recorded computations, whose children sit in tuples, are written
-# out by hand.
+assert all(b.__match_args__ == ("var", "var_type", "body") for b in BINDERS)
 
 
 def _merge_rebuild(node: MergeTerm, kids: tuple[Node, ...]) -> MergeTerm:
@@ -265,73 +308,15 @@ def _merge_rebuild(node: MergeTerm, kids: tuple[Node, ...]) -> MergeTerm:
     return MergeTerm(kids[0], tuple(out), kids[i], node.prob)
 
 
-_CHILDREN: dict[type, Callable[[Node], tuple[Node, ...]]] = {
-    TraceTerm: attrgetter("steps"),
-    MergeTerm: lambda node: (node.source, *chain(*node.branches), node.target),
-}
+# the recorded computations' children sit in tuples, so their entries are
+# written by hand
+_CHILDREN[TraceTerm] = attrgetter("steps")
+_CHILDREN[MergeTerm] = lambda node: (node.source, *chain(*node.branches), node.target)
 # rebuilt evidence drops its labels, which named the redexes of the old terms
-_REBUILD: dict[type, Callable[[Node, tuple[Node, ...]], Node]] = {
-    TraceTerm: lambda node, kids: TraceTerm(tuple(kids), node.prob),
-    MergeTerm: _merge_rebuild,
-}
-# the fields that are not children, compared with == by alpha-equality;
-# for evidence, also the shape its children are read in
-_DATA: dict[type, Callable[[Node], tuple]] = {
-    TraceTerm: lambda node: (node.prob, len(node.steps)),
-    MergeTerm: lambda node: (node.prob, tuple(map(len, node.branches))),
-}
-
-
-def _getter(names: list[str]) -> Callable[[Node], tuple]:
-    """The named fields of a node as a tuple."""
-    if not names:
-        return lambda node: ()
-    if len(names) == 1:
-        get = attrgetter(names[0])
-        return lambda node: (get(node),)
-    return attrgetter(*names)
-
-
-def _rebuilder(
-    cls: type, names: list[str], kid_at: list[int]
-) -> Callable[[Node, tuple[Node, ...]], Node]:
-    if not kid_at:
-        return lambda node, kids: node
-    if len(kid_at) == len(names):
-        return lambda node, kids: cls(*kids)
-    every = attrgetter(*names)
-
-    def make(node: Node, kids: tuple[Node, ...]) -> Node:
-        args = list(every(node))
-        for i, kid in zip(kid_at, kids):
-            args[i] = kid
-        return cls(*args)
-
-    return make
-
-
-def _read_shape(cls: type) -> None:
-    """Enter a dataclass node in the tables: its fields of node type are its
-    children, the others its data."""
-    hints = get_type_hints(cls)
-    names = [f.name for f in fields(cls)]
-    kid_at = [
-        i for i, n in enumerate(names)
-        if isinstance(hints[n], type) and issubclass(hints[n], Node)
-    ]
-    _CHILDREN[cls] = _getter([names[i] for i in kid_at])
-    _REBUILD[cls] = _rebuilder(cls, names, kid_at)
-    _DATA[cls] = _getter([n for i, n in enumerate(names) if i not in kid_at])
-
-
-for _cls in list(globals().values()):
-    if isinstance(_cls, type) and issubclass(_cls, Node) and is_dataclass(_cls):
-        if _cls not in _CHILDREN:
-            _read_shape(_cls)
-del _cls
-assert all(
-    [f.name for f in fields(b)] == ["var", "var_type", "body"] for b in BINDERS
-)
+_REBUILD[TraceTerm] = lambda node, kids: TraceTerm(tuple(kids), node.prob)
+_REBUILD[MergeTerm] = _merge_rebuild
+_DATA[TraceTerm] = lambda node: (node.prob, len(node.steps))
+_DATA[MergeTerm] = lambda node: (node.prob, tuple(map(len, node.branches)))
 
 
 def children(node: Node) -> tuple[Node, ...]:
@@ -578,14 +563,11 @@ def alpha_eq(a: Node, b: Node) -> bool:
 # -------------------------------------------------------------- contexts
 
 
-@dataclass(frozen=True, slots=True)
-class OracleOccurrence:
+class OracleOccurrence(namedtuple("OracleOccurrence", "index arg path")):
     """One extracted redex of an oracle: 1-based hole index, argument for the
     unary form (None for the nullary form), and the position path."""
 
-    index: int
-    arg: Term | None
-    path: tuple[int, ...]
+    __slots__ = ()
 
 
 def hole_var(index: int) -> Var:
@@ -594,16 +576,28 @@ def hole_var(index: int) -> Var:
     return Var(f"[_{index}]")
 
 
-@dataclass(frozen=True, slots=True)
 class HoleContext:
     """A term whose holes 1..count, the variables hole_var(i), stand at the
-    extracted redex positions."""
+    extracted redex positions.  Two are equal when their skeletons and
+    counts are."""
 
-    skeleton: Term
-    count: int
-    _fingerprint: str | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    __slots__ = ("skeleton", "count", "_fingerprint")
+
+    def __init__(self, skeleton: Term, count: int):
+        self.skeleton = skeleton
+        self.count = count
+        self._fingerprint: str | None = None
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not HoleContext:
+            return NotImplemented
+        return (self.skeleton, self.count) == (other.skeleton, other.count)
+
+    def __hash__(self) -> int:
+        return hash((self.skeleton, self.count))
+
+    def __repr__(self) -> str:
+        return f"HoleContext(skeleton={self.skeleton!r}, count={self.count})"
 
     @property
     def fingerprint(self) -> str:
@@ -612,9 +606,8 @@ class HoleContext:
         if self._fingerprint is None:
             from . import printer
 
-            key = printer.term_key(self.skeleton)
-            object.__setattr__(self, "_fingerprint", key)
-        return self._fingerprint  # type: ignore[return-value]
+            self._fingerprint = printer.term_key(self.skeleton)
+        return self._fingerprint
 
     def fill(self, contents: dict[int, Term]) -> Term:
         """The skeleton with hole i substituted by contents[i], in index

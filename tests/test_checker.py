@@ -648,3 +648,18 @@ def test_generated_cons_kind_star(seed):
 def test_generated_kinds_check(seed):
     env, reg = env_and_registry()
     check_kind(env, gen_kind(seed), registry=reg)
+
+
+def test_ill_formed_nodes_are_named_by_their_repr():
+    """A node of the wrong level is refused with its repr, the class name
+    around the printed node."""
+    env = Environment().with_con("A", Star())
+    A = TypeName("A")
+    for check, node, code, message in (
+        (check_kind, A, "IllFormedKind", "not a kind: TypeName(A)"),
+        (infer_kind, Star(), "IllFormedKind", "not a constructor: Star(*)"),
+        (infer_type, A, "IllFormedTerm", "not a term: TypeName(A)"),
+    ):
+        with pytest.raises(CheckError) as e:
+            check(env, node)
+        assert (e.value.code, e.value.message) == (code, message)

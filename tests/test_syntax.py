@@ -3,7 +3,6 @@ renaming, positional access, oracle context decomposition, tuples."""
 
 import random
 from collections import Counter
-from dataclasses import is_dataclass
 from fractions import Fraction
 
 import pytest
@@ -370,6 +369,110 @@ def test_children_and_rebuild_round_trip():
     assert rebuild(t, children(t)) == t
 
 
+def node_classes():
+    """The classes of syntax.py's nodes: those that declare their fields."""
+    return {
+        cls
+        for cls in vars(syntax).values()
+        if isinstance(cls, type)
+        and issubclass(cls, Node)
+        and "__match_args__" in vars(cls)
+    }
+
+
+# each node class's fields in order, its children marked *
+SHAPES = {
+    Var: "name",
+    OracleRef: "oracle",
+    OracleCall: "oracle *arg",
+    Lam: "var *var_type *body",
+    App: "*fun *arg",
+    Choice: "*left prob *right",
+    Force: "*body",
+    Pair: "*left *right",
+    Proj: "*pair index",
+    Efq: "*body *target",
+    TraceTerm: "steps prob labels",
+    MergeTerm: "source branches target prob labels",
+    TypeName: "name",
+    TypeAbs: "var *var_type *body",
+    TypeApp: "*con *arg",
+    Forall: "var *var_type *body",
+    ChoiceType: "*body",
+    OpaqueType: "*body",
+    Conj: "*left *right",
+    Bottom: "",
+    Star: "",
+    KindPi: "var *var_type *body",
+}
+
+
+def test_node_classes_are_built_from_their_shapes():
+    """Each node class has its fields as __slots__ and __match_args__ and no
+    __dict__; children reads the fields marked * and rebuild replaces them,
+    and the others are the data equality compares.  The recorded
+    computations, whose children sit in tuples, read them as
+    test_children_order_for_binders shows, and default prob and labels to
+    None."""
+    assert set(SHAPES) == node_classes()
+    for cls, shape in SHAPES.items():
+        names = tuple(f.lstrip("*") for f in shape.split())
+        assert cls.__match_args__ == cls.__slots__ == names
+        values = [f"{n}!" for n in names]
+        node = cls(*values)
+        assert not hasattr(node, "__dict__")
+        with pytest.raises(AttributeError):
+            node.other = 1
+        assert [getattr(node, n) for n in names] == values
+        if cls in (TraceTerm, MergeTerm):
+            continue
+        kids = tuple(v for f, v in zip(shape.split(), values) if f[0] == "*")
+        data = tuple(v for f, v in zip(shape.split(), values) if f[0] != "*")
+        assert children(node) == kids and syntax._DATA[cls](node) == data
+        renamed = rebuild(node, tuple(kid.upper() for kid in kids))
+        assert type(renamed) is cls and syntax._DATA[cls](renamed) == data
+        assert children(renamed) == tuple(kid.upper() for kid in kids)
+    for node in (TraceTerm((A,)), MergeTerm(A, (), A)):
+        assert node.prob is None and node.labels is None
+
+
+def test_equality_and_hash_are_structural():
+    """Two nodes are equal when they have the same classes and the same data
+    at every position, the labels of evidence aside, and equal nodes hash
+    alike.  Equality is not alpha-equality."""
+    half, third = Fraction(1, 2), Fraction(1, 3)
+
+    def build(x="x", index=0, prob=half):
+        choice = Choice(Var("a"), prob, Var("b"))
+        return Lam(x, A, Pair(Proj(Var(x), index), choice))
+
+    t = build()
+    assert t == build() and not t != build() and hash(t) == hash(build())
+    for other in (build(index=1), build(prob=third), build(x="y")):
+        assert t != other and not t == other
+    assert alpha_eq(t, build(x="y"))
+    assert Var("a") != TypeName("a") and Var("a") != "a"
+    steps = (t, Var("a"))
+    labelled = TraceTerm(steps, half, (((), "beta"),))
+    assert labelled == TraceTerm((build(), Var("a")), half)
+    assert hash(labelled) == hash(TraceTerm(steps, half))
+    assert labelled != TraceTerm(steps, third) and labelled != TraceTerm(steps[:1])
+    # the same children, split into branches two ways
+    a, b = Var("a"), Var("b")
+    assert MergeTerm(a, ((b,), (b, b)), a) != MergeTerm(a, ((b, b), (b,)), a)
+    assert {t, build(), labelled, TraceTerm(steps, half)} == {t, labelled}
+
+
+def test_repr_prints_the_node():
+    """repr is the class name around the printed node; a node of any depth
+    takes it (test_walks)."""
+    f, a = Var("f"), Var("a")
+    assert repr(App(f, a)) == "App(f a)"
+    assert repr(Star()) == "Star(*)"
+    assert repr(TraceTerm((App(f, a), a), Fraction(1))) == "TraceTerm([f a, a]^1)"
+    assert repr([Lam("x", A, f)]) == "[Lam(\\x:A. f)]"
+
+
 def test_children_order_for_binders():
     # one instance of every node class with its children in printed order
     a, b, x = Var("a"), Var("b"), Var("x")
@@ -398,12 +501,7 @@ def test_children_order_for_binders():
         (Star(), ()),
         (KindPi("x", A, Star()), (A, Star())),
     ]
-    node_classes = {
-        cls
-        for cls in vars(syntax).values()
-        if isinstance(cls, type) and issubclass(cls, Node) and is_dataclass(cls)
-    }
-    assert {type(node) for node, _ in table} == node_classes
+    assert {type(node) for node, _ in table} == node_classes()
     for node, kids in table:
         assert children(node) == kids
         assert rebuild(node, kids) == node

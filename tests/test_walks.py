@@ -3,8 +3,8 @@ run on explicit stacks.
 
 No function in those modules calls itself; every walk takes a node of
 any depth at the default recursion limit; and every walk gives what its
-recursive form, kept in tests/reference_*.py, gives.  Deep nodes are
-compared by printed text: dataclass equality and hashing recurse."""
+recursive form, kept in tests/reference_*.py, gives.  Equality, hashing
+and repr of nodes are walks too."""
 
 import ast
 import sys
@@ -159,6 +159,10 @@ def test_walks_take_any_depth(case):
     start = time.perf_counter()
     t = build("a")
     assert printer.show(t) == text("a")
+    assert repr(t) == f"{type(t).__name__}({text('a')})"
+    twin, other = build("a"), build("b")
+    assert t == twin and not t != twin and hash(t) == hash(twin)
+    assert t != other and not t == other
     assert printer.term_key(t) == (key or text("a"))
     assert free_term_vars(t) == free
     assert oracle_names(t) == oracles
