@@ -7,8 +7,6 @@ are renamed on entry, keeping environments duplicate-free.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import conversion
 from .errors import CheckError, OlamError
 from .oracles import OracleRegistry
@@ -31,6 +29,7 @@ from .syntax import (
     OracleRef,
     Pair,
     Proj,
+    Record,
     Star,
     Term,
     TraceTerm,
@@ -42,6 +41,7 @@ from .syntax import (
     alpha_eq,
     free_term_vars,
     fresh_name,
+    record,
     substitute,
     substitute_all,
     subnodes,
@@ -279,16 +279,10 @@ def check_type(
 # ------------------------------------------------------------ whole programs
 
 
-@dataclass(frozen=True, slots=True)
-class CheckedProgram:
+@record("env registry def_types main_term main_type")
+class CheckedProgram(Record):
     """A checked source file: its signature, oracles, per-definition types,
     and the fully inlined main term."""
-
-    env: Environment
-    registry: OracleRegistry
-    def_types: dict[str, TypeCon]
-    main_term: Term
-    main_type: TypeCon
 
 
 def check_program(source, oracle_defs) -> CheckedProgram:

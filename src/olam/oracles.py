@@ -12,14 +12,13 @@ produced where it depends on the argument.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import OlamError, OracleError
 from .syntax import (
     Forall,
     HoleContext,
     OpaqueType,
     OracleOccurrence,
+    Record,
     Star,
     Term,
     TypeCon,
@@ -27,56 +26,48 @@ from .syntax import (
     decompose_oracle_context,
     free_term_vars,
     oracle_names,
+    record,
     substitute,
 )
 
 
-@dataclass(frozen=True, slots=True)
-class GuardIndexIn:
-    indices: frozenset[int]
+@record("indices")
+class GuardIndexIn(Record):
+    pass
 
 
-@dataclass(frozen=True, slots=True)
-class GuardIndexMod:
-    modulus: int
-    residue: int
+@record("modulus residue")
+class GuardIndexMod(Record):
+    pass
 
 
-@dataclass(frozen=True, slots=True)
-class GuardArg:
-    pattern: Term
+@record("pattern")
+class GuardArg(Record):
+    pass
 
 
-@dataclass(frozen=True, slots=True)
-class GuardContext:
-    fingerprint: str
+@record("fingerprint")
+class GuardContext(Record):
+    pass
 
 
-@dataclass(frozen=True, slots=True)
-class GuardDefault:
+@record("")
+class GuardDefault(Record):
     pass
 
 
 Guard = GuardIndexIn | GuardIndexMod | GuardArg | GuardContext | GuardDefault
 
 
-@dataclass(frozen=True, slots=True)
-class OracleRule:
-    guard: Guard
-    output: Term
-    line: int | None = field(default=None, compare=False)
+@record("guard output line?~")
+class OracleRule(Record):
+    pass
 
 
-@dataclass(frozen=True, slots=True)
-class OracleDef:
+@record("name arity assoc_type rules line?~")
+class OracleDef(Record):
     """Oracle of arity 0 (computations of a value type) or arity 1 (value
     type depending on the argument)."""
-
-    name: str
-    arity: int
-    assoc_type: TypeCon
-    rules: tuple[OracleRule, ...]
-    line: int | None = field(default=None, compare=False)
 
     def value_type(self) -> TypeCon:
         if self.arity != 0:

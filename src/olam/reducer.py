@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ReductionError
@@ -32,10 +31,12 @@ from .syntax import (
     Pair,
     Proj,
     Rational,
+    Record,
     Term,
     TraceTerm,
     children,
     rebuild,
+    record,
     substitute,
 )
 
@@ -54,17 +55,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class TermRedex:
+@record("path kind oracle?")
+class TermRedex(Record):
     """A fireable position.  kind is one of beta, proj, choice, oracle.
 
     An oracle redex stands for the simultaneous rewrite of all outermost
     forced occurrences of one oracle; its path is the first occurrence.
     """
-
-    path: tuple[int, ...]
-    kind: str
-    oracle: str | None = None
 
 
 # the kind of redex each outcome label comes from
@@ -77,31 +74,20 @@ RULE_KIND = {
 }
 
 
-@dataclass(slots=True)
-class TraceQuadruple:
+@record("before after prob label path? parent?~")
+class TraceQuadruple(Record):
     """One reduction step: the terms before and after it, its probability,
     its rule label, and the path of the redex it fired (None where nobody
     recorded it).
 
     parent is the node of after just above the fired position, which the
     step rebuilt; None for a step at the root and for an oracle step.
-    Equality ignores it.  Not frozen: a walk builds one on every edge."""
-
-    before: Term
-    after: Term
-    prob: Rational
-    label: str
-    path: tuple[int, ...] | None = None
-    parent: Term | None = field(default=None, compare=False, repr=False)
+    Equality, hash and repr leave it out."""
 
 
-@dataclass(frozen=True, slots=True)
-class SampleResult:
+@record("term prob trace")
+class SampleResult(Record):
     """Final term of one sampled run, its path probability, and the steps."""
-
-    term: Term
-    prob: Rational
-    trace: tuple[TraceQuadruple, ...]
 
 
 # Positions still to search, as (node, path) pairs; the next is on top.

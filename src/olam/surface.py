@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import oracles
@@ -32,6 +31,7 @@ from .syntax import (
     Pair,
     Proj,
     Force,
+    Record,
     Star,
     Term,
     TypeAbs,
@@ -41,6 +41,7 @@ from .syntax import (
     Var,
     fresh_name,
     free_term_vars,
+    record,
 )
 
 KEYWORDS = frozenset(
@@ -66,12 +67,9 @@ _PUNCT = {
 }
 
 
-@dataclass(slots=True)
-class Token:
-    kind: str
-    value: str
-    line: int
-    col: int
+@record("kind value line col")
+class Token(Record):
+    pass
 
 
 # \w is exactly str.isalnum() or "_" on every code point; numerals are ASCII
@@ -490,28 +488,19 @@ def _kind(ts: _Stream) -> Kind:
 # ----------------------------------------------------------- program files
 
 
-@dataclass(frozen=True, slots=True)
-class AtomDecl:
+@record("name classifier line")
+class AtomDecl(Record):
     """`atom n : K` (type-level, K a kind) or `atom n : T` (term constant)."""
 
-    name: str
-    classifier: Kind | TypeCon
-    line: int
+
+@record("name ascription term line")
+class Definition(Record):
+    pass
 
 
-@dataclass(frozen=True, slots=True)
-class Definition:
-    name: str
-    ascription: TypeCon | None
-    term: Term
-    line: int
-
-
-@dataclass(frozen=True, slots=True)
-class SourceFile:
-    atoms: tuple[AtomDecl, ...]
-    oracle_uses: tuple[tuple[str, int], ...]
-    definitions: tuple[Definition, ...]
+@record("atoms oracle_uses definitions")
+class SourceFile(Record):
+    pass
 
 
 def parse_program(text: str) -> SourceFile:

@@ -6,7 +6,10 @@ shape once, in its decorator: its fields in order, the children among them
 marked.  The children are read in field order, and the other fields are data
 that equality and alpha-equality compare with ==.  Nodes are immutable by
 convention, equal when their trees are, and hashable; equality, hashing and
-repr take a node of any depth.  Probabilities are exact Fractions.
+repr take a node of any depth.  Probabilities are exact Fractions.  The
+package's other records (tokens, oracle rules, steps, trust rows, ...) state
+their fields the same way, in a @record decorator, and share Record's
+equality, hash and repr.
 """
 from __future__ import annotations
 
@@ -35,19 +38,22 @@ class Fuel:
         self.left -= units
 
 
-# ------------------------------------------------------------ node shapes
+# ---------------------------------------------------- node and record shapes
 #
 # A node class names its fields once, in its decorator, as in
 # `@_node("var *var_type *body")`: a field marked * is a child, and one
 # marked ? defaults to None.  Its children are its fields marked *, in field
 # order, which is also printed order.  _node builds the class from them and
 # enters it in the tables below; only the recorded computations, whose
-# children sit in tuples, have entries written by hand.
+# children sit in tuples, have entries written by hand.  A record class
+# names its fields the same way, in `@record("guard output line?~")`, where
+# a field marked ~ is one that equality, hash and repr leave out.
 
 _CHILDREN: dict[type, Callable[[Node], tuple[Node, ...]]] = {}
 _REBUILD: dict[type, Callable[[Node, tuple[Node, ...]], Node]] = {}
 # the fields that are not children, compared with == by equality and
-# alpha-equality; for evidence, also the shape its children are read in
+# alpha-equality; for evidence, also the shape its children are read in;
+# for a record, the fields not marked ~
 _DATA: dict[type, Callable[[Node], tuple]] = {}
 
 
@@ -79,27 +85,34 @@ def _rebuilder(
     return make
 
 
+def _slotted(cls: type, marked: list[str]) -> type:
+    """cls rebuilt with the marked fields as its __slots__ and
+    __match_args__ and an __init__ taking them in order, where a field
+    marked ? defaults to None."""
+    names = tuple(f.strip("*?~") for f in marked)
+    ns = dict(vars(cls))
+    del ns["__dict__"], ns["__weakref__"]  # the class gets slots instead
+    if names:
+        params = ", ".join(
+            n + "=None" if "?" in f else n for f, n in zip(marked, names)
+        )
+        code = "".join([f"    self.{n} = {n}\n" for n in names])
+        scope: dict = {}
+        exec(f"def __init__(self, {params}):\n{code}", scope)
+        ns["__init__"] = scope["__init__"]
+        ns["__init__"].__qualname__ = f"{cls.__name__}.__init__"
+    ns["__slots__"] = ns["__match_args__"] = names
+    return type(cls.__name__, cls.__bases__, ns)
+
+
 def _node(fields: str) -> Callable[[type], type]:
-    """A decorator that rebuilds a node class with fields as its __slots__
-    and __match_args__ and an __init__ taking them in order, and enters it
+    """A decorator that rebuilds a node class from its fields and enters it
     in the shape tables."""
 
     def build(cls: type) -> type:
         marked = fields.split()
-        names = tuple(f.strip("*?") for f in marked)
-        ns = dict(vars(cls))
-        del ns["__dict__"], ns["__weakref__"]  # the class gets slots instead
-        if names:
-            params = ", ".join(
-                n + "=None" if f.endswith("?") else n for f, n in zip(marked, names)
-            )
-            code = "".join([f"    self.{n} = {n}\n" for n in names])
-            scope: dict = {}
-            exec(f"def __init__(self, {params}):\n{code}", scope)
-            ns["__init__"] = scope["__init__"]
-            ns["__init__"].__qualname__ = f"{cls.__name__}.__init__"
-        ns["__slots__"] = ns["__match_args__"] = names
-        cls = type(cls.__name__, cls.__bases__, ns)
+        cls = _slotted(cls, marked)
+        names = cls.__match_args__
         kid_at = [i for i, f in enumerate(marked) if f[0] == "*"]
         _CHILDREN[cls] = _getter([names[i] for i in kid_at])
         _REBUILD[cls] = _rebuilder(cls, names, kid_at)
@@ -107,6 +120,41 @@ def _node(fields: str) -> Callable[[type], type]:
         return cls
 
     return build
+
+
+def record(fields: str) -> Callable[[type], type]:
+    """A decorator that rebuilds a Record class from its fields; the fields
+    not marked ~ are the ones it compares, hashes and shows."""
+
+    def build(cls: type) -> type:
+        marked = fields.split()
+        cls = _slotted(cls, marked)
+        cls._shown = tuple(f.strip("?") for f in marked if "~" not in f)
+        _DATA[cls] = _getter(list(cls._shown))
+        return cls
+
+    return build
+
+
+class Record:
+    """A value of named fields, built by @record.  Equal to a record of its
+    own class with equal fields, hashed by them, and shown as
+    Name(field=value, ...)."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        fields = _DATA[type(self)]
+        return fields(self) == fields(other)
+
+    def __hash__(self) -> int:
+        return hash(_DATA[type(self)](self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._shown)
+        return f"{type(self).__name__}({shown})"
 
 
 class Node:
@@ -576,28 +624,11 @@ def hole_var(index: int) -> Var:
     return Var(f"[_{index}]")
 
 
-class HoleContext:
+@record("skeleton count _fingerprint?~")
+class HoleContext(Record):
     """A term whose holes 1..count, the variables hole_var(i), stand at the
     extracted redex positions.  Two are equal when their skeletons and
-    counts are."""
-
-    __slots__ = ("skeleton", "count", "_fingerprint")
-
-    def __init__(self, skeleton: Term, count: int):
-        self.skeleton = skeleton
-        self.count = count
-        self._fingerprint: str | None = None
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not HoleContext:
-            return NotImplemented
-        return (self.skeleton, self.count) == (other.skeleton, other.count)
-
-    def __hash__(self) -> int:
-        return hash((self.skeleton, self.count))
-
-    def __repr__(self) -> str:
-        return f"HoleContext(skeleton={self.skeleton!r}, count={self.count})"
+    counts are; _fingerprint caches the fingerprint."""
 
     @property
     def fingerprint(self) -> str:

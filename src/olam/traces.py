@@ -10,11 +10,9 @@ a width-n simultaneous call.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
 
 from .checker import Environment, infer_type
 from .errors import OlamError, TraceError
@@ -41,6 +39,7 @@ from .syntax import (
     OracleCall,
     OracleRef,
     Rational,
+    Record,
     StepLabel,
     Term,
     TraceTerm,
@@ -49,6 +48,7 @@ from .syntax import (
     forced_oracle_form,
     make_tuple,
     pair_spine,
+    record,
     subnode_at,
     tuple_components,
 )
@@ -69,14 +69,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class MapstoJudgment:
+@record("source target prob witness")
+class MapstoJudgment(Record):
     """source evaluates to target with this probability, per the witness."""
-
-    source: Term
-    target: Term
-    prob: Rational
-    witness: Term
 
 
 class Distribution:
@@ -598,8 +593,8 @@ def enumerate_paths(
     return finished
 
 
-@dataclass(frozen=True, slots=True)
-class StepGraph:
+@record("terms texts edges leaves")
+class StepGraph(Record):
     """The reduction paths of a term under the deterministic strategy,
     with one node per distinct term.
 
@@ -610,11 +605,6 @@ class StepGraph:
     node's edges are in the order of its outcomes.  leaves lists each
     normal form that is reached, in node order, with its mass.
     """
-
-    terms: tuple[Term, ...]
-    texts: tuple[str, ...]
-    edges: tuple[tuple[int, StepLabel, Fraction, int], ...]
-    leaves: tuple[tuple[int, Fraction], ...]
 
 
 def step_graph(

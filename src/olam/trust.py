@@ -10,7 +10,6 @@ against the program it names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
@@ -24,11 +23,13 @@ from .syntax import (
     DEFAULT_FUEL,
     Fuel,
     Rational,
+    Record,
     StepLabel,
     Term,
     TypeCon,
     alpha_eq,
     make_tuple,
+    record,
 )
 from .traces import (
     Distribution,
@@ -53,41 +54,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class TrustSpec:
+@record("entries epsilon")
+class TrustSpec(Record):
     """Target distribution and tolerance for a trust check."""
 
-    entries: tuple[tuple[Term, Rational], ...]
-    epsilon: Rational
 
-
-@dataclass(frozen=True, slots=True)
-class TrustRow:
+@record("outcome target derived deviation passed")
+class TrustRow(Record):
     """One listed outcome: target mass, derived mass, and the comparison."""
 
-    outcome: Term
-    target: Rational
-    derived: Rational
-    deviation: Rational
-    passed: bool
 
-
-@dataclass(frozen=True)
-class TrustReport:
+@record(
+    "verdict rows extra extra_mass total epsilon distribution judgments mode graph"
+)
+class TrustReport(Record):
     """Full result of a trust check, including the evidence it rests on:
     in enumerate mode the step graph, in frequency mode one judgment per
     outcome."""
-
-    verdict: str
-    rows: tuple[TrustRow, ...]
-    extra: tuple[tuple[Term, Fraction], ...]
-    extra_mass: Fraction
-    total: Fraction
-    epsilon: Fraction
-    distribution: Distribution
-    judgments: tuple[MapstoJudgment, ...]
-    mode: str
-    graph: StepGraph | None
 
 
 def _check_tolerance(epsilon: Rational) -> None:

@@ -1,7 +1,9 @@
 """Command line behavior: output text, JSON payloads, exit codes."""
 
 import json
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -870,3 +872,19 @@ def test_closed_stdout_is_quiet_exit_2(project, capsys, monkeypatch):
     monkeypatch.undo()
     assert code == 2
     assert capsys.readouterr().err == ""
+
+
+def test_import_loads_no_dataclasses():
+    """olam builds its nodes and records from their field strings, so a
+    fresh process that imports the CLI loads neither dataclasses nor the
+    inspect module it imports.  -S keeps site hooks from loading either."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import olam.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(src)],
+        capture_output=True, text=True, check=True,
+    )
+    assert run.stdout == "[]\n"

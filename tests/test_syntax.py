@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from generators import gen_closed_con, gen_closed_term, gen_substitution_instance
-from olam import printer, syntax
+from olam import checker, oracles, printer, reducer, surface, syntax, traces, trust
 from olam.errors import ReductionError
 from olam.syntax import (
     App,
@@ -471,6 +471,86 @@ def test_repr_prints_the_node():
     assert repr(Star()) == "Star(*)"
     assert repr(TraceTerm((App(f, a), a), Fraction(1))) == "TraceTerm([f a, a]^1)"
     assert repr([Lam("x", A, f)]) == "[Lam(\\x:A. f)]"
+
+
+# each record class's fields in order: ? defaults to None, and ~ is left out
+# of ==, hash and repr
+RECORDS = {
+    oracles.GuardIndexIn: "indices",
+    oracles.GuardIndexMod: "modulus residue",
+    oracles.GuardArg: "pattern",
+    oracles.GuardContext: "fingerprint",
+    oracles.GuardDefault: "",
+    oracles.OracleRule: "guard output line?~",
+    oracles.OracleDef: "name arity assoc_type rules line?~",
+    surface.Token: "kind value line col",
+    surface.AtomDecl: "name classifier line",
+    surface.Definition: "name ascription term line",
+    surface.SourceFile: "atoms oracle_uses definitions",
+    reducer.TermRedex: "path kind oracle?",
+    reducer.TraceQuadruple: "before after prob label path? parent?~",
+    reducer.SampleResult: "term prob trace",
+    trust.TrustSpec: "entries epsilon",
+    trust.TrustRow: "outcome target derived deviation passed",
+    trust.TrustReport: "verdict rows extra extra_mass total epsilon "
+    "distribution judgments mode graph",
+    traces.MapstoJudgment: "source target prob witness",
+    traces.StepGraph: "terms texts edges leaves",
+    checker.CheckedProgram: "env registry def_types main_term main_type",
+    syntax.HoleContext: "skeleton count _fingerprint?~",
+}
+
+
+def test_record_classes_are_built_from_their_fields():
+    """Each record class has its fields as __slots__ and __match_args__ and
+    no __dict__, takes them in order, and defaults the fields marked ? to
+    None.  Two records of one class are equal, and hash alike, when their
+    fields not marked ~ are; tokens and steps, unhashable as dataclasses,
+    hash too.  repr is the dataclass form, without the fields marked ~."""
+    modules = (checker, oracles, reducer, surface, syntax, traces, trust)
+    found = {
+        cls
+        for m in modules
+        for cls in vars(m).values()
+        if isinstance(cls, type) and issubclass(cls, syntax.Record)
+    }
+    assert set(RECORDS) == found - {syntax.Record}
+    for cls, fields in RECORDS.items():
+        marked = fields.split()
+        names = tuple(f.strip("?~") for f in marked)
+        assert cls.__match_args__ == cls.__slots__ == names, cls
+        values = [f"{n}!" for n in names]
+        optional = sum("?" in f for f in marked)
+        required = values[: len(names) - optional]
+        if required:
+            with pytest.raises(TypeError):
+                cls(*required[:-1])
+        short = cls(*required)
+        assert [getattr(short, n) for n in names] == required + [None] * optional
+        rec = cls(*values)
+        assert not hasattr(rec, "__dict__")
+        with pytest.raises(AttributeError):
+            rec.other = 1
+        assert [getattr(rec, n) for n in names] == values
+        assert rec == cls(*values) and hash(rec) == hash(cls(*values))
+        assert rec.__eq__(values) is NotImplemented
+        for i, f in enumerate(marked):
+            other = cls(*values[:i], "changed", *values[i + 1 :])
+            if "~" in f:
+                assert rec == other and hash(rec) == hash(other), (cls, f)
+            else:
+                assert rec != other and not rec == other, (cls, f)
+    rule = oracles.OracleRule(oracles.GuardDefault(), Var("a"), 3)
+    assert rule == oracles.OracleRule(oracles.GuardDefault(), Var("a"), 4)
+    assert repr(oracles.GuardIndexMod(3, 1)) == "GuardIndexMod(modulus=3, residue=1)"
+    step = reducer.TraceQuadruple(Var("a"), Var("b"), Fraction(1, 2), "left", (0,), A)
+    assert repr(step) == (
+        "TraceQuadruple(before=Var(a), after=Var(b), prob=Fraction(1, 2),"
+        " label='left', path=(0,))"
+    )
+    match oracles.GuardIndexMod(3, 1):
+        case oracles.GuardIndexMod(modulus, residue):
+            assert (modulus, residue) == (3, 1)
 
 
 def test_children_order_for_binders():
