@@ -17,7 +17,6 @@ from .syntax import (
     Forall,
     HoleContext,
     OpaqueType,
-    OracleOccurrence,
     Record,
     Star,
     Term,
@@ -166,19 +165,16 @@ class OracleRegistry:
             _check_output_type(odef, output, arg, self._env)
         return output
 
-    def rewrite(
-        self, name: str, t: Term
-    ) -> tuple[tuple[OracleOccurrence, ...], Term]:
+    def rewrite(self, name: str, t: Term) -> tuple[HoleContext, Term]:
         """The simultaneous rewrite of every outermost forced occurrence of
         the oracle in t: each hole of the one decomposition is answered
         against the shared context, then the answers are substituted for
-        the holes.  Returns the occurrences beside the rewritten term."""
-        context, occurrences = decompose_oracle_context(t, name)
+        the holes.  Returns the context beside the rewritten term."""
+        context, args = decompose_oracle_context(t, name)
         contents = {
-            occ.index: self.eval(name, context, occ.index, occ.arg)
-            for occ in occurrences
+            i: self.eval(name, context, i, arg) for i, arg in enumerate(args, 1)
         }
-        return occurrences, context.fill(contents)
+        return context, context.fill(contents)
 
 
 def _select_output(

@@ -34,7 +34,10 @@ from .syntax import (
     Record,
     Term,
     TraceTerm,
+    Var,
     children,
+    decompose_oracle_context,
+    hole_var,
     rebuild,
     record,
     substitute,
@@ -146,13 +149,17 @@ def find_redexes(t: Term) -> list[TermRedex]:
 
 
 def redex_at(t: Term, path: tuple[int, ...]) -> TermRedex | None:
-    """The redex at path, read along the path alone: None unless every node
-    on it is a searched term position and the node at its end forms a
-    redex.  For beta, proj and choice that is being one of find_redexes(t);
-    an oracle redex must also be its oracle's first occurrence, which the
-    path does not show."""
+    """The redex at path if it is one of find_redexes(t), else None.  A
+    beta, proj or choice redex is read along the path alone: every node on
+    it must be a searched term position and the node at its end form a
+    redex.  An oracle redex must also be hole 1 of its oracle's context."""
     walked = _walk(t, path)
-    return None if walked is None else _recognise(walked[1], path)
+    redex = None if walked is None else _recognise(walked[1], path)
+    if redex is not None and redex.oracle is not None:
+        context, _ = decompose_oracle_context(t, redex.oracle)
+        if not _at_first_hole(t, context.skeleton, path):
+            return None
+    return redex
 
 
 def step(
@@ -244,13 +251,23 @@ def _oracle_step(
             f"cannot step oracle {redex.oracle} without a registry",
         )
     assert redex.oracle is not None
-    occurrences, result = registry.rewrite(redex.oracle, t)
-    if not occurrences or occurrences[0].path != redex.path:
+    context, result = registry.rewrite(redex.oracle, t)
+    if not _at_first_hole(t, context.skeleton, redex.path):
         raise ReductionError(
             "InvalidRedexPath",
             f"no redex of oracle {redex.oracle} at position {list(redex.path)}",
         )
     return TraceQuadruple(t, result, Fraction(1), "oracle", redex.path)
+
+
+def _at_first_hole(t: Term, skeleton: Node, path: tuple[int, ...]) -> bool:
+    """Whether hole 1 of skeleton, t's context, stands at path: the first
+    occurrence.  A variable of t spelled like the hole is t's own node."""
+    walked = _walk(skeleton, path)  # type: ignore[arg-type]
+    node = None if walked is None else walked[1]
+    if type(node) is not Var or node.name != hole_var(1).name:
+        return False
+    return node is not _walk(t, path)[1]  # type: ignore[index]
 
 
 def deterministic_strategy(t: Term) -> TermRedex | None:

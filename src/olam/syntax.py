@@ -13,7 +13,6 @@ equality, hash and repr.
 """
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Callable
 from fractions import Fraction
 from itertools import chain
@@ -383,15 +382,6 @@ def rebuild(node: Node, kids: tuple[Node, ...]) -> Node:
     return make(node, kids)
 
 
-def subnode_at(node: Node, path: tuple[int, ...]) -> Node:
-    for i in path:
-        kids = children(node)
-        if i >= len(kids):
-            raise IndexError(f"no child {i} at {type(node).__name__}")
-        node = kids[i]
-    return node
-
-
 # ---------------------------------------------------------------- walks
 #
 # Every walk runs in one Python frame, on an explicit stack or list, so it
@@ -611,13 +601,6 @@ def alpha_eq(a: Node, b: Node) -> bool:
 # -------------------------------------------------------------- contexts
 
 
-class OracleOccurrence(namedtuple("OracleOccurrence", "index arg path")):
-    """One extracted redex of an oracle: 1-based hole index, argument for the
-    unary form (None for the nullary form), and the position path."""
-
-    __slots__ = ()
-
-
 def hole_var(index: int) -> Var:
     """Context hole index as a term variable.  `[_i]` is not an identifier,
     so no parsed name and no fresh_name result is spelled that way."""
@@ -661,23 +644,24 @@ def forced_oracle_form(t: Term) -> tuple[str, Term | None] | None:
 
 def decompose_oracle_context(
     t: Term, oracle: str
-) -> tuple[HoleContext, tuple[OracleOccurrence, ...]]:
+) -> tuple[HoleContext, tuple[Term | None, ...]]:
     """Extract every outermost forced redex of the oracle, numbering holes
-    1..n in left-to-right preorder.  fill() with the original redexes gives
-    t back when none of them has free a name bound around it."""
-    occurrences: list[OracleOccurrence] = []
+    1..n in left-to-right preorder: the context, and each hole's argument
+    (None for the nullary form).  fill() with the original redexes gives t
+    back when none of them has free a name bound around it."""
+    args: list[Term | None] = []
 
-    def enter(node: Node, path: tuple[int, ...]) -> object:
+    def enter(node: Node, _) -> object:
         form = forced_oracle_form(node)  # type: ignore[arg-type]
         if form is not None and form[0] == oracle:
-            occurrences.append(OracleOccurrence(len(occurrences) + 1, form[1], path))
-            return hole_var(len(occurrences))
+            args.append(form[1])
+            return hole_var(len(args))
         if isinstance(node, (TypeCon, TraceTerm, MergeTerm)):
             return node
-        return tuple([path + (i,) for i in range(len(children(node)))])
+        return None  # walk the children
 
-    skeleton = rewrite(t, (), enter)
-    return HoleContext(skeleton, len(occurrences)), tuple(occurrences)  # type: ignore[arg-type]
+    skeleton = rewrite(t, None, enter)
+    return HoleContext(skeleton, len(args)), tuple(args)  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------- tuples

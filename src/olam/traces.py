@@ -43,13 +43,14 @@ from .syntax import (
     StepLabel,
     Term,
     TraceTerm,
+    Var,
     alpha_eq,
+    children,
     decompose_oracle_context,
     forced_oracle_form,
     make_tuple,
     pair_spine,
     record,
-    subnode_at,
     tuple_components,
 )
 
@@ -175,20 +176,13 @@ def _readings(
         redexes = find_redexes(u)
     else:
         path, rule = label
-        kind = RULE_KIND.get(rule)
-        if kind == "oracle":
-            redexes = [
-                r for r in find_redexes(u) if r.path == path and r.kind == kind
-            ]
-        else:
-            # a beta, proj or choice redex is read along its path alone
-            redex = redex_at(u, path)
-            redexes = [] if redex is None or redex.kind != kind else [redex]
-        if not redexes:
+        redex = redex_at(u, path)
+        if redex is None or redex.kind != RULE_KIND.get(rule):
             raise TraceError(
                 "LabelMismatch",
                 f"no {rule} redex at position {list(path)} of {u}",
             )
+        redexes = [redex]
     found: list[_Reading] = []
     for redex in redexes:
         for outcome in step(u, redex, registry):
@@ -214,18 +208,22 @@ def _diagnose_failed_step(u: Term, v: Term) -> None:
     """Tell apart a wrong oracle answer from a step that fits no rule: if
     v has the shape of an oracle rewrite of u, the replay must have
     disagreed on the filled values."""
-    for redex in find_redexes(u):
-        name = redex.oracle
-        if name is None:
-            continue
-        context, occurrences = decompose_oracle_context(u, name)
-        try:
-            guess = {
-                occ.index: subnode_at(v, occ.path) for occ in occurrences
-            }
-        except (IndexError, TypeError):
-            continue
-        if not alpha_eq(context.fill(guess), v):
+    for name in [r.oracle for r in find_redexes(u) if r.oracle is not None]:
+        context, _ = decompose_oracle_context(u, name)
+        # v's subterm at each hole, in preorder; a subtree the rewrite
+        # returned as itself holds no hole
+        guess: dict[int, Term] = {}
+        stack = [(u, context.skeleton, v)]
+        while stack:
+            old, node, new = stack.pop()
+            if node is old:
+                continue
+            if type(node) is Var:
+                guess[len(guess) + 1] = new  # type: ignore[assignment]
+            else:
+                kids = zip(children(old), children(node), children(new))
+                stack += reversed(list(kids))
+        if len(guess) != context.count or not alpha_eq(context.fill(guess), v):
             continue
         raise TraceError(
             "OracleReplayMismatch",

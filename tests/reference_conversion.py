@@ -22,9 +22,9 @@ from olam.syntax import (
     TypeApp,
     children,
     rebuild,
-    subnode_at,
     substitute,
 )
+from reference_syntax import subnode_at
 
 
 

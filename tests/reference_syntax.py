@@ -4,7 +4,8 @@ olam.syntax and olam.printer against.
 The recursive walks (subnodes, free_term_vars, oracle_names, alpha,
 substitute_all, decompose_oracle_context) are the forms olam.syntax had
 before its walks moved onto explicit stacks: one Python frame per tree
-level, and the same results.
+level, and the same results.  decompose_oracle_context also still
+records each hole's path, which olam.syntax no longer builds.
 
 canonicalize builds the canonical form that printer.term_key prints in
 one walk.  substitute_one substitutes one name by walking every node and
@@ -12,8 +13,11 @@ rebuilding it; olam.syntax.substitute_all must give the same tree,
 binder names included, as substitute_one applied entry by entry.
 fill_renaming_for_all_answers is the hand-written context fill that
 HoleContext.fill replaced; the two must give alpha-equal terms.
+subnode_at reads the node at a path, as the tests name positions.
 """
 from __future__ import annotations
+
+from collections import namedtuple
 
 from olam.syntax import (
     _DATA,
@@ -25,7 +29,6 @@ from olam.syntax import (
     MergeTerm,
     Node,
     OracleCall,
-    OracleOccurrence,
     OracleRef,
     Term,
     TraceTerm,
@@ -181,16 +184,31 @@ def substitute_all(
     return walk(node, mapping) if mapping else node
 
 
+def subnode_at(node: Node, path: tuple[int, ...]) -> Node:
+    for i in path:
+        kids = children(node)
+        if i >= len(kids):
+            raise IndexError(f"no child {i} at {type(node).__name__}")
+        node = kids[i]
+    return node
+
+
+# one extracted redex: 1-based hole index, argument for the unary form
+# (None for the nullary form), and the position path
+Occurrence = namedtuple("Occurrence", "index arg path")
+
+
 def decompose_oracle_context(
     t: Term, oracle: str
-) -> tuple[HoleContext, tuple[OracleOccurrence, ...]]:
-    """olam.syntax.decompose_oracle_context, one frame per level."""
-    occurrences: list[OracleOccurrence] = []
+) -> tuple[HoleContext, tuple[Occurrence, ...]]:
+    """olam.syntax.decompose_oracle_context as it was, with each hole's path,
+    one frame per level."""
+    occurrences: list[Occurrence] = []
 
     def go(node: Node, path: tuple[int, ...]) -> Node:
         form = forced_oracle_form(node)  # type: ignore[arg-type]
         if form is not None and form[0] == oracle:
-            occurrences.append(OracleOccurrence(len(occurrences) + 1, form[1], path))
+            occurrences.append(Occurrence(len(occurrences) + 1, form[1], path))
             return hole_var(len(occurrences))
         if isinstance(node, (TypeCon, TraceTerm, MergeTerm)):
             return node

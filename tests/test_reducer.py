@@ -24,14 +24,17 @@ from olam.reducer import (
 from olam.syntax import (
     Force,
     OracleCall,
+    OracleRef,
     Pair,
     TraceTerm,
     Var,
     children,
     decompose_oracle_context,
+    hole_var,
     oracle_names,
 )
 from olam.traces import enumerate_paths
+from reference_syntax import subnode_at
 
 
 def test_find_redexes_kinds_and_paths():
@@ -142,6 +145,27 @@ def test_step_oracle_requires_registry():
     with pytest.raises(ReductionError) as e:
         step(t, find_redexes(t)[0])
     assert e.value.code == "MissingRegistry"
+
+
+def test_step_oracle_fires_only_at_hole_1():
+    """A library term may hold a variable spelled like hole 1 before the
+    first forced call: the oracle redex is the first call, not that
+    variable and not the second call."""
+    _, reg = signature()
+    t = Pair(hole_var(1), Pair(Force(OracleRef("c")), Force(OracleRef("c"))))
+    for path in ((0,), (1, 1)):
+        with pytest.raises(ReductionError) as e:
+            step(t, TermRedex(path, "oracle", "c"), reg)
+        assert e.value.code == "InvalidRedexPath"
+    (out,) = step(t, TermRedex((1, 0), "oracle", "c"), reg)
+    assert out.path == (1, 0)
+
+
+def test_redex_at_reads_an_oracle_redex_at_hole_1_only():
+    t = Pair(hole_var(1), Pair(Force(OracleRef("c")), Force(OracleRef("c"))))
+    assert redex_at(t, (0,)) is None
+    assert redex_at(t, (1, 1)) is None
+    assert [redex_at(t, (1, 0))] == find_redexes(t)
 
 
 def test_step_stale_redex_rejected():
@@ -271,7 +295,7 @@ def test_step_outcome_probabilities_sum_to_one(seed):
         assert sum(o.prob for o in outs) == 1
         labels = {o.label for o in outs}
         if redex.kind == "choice":
-            p = syntax.subnode_at(t, redex.path).body.prob
+            p = subnode_at(t, redex.path).body.prob
             if p == 1:
                 assert labels == {"left"}
             elif p == 0:
@@ -292,8 +316,11 @@ def test_redex_walk_matches_preorder_and_oracle_contexts(seed):
     oracles = {r.oracle: r.path for r in found if r.kind == "oracle"}
     assert len(oracles) == sum(r.kind == "oracle" for r in found)
     for name in oracle_names(t):
-        _, occurrences = decompose_oracle_context(t, name)
-        assert oracles.get(name) == (occurrences[0].path if occurrences else None)
+        context, _ = decompose_oracle_context(t, name)
+        path = oracles.get(name)
+        assert (path is not None) == (context.count > 0)
+        if path is not None:
+            assert subnode_at(context.skeleton, path) == hole_var(1)
     first = deterministic_strategy(t)
     assert first == (found[0] if found else None)
 
@@ -395,7 +422,7 @@ def test_redex_at_reads_a_local_redex_along_its_path(seed):
     }
     positions = [()]
     for path in positions:
-        node = syntax.subnode_at(t, path)
+        node = subnode_at(t, path)
         positions.extend(path + (i,) for i in range(len(children(node))))
     for path in positions + [(0,) * 12, (5,), (-1,)]:
         redex = redex_at(t, path)
@@ -420,10 +447,10 @@ def test_step_rebuilds_the_path_and_hands_back_its_parent(seed):
             if not path:
                 assert outcome.parent is None
                 continue
-            assert outcome.parent is syntax.subnode_at(out, path[:-1])
+            assert outcome.parent is subnode_at(out, path[:-1])
             for depth in range(len(path)):
-                old = children(syntax.subnode_at(t, path[:depth]))
-                new = children(syntax.subnode_at(out, path[:depth]))
+                old = children(subnode_at(t, path[:depth]))
+                new = children(subnode_at(out, path[:depth]))
                 assert type(new) is type(old) and len(new) == len(old)
                 for j, kid in enumerate(old):
                     if j != path[depth]:

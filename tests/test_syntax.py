@@ -1,7 +1,9 @@
 """Core term algebra: substitution, alpha-equivalence, canonical
 renaming, positional access, oracle context decomposition, tuples."""
 
+import gc
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -46,7 +48,6 @@ from olam.syntax import (
     make_tuple,
     pair_spine,
     rebuild,
-    subnode_at,
     substitute,
     substitute_all,
     tuple_components,
@@ -55,6 +56,7 @@ from reference_syntax import (
     alpha,
     canonicalize,
     fill_renaming_for_all_answers,
+    subnode_at,
     substitute_one,
 )
 
@@ -635,16 +637,14 @@ def test_tuple_single_component():
 
 def test_decompose_fill_identity():
     t = App(Force(OracleRef("c")), Force(OracleCall("c", Var("a"))))
-    ctx, occs = decompose_oracle_context(t, "c")
-    assert len(occs) == 2
+    ctx, args = decompose_oracle_context(t, "c")
+    assert len(args) == 2
     assert ctx.count == 2
     assert subnode_at(ctx.skeleton, (0,)) == hole_var(1)
     refilled = ctx.fill(
         {
-            occ.index: Force(OracleRef("c"))
-            if occ.arg is None
-            else Force(OracleCall("c", occ.arg))
-            for occ in occs
+            i: Force(OracleRef("c")) if arg is None else Force(OracleCall("c", arg))
+            for i, arg in enumerate(args, 1)
         }
     )
     assert refilled == t
@@ -702,24 +702,70 @@ def test_fill_substitutes_each_answer_for_its_hole():
 def test_decompose_outermost_only():
     # a forced call inside another forced call is part of the outer redex
     t = Force(OracleCall("d", Force(OracleCall("d", Var("a")))))
-    ctx, occs = decompose_oracle_context(t, "d")
-    assert len(occs) == 1
-    assert occs[0].path == ()
-    assert occs[0].arg == Force(OracleCall("d", Var("a")))
+    ctx, args = decompose_oracle_context(t, "d")
+    assert len(args) == 1
+    assert subnode_at(ctx.skeleton, ()) == hole_var(1)
+    assert args[0] == Force(OracleCall("d", Var("a")))
 
 
 def test_decompose_skips_recorded_computations():
     inner = Force(OracleRef("c"))
     t = Pair(TraceTerm((inner, Var("a")), Fraction(1)), inner)
-    _, occs = decompose_oracle_context(t, "c")
-    assert [occ.path for occ in occs] == [(1,)]
+    ctx, _ = decompose_oracle_context(t, "c")
+    assert ctx.count == 1
+    assert subnode_at(ctx.skeleton, (1,)) == hole_var(1)
 
 
 def test_decompose_skips_merge_interiors():
     inner = Force(OracleRef("c"))
     m = MergeTerm(inner, ((inner,),), Var("a"), Fraction(1))
-    _, occs = decompose_oracle_context(Pair(m, inner), "c")
-    assert [occ.path for occ in occs] == [(1,)]
+    ctx, _ = decompose_oracle_context(Pair(m, inner), "c")
+    assert ctx.count == 1
+    assert subnode_at(ctx.skeleton, (1,)) == hole_var(1)
+
+
+def _peak_bytes(run) -> int:
+    """The most memory allocated at once while run runs, per tracemalloc.
+    A full collection first empties the free lists, whose objects
+    tracemalloc would not see allocated."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_frequency_table_memory_grows_with_its_width():
+    """A width-W table is a tuple nested W deep.  Doubling W at most
+    2.5-folds the peak memory of decomposing its context and of checking
+    its frequency judgment: a position that carried its path made both
+    grow as W squared, 3.9-fold from W = 2000 to 4000."""
+    checked = checker.check_program(
+        surface.parse_program(
+            "atom A : *\natom a : A\natom b : A\nuse c\nmain = #c!\n"
+        ),
+        surface.parse_oracle_file(
+            "oracle c arity 0 type Sigma A\n"
+            "  rule index mod 3 = 1 -> a\n  default -> b\n"
+        ),
+    )
+    env, registry = checked.env, checked.registry
+    peaks = []
+    for width in (2000, 4000):
+        table = make_tuple([checked.main_term] * width)
+        _, (claim, *_) = traces.oracle_frequency(env, "c", None, width, registry)
+        peaks.append(
+            (
+                _peak_bytes(lambda: decompose_oracle_context(table, "c")),
+                _peak_bytes(
+                    lambda: traces.check_trace(env, claim.witness, claim, registry)
+                ),
+            )
+        )
+    for small, large in zip(*peaks):
+        assert large <= 2.5 * small, (small, large)
 
 
 @given(st.integers(0, 2000))

@@ -46,9 +46,10 @@ from olam.syntax import (
     Var,
     alpha_eq,
     children,
+    hole_var,
     make_tuple,
-    subnode_at,
 )
+from reference_syntax import subnode_at
 
 HALF = Fraction(1, 2)
 COIN = "choose[1/3]{a}{b}!"
@@ -861,9 +862,33 @@ def test_readings_match_the_whole_term_search(seed):
         labels += [(r.path, rule) for r in find_redexes(u) for rule in RULE_KIND]
         labels.append(((0,) * 9, "beta"))
         for label in labels:
-            assert readings_or_code(_readings, u, v, label, reg) == (
-                readings_or_code(readings_by_search, u, v, label, reg)
-            ), (seed, label)
+            for registry in (reg, None):
+                assert readings_or_code(_readings, u, v, label, registry) == (
+                    readings_or_code(readings_by_search, u, v, label, registry)
+                ), (seed, label, registry)
+
+
+def test_a_variable_spelled_like_hole_1_names_no_oracle_step():
+    """Before the first forced call of <[_1], <#c!, #c!>> stands a library
+    variable spelled like hole 1.  A label at it or at the second call
+    names no redex, with or without a registry; a failed unlabelled step
+    is told apart as a wrong answer or as no rule, by the shape of v."""
+    _, reg = signature()
+    t = Pair(hole_var(1), Pair(Force(OracleRef("c")), Force(OracleRef("c"))))
+    v = surface.parse_term("<b, <b, a>>")
+    for path in ((0,), (1, 1)):
+        for registry in (reg, None):
+            with pytest.raises(TraceError) as e:
+                _readings(t, v, (path, "oracle"), registry)
+            assert e.value.code == "LabelMismatch"
+            assert e.value.message == (
+                f"no oracle redex at position {list(path)} of {t}"
+            )
+    codes = {"<b, <b, a>>": "OracleReplayMismatch", "<a, a>": "RuleMismatch"}
+    for text, code in codes.items():
+        with pytest.raises(TraceError) as e:
+            _readings(t, surface.parse_term(text), None, reg)
+        assert e.value.code == code
 
 
 def test_labelled_local_steps_make_no_whole_term_search(monkeypatch):
@@ -891,10 +916,10 @@ def test_labelled_local_steps_make_no_whole_term_search(monkeypatch):
         _readings(coin, coin, ((0,), "beta"), reg)
     assert e.value.code == "LabelMismatch"
     assert calls == []
-    # an oracle label still searches the whole term for its first call
+    # an oracle label is read along its path and its oracle's context
     v = surface.parse_term("<(\\x:A. x) <a, choose[1/3]{a}{b}!>.1, a>")
     assert _readings(u, v, ((1,), "oracle"), reg) == [(1, ((1,), "oracle"))]
-    assert calls == [u]
+    assert calls == []
 
 
 @given(st.integers(0, 600))

@@ -31,12 +31,14 @@ from olam.syntax import (
     alpha_eq,
     decompose_oracle_context,
     free_term_vars,
+    hole_var,
     make_tuple,
     oracle_names,
     substitute,
     substitute_all,
     subnodes,
 )
+from reference_syntax import subnode_at
 
 SRC = Path(syntax.__file__).parent
 A = TypeName("A")
@@ -175,9 +177,9 @@ def test_walks_take_any_depth(case):
         assert normal_form is t
     else:
         assert printer.show(normal_form) == normal
-    context, occurrences = decompose_oracle_context(t, "c")
-    assert context.count == len(occurrences) == (DEPTH if oracles else 0)
-    redex = {o.index: Force(OracleRef("c")) for o in occurrences}
+    context, args = decompose_oracle_context(t, "c")
+    assert context.count == len(args) == (DEPTH if oracles else 0)
+    redex = {i: Force(OracleRef("c")) for i in range(1, len(args) + 1)}
     assert printer.show(context.fill(redex)) == text("a")
     assert time.perf_counter() - start < 5
 
@@ -190,8 +192,9 @@ def test_deep_walks_rename_and_compare_binders():
     assert renamed == printer.show(lam_chain("x3")).replace("\\x3:", "\\x31:")
     assert alpha_eq(t, lam_chain("a", "y"))
     assert not alpha_eq(t, lam_chain("y0", "y"))
-    occurrences = decompose_oracle_context(oracle_tuple("a"), "c")[1]
-    assert occurrences[-1].path == (1,) * (DEPTH - 1) + (0,)
+    context = decompose_oracle_context(oracle_tuple("a"), "c")[0]
+    last = (1,) * (DEPTH - 1) + (0,)
+    assert subnode_at(context.skeleton, last) == hole_var(context.count)
 
 
 # ---------------------------------------------------- recursive references
@@ -225,9 +228,12 @@ def test_walks_match_their_recursive_references():
         for u in (t, Lam("k", c, Var("k"))):
             assert printer.term_key(u) == reference_printer.term_key(u)
         for o in ("c", "d"):
-            assert decompose_oracle_context(
-                t, o
-            ) == reference_syntax.decompose_oracle_context(t, o)
+            context, args = decompose_oracle_context(t, o)
+            expected, occurrences = reference_syntax.decompose_oracle_context(t, o)
+            assert context == expected
+            assert args == tuple(occ.arg for occ in occurrences)
+            for occ in occurrences:
+                assert subnode_at(context.skeleton, occ.path) == hole_var(occ.index)
         canonical = reference_syntax.canonicalize(t)
         for u in (canonical, previous, substitute(t, "a", Var("b"))):
             assert alpha_eq(t, u) == reference_syntax.alpha_eq(t, u)
