@@ -157,7 +157,7 @@ def redex_at(t: Term, path: tuple[int, ...]) -> TermRedex | None:
     redex = None if walked is None else _recognise(walked[1], path)
     if redex is not None and redex.oracle is not None:
         context, _ = decompose_oracle_context(t, redex.oracle)
-        if not _at_first_hole(t, context.skeleton, path):
+        if not _at_first_hole(context.skeleton, path):
             return None
     return redex
 
@@ -252,7 +252,7 @@ def _oracle_step(
         )
     assert redex.oracle is not None
     context, result = registry.rewrite(redex.oracle, t)
-    if not _at_first_hole(t, context.skeleton, redex.path):
+    if not _at_first_hole(context.skeleton, redex.path):
         raise ReductionError(
             "InvalidRedexPath",
             f"no redex of oracle {redex.oracle} at position {list(redex.path)}",
@@ -260,14 +260,13 @@ def _oracle_step(
     return TraceQuadruple(t, result, Fraction(1), "oracle", redex.path)
 
 
-def _at_first_hole(t: Term, skeleton: Node, path: tuple[int, ...]) -> bool:
-    """Whether hole 1 of skeleton, t's context, stands at path: the first
-    occurrence.  A variable of t spelled like the hole is t's own node."""
+def _at_first_hole(skeleton: Node, path: tuple[int, ...]) -> bool:
+    """Whether hole 1 of skeleton, an oracle's context, stands at path: the
+    first occurrence.  No variable of the term is spelled like a hole, or
+    decompose_oracle_context would have raised."""
     walked = _walk(skeleton, path)  # type: ignore[arg-type]
     node = None if walked is None else walked[1]
-    if type(node) is not Var or node.name != hole_var(1).name:
-        return False
-    return node is not _walk(t, path)[1]  # type: ignore[index]
+    return type(node) is Var and node.name == hole_var(1).name
 
 
 def deterministic_strategy(t: Term) -> TermRedex | None:

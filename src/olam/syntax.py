@@ -648,15 +648,24 @@ def decompose_oracle_context(
     """Extract every outermost forced redex of the oracle, numbering holes
     1..n in left-to-right preorder: the context, and each hole's argument
     (None for the nullary form).  fill() with the original redexes gives t
-    back when none of them has free a name bound around it."""
+    back when none of them has free a name bound around it.  A variable or
+    binder the walk meets spelled like a hole, with hole_var's `[_` prefix,
+    raises ReductionError ReservedName; the walk enters no type annotation
+    or recorded computation, though fill substitutes there too."""
     args: list[Term | None] = []
 
     def enter(node: Node, _) -> object:
-        form = forced_oracle_form(node)  # type: ignore[arg-type]
-        if form is not None and form[0] == oracle:
-            args.append(form[1])
-            return hole_var(len(args))
-        if isinstance(node, (TypeCon, TraceTerm, MergeTerm)):
+        cls = type(node)
+        if cls is Force:
+            form = forced_oracle_form(node)  # type: ignore[arg-type]
+            if form is not None and form[0] == oracle:
+                args.append(form[1])
+                return hole_var(len(args))
+        elif cls is Var or cls is Lam:
+            name = node.name if cls is Var else node.var  # type: ignore[attr-defined]
+            if name.startswith("[_"):
+                raise ReductionError("ReservedName", f"{name} is spelled like a hole")
+        elif isinstance(node, (TypeCon, TraceTerm, MergeTerm)):
             return node
         return None  # walk the children
 

@@ -26,6 +26,7 @@ from .syntax import (
     Record,
     StepLabel,
     Term,
+    TraceTerm,
     TypeCon,
     alpha_eq,
     make_tuple,
@@ -33,7 +34,6 @@ from .syntax import (
 )
 from .traces import (
     Distribution,
-    MapstoJudgment,
     StepGraph,
     forced_oracle_form,
     oracle_frequency,
@@ -64,13 +64,16 @@ class TrustRow(Record):
     """One listed outcome: target mass, derived mass, and the comparison."""
 
 
-@record(
-    "verdict rows extra extra_mass total epsilon distribution judgments mode graph"
-)
+@record("verdict rows extra extra_mass total epsilon distribution evidence")
 class TrustReport(Record):
-    """Full result of a trust check, including the evidence it rests on:
-    in enumerate mode the step graph, in frequency mode one judgment per
-    outcome."""
+    """Full result of a trust check, including the one piece of evidence
+    it rests on: in enumerate mode the step graph, in frequency mode the
+    table's one trace, the tuple of calls and the rewritten tuple."""
+
+    @property
+    def mode(self) -> str:
+        """"enumerate" or "frequency", after the evidence."""
+        return "enumerate" if isinstance(self.evidence, StepGraph) else "frequency"
 
 
 def _check_tolerance(epsilon: Rational) -> None:
@@ -121,9 +124,10 @@ def trust_check(
     mass, which must stay below epsilon; report.extra names the unlisted
     ones.
 
-    The enumeration builds t's step graph (traces.step_graph), which
-    report.graph holds; a frequency table's judgments are in
-    report.judgments.
+    report.evidence is what the distribution was read from: t's step
+    graph (traces.step_graph) or the frequency table's one trace.  For one
+    judgment per outcome of a table, call traces.oracle_frequency, as
+    trust_check does.
 
     Errors come in this order: the spec's own (range, duplicate, total),
     then the derivation's (it spends the fuel), then a listed outcome the
@@ -139,8 +143,8 @@ def trust_check(
 
 
 # A derivation: the distribution, then the step graph (enumerate mode) or
-# the frequency table's judgments (frequency mode).
-_Derivation = tuple[Distribution, StepGraph | None, list[MapstoJudgment]]
+# the frequency table's one trace (frequency mode).
+_Derivation = tuple[Distribution, StepGraph | TraceTerm]
 
 
 def _derive(
@@ -153,11 +157,10 @@ def _derive(
     """t's distribution and its evidence, as trust_check describes."""
     oracle = forced_oracle_form(t)
     if freq_width is not None and oracle is not None:
-        name, arg = oracle
-        dist, judgments = oracle_frequency(env, name, arg, freq_width, registry)
-        return dist, None, judgments
-    dist, graph = step_graph(t, registry, fuel)
-    return dist, graph, []
+        dist, judgments = oracle_frequency(env, *oracle, freq_width, registry)
+        # every judgment of the table shares its one trace
+        return dist, judgments[0].witness
+    return step_graph(t, registry, fuel)
 
 
 def _judge(
@@ -172,7 +175,7 @@ def _judge(
     """The verdict on a valid spec, whose outcomes have the keys, against
     the derivation of t; program_type is t's type where the caller has
     it already."""
-    dist, graph, judgments = derivation
+    dist, _ = derivation
     derived = dist.as_key_map()
     # the program's type, then each reached outcome's, typed on first need:
     # a reduct's type may differ from the program's by a term step inside
@@ -232,17 +235,11 @@ def _judge(
         and extra_mass < spec.epsilon
         and total == 1
     )
+    verdict = "trusted" if trusted else "untrusted"
+    epsilon = Fraction(spec.epsilon)
+    # the derivation's distribution and evidence are the last two fields
     return TrustReport(
-        verdict="trusted" if trusted else "untrusted",
-        rows=tuple(rows),
-        extra=extra,
-        extra_mass=extra_mass,
-        total=total,
-        epsilon=Fraction(spec.epsilon),
-        distribution=dist,
-        judgments=tuple(judgments),
-        mode="enumerate" if graph is not None else "frequency",
-        graph=graph,
+        verdict, tuple(rows), extra, extra_mass, total, epsilon, *derivation
     )
 
 
@@ -272,57 +269,50 @@ def build_certificate(env: Environment, t: Term, report: TrustReport) -> dict:
     outcome's mass.  The claims come in the distribution's order.  A
     frequency table is written as its distribution and its one trace,
     the table: the tuple of calls and the rewritten tuple."""
-    graph = report.graph
-    cert = {
+    items = report.distribution.items()
+    evidence = report.evidence
+    # each derived outcome's text by the outcome's id: a step graph holds
+    # its leaves printed, and a frequency table's outcomes are printed here
+    if isinstance(evidence, StepGraph):
+        program = evidence.texts[0]
+        leaf_of = {id(evidence.terms[leaf]): leaf for leaf, _ in evidence.leaves}
+        text_of = {i: evidence.texts[leaf] for i, leaf in leaf_of.items()}
+        written = {
+            "nodes": list(evidence.texts),
+            "edges": [
+                [node, _label_to_text(label), str(prob), child]
+                for node, label, prob, child in evidence.edges
+            ],
+            "claims": [[leaf_of[id(rep)], str(prob)] for rep, prob in items],
+        }
+    else:
+        program = show(t)
+        text_of = {id(rep): show(rep) for rep, _ in items}
+        written = {
+            "distribution": [[text_of[id(rep)], str(prob)] for rep, prob in items],
+            "table": [show(s) for s in evidence.steps],
+        }
+    return {
         "schema": 2,
-        "program": show(t) if graph is None else graph.texts[0],
+        "program": program,
         "mode": report.mode,
         "seedless": True,
         "epsilon": str(report.epsilon),
         "verdict": report.verdict,
         "totality": str(report.total),
+        **written,
+        "threshold_checks": [
+            {
+                # a row that replay took from the derivation comes printed
+                "outcome": text_of.get(id(row.outcome)) or show(row.outcome),
+                "target": str(row.target),
+                "derived": str(row.derived),
+                "deviation": str(row.deviation),
+                "passed": row.passed,
+            }
+            for row in report.rows
+        ],
     }
-    # each derived outcome's text is texts[at[id(outcome)]]: a step graph
-    # holds its leaves printed, and a frequency table's outcomes are
-    # printed here, in the distribution's order
-    if graph is None:
-        reps = [rep for rep, _ in report.distribution.items()]
-        texts = [show(rep) for rep in reps]
-        at = {id(rep): i for i, rep in enumerate(reps)}
-        cert["distribution"] = [
-            [text, str(prob)]
-            for text, (_, prob) in zip(texts, report.distribution.items())
-        ]
-        # every judgment of the table shares its one trace
-        cert["table"] = [show(s) for s in report.judgments[0].witness.steps]
-    else:
-        texts = graph.texts
-        at = {id(graph.terms[leaf]): leaf for leaf, _ in graph.leaves}
-        cert["nodes"] = list(graph.texts)
-        cert["edges"] = [
-            [node, _label_to_text(label), str(prob), child]
-            for node, label, prob, child in graph.edges
-        ]
-        cert["claims"] = [
-            [at[id(rep)], str(prob)]
-            for rep, prob in report.distribution.items()
-        ]
-    cert["threshold_checks"] = [
-        {
-            # a row that replay took from the derivation comes printed
-            "outcome": (
-                texts[at[id(row.outcome)]]
-                if id(row.outcome) in at
-                else show(row.outcome)
-            ),
-            "target": str(row.target),
-            "derived": str(row.derived),
-            "deviation": str(row.deviation),
-            "passed": row.passed,
-        }
-        for row in report.rows
-    ]
-    return cert
 
 
 # The JSON shape of what replay reads of a certificate, checked before it
@@ -430,13 +420,13 @@ def replay_certificate(
             raise _mismatch("table", [0])
     program_type = infer_type(env, t, registry)
     _check_tolerance(epsilon)
-    derivation = dist, graph, _ = _derive(env, t, registry, fuel, width)
+    derivation = dist, evidence = _derive(env, t, registry, fuel, width)
     reps = [rep for rep, _ in dist.items()]
-    if graph is None:
-        texts = [show(rep) for rep in reps]
+    if isinstance(evidence, StepGraph):
+        leaf_of = {id(evidence.terms[leaf]): leaf for leaf, _ in evidence.leaves}
+        texts = [evidence.texts[leaf_of[id(rep)]] for rep in reps]
     else:
-        leaf_of = {id(graph.terms[leaf]): leaf for leaf, _ in graph.leaves}
-        texts = [graph.texts[leaf_of[id(rep)]] for rep in reps]
+        texts = [show(rep) for rep in reps]
     # items come sorted by key, so sorting the keys pairs them up
     reached = dict(zip(texts, zip(reps, sorted(dist.as_key_map()))))
     entries, keys = [], []

@@ -23,10 +23,12 @@ from olam.reducer import (
 )
 from olam.syntax import (
     Force,
+    Lam,
     OracleCall,
     OracleRef,
     Pair,
     TraceTerm,
+    TypeName,
     Var,
     children,
     decompose_oracle_context,
@@ -148,24 +150,57 @@ def test_step_oracle_requires_registry():
 
 
 def test_step_oracle_fires_only_at_hole_1():
-    """A library term may hold a variable spelled like hole 1 before the
-    first forced call: the oracle redex is the first call, not that
-    variable and not the second call."""
+    """The oracle redex of <a, <#c!, #c!>> is the first call, not the
+    variable before it and not the second call.  Where that variable is
+    spelled like hole 1, no oracle step is taken at all."""
     _, reg = signature()
-    t = Pair(hole_var(1), Pair(Force(OracleRef("c")), Force(OracleRef("c"))))
+    calls = Pair(Force(OracleRef("c")), Force(OracleRef("c")))
+    t = Pair(Var("a"), calls)
     for path in ((0,), (1, 1)):
         with pytest.raises(ReductionError) as e:
             step(t, TermRedex(path, "oracle", "c"), reg)
         assert e.value.code == "InvalidRedexPath"
     (out,) = step(t, TermRedex((1, 0), "oracle", "c"), reg)
     assert out.path == (1, 0)
+    for path in ((0,), (1, 1), (1, 0)):
+        with pytest.raises(ReductionError) as e:
+            step(Pair(hole_var(1), calls), TermRedex(path, "oracle", "c"), reg)
+        assert e.value.code == "ReservedName"
 
 
 def test_redex_at_reads_an_oracle_redex_at_hole_1_only():
-    t = Pair(hole_var(1), Pair(Force(OracleRef("c")), Force(OracleRef("c"))))
+    """Where the variable before the calls is spelled like hole 1, a path
+    to either call reads the oracle's context and is refused."""
+    calls = Pair(Force(OracleRef("c")), Force(OracleRef("c")))
+    t = Pair(Var("a"), calls)
     assert redex_at(t, (0,)) is None
     assert redex_at(t, (1, 1)) is None
     assert [redex_at(t, (1, 0))] == find_redexes(t)
+    spelled = Pair(hole_var(1), calls)
+    assert redex_at(spelled, (0,)) is None
+    for path in ((1, 1), (1, 0)):
+        with pytest.raises(ReductionError) as e:
+            redex_at(spelled, path)
+        assert e.value.code == "ReservedName"
+
+
+def test_an_oracle_step_refuses_names_spelled_like_holes():
+    """A library term's own variable or binder spelled like a hole was
+    read as that hole: <[_1], <#c!, #c!>> stepped to <a, <a, a>>, and
+    <#c!, \\[_2]:A. #c!> to <a, \\[_2]:A. [_2]>, hole 2's answer captured by
+    the binder.  Each step is a coded error instead."""
+    _, reg = signature()
+    c = Force(OracleRef("c"))
+    terms = [
+        Pair(hole_var(1), Pair(c, c)),
+        Pair(c, Lam(hole_var(2).name, TypeName("A"), c)),
+    ]
+    for t in terms:
+        (redex,) = find_redexes(t)
+        with pytest.raises(ReductionError) as e:
+            step(t, redex, reg)
+        assert e.value.code == "ReservedName"
+        assert e.value.message.endswith("is spelled like a hole")
 
 
 def test_step_stale_redex_rejected():

@@ -495,7 +495,7 @@ RECORDS = {
     trust.TrustSpec: "entries epsilon",
     trust.TrustRow: "outcome target derived deviation passed",
     trust.TrustReport: "verdict rows extra extra_mass total epsilon "
-    "distribution judgments mode graph",
+    "distribution evidence",
     traces.MapstoJudgment: "source target prob witness",
     traces.StepGraph: "terms texts edges leaves",
     checker.CheckedProgram: "env registry def_types main_term main_type",

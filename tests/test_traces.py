@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from generators import gen_closed_term, signature
 from olam import reducer, surface, traces
-from olam.errors import OlamError, TraceError
+from olam.errors import OlamError, ReductionError, TraceError
 from olam.reducer import RULE_KIND, find_redexes, run_sample, step
 from olam.traces import (
     Distribution,
@@ -869,13 +869,16 @@ def test_readings_match_the_whole_term_search(seed):
 
 
 def test_a_variable_spelled_like_hole_1_names_no_oracle_step():
-    """Before the first forced call of <[_1], <#c!, #c!>> stands a library
-    variable spelled like hole 1.  A label at it or at the second call
-    names no redex, with or without a registry; a failed unlabelled step
-    is told apart as a wrong answer or as no rule, by the shape of v."""
+    """Before the first forced call of <a, <#c!, #c!>> stands a variable.
+    A label at it or at the second call names no redex, with or without a
+    registry; a failed unlabelled step is told apart as a wrong answer or
+    as no rule, by the shape of v.  Where the variable is spelled like
+    hole 1, a label at either call and an unlabelled step read the
+    oracle's context, which refuses the name."""
     _, reg = signature()
-    t = Pair(hole_var(1), Pair(Force(OracleRef("c")), Force(OracleRef("c"))))
-    v = surface.parse_term("<b, <b, a>>")
+    calls = Pair(Force(OracleRef("c")), Force(OracleRef("c")))
+    t = Pair(Var("a"), calls)
+    v = surface.parse_term("<a, <b, a>>")
     for path in ((0,), (1, 1)):
         for registry in (reg, None):
             with pytest.raises(TraceError) as e:
@@ -884,11 +887,25 @@ def test_a_variable_spelled_like_hole_1_names_no_oracle_step():
             assert e.value.message == (
                 f"no oracle redex at position {list(path)} of {t}"
             )
-    codes = {"<b, <b, a>>": "OracleReplayMismatch", "<a, a>": "RuleMismatch"}
+    codes = {"<a, <b, a>>": "OracleReplayMismatch", "<a, a>": "RuleMismatch"}
     for text, code in codes.items():
         with pytest.raises(TraceError) as e:
             _readings(t, surface.parse_term(text), None, reg)
         assert e.value.code == code
+    spelled = Pair(hole_var(1), calls)
+    v = surface.parse_term("<b, <b, a>>")
+    for registry in (reg, None):
+        with pytest.raises(TraceError) as e:
+            _readings(spelled, v, ((0,), "oracle"), registry)
+        assert e.value.code == "LabelMismatch"
+        for path in ((1, 0), (1, 1)):
+            with pytest.raises(ReductionError) as e:
+                _readings(spelled, v, (path, "oracle"), registry)
+            assert e.value.code == "ReservedName"
+    for text in codes:
+        with pytest.raises(ReductionError) as e:
+            _readings(spelled, surface.parse_term(text), None, reg)
+        assert e.value.code == "ReservedName"
 
 
 def test_labelled_local_steps_make_no_whole_term_search(monkeypatch):

@@ -401,8 +401,8 @@ def test_certificate_prints_each_term_object_once(monkeypatch):
         )
     hashed = count_node_hashes(monkeypatch)
     report = trust_check(env, t, spec, reg)
-    assert len(report.graph.terms) == 127
-    assert sorted(map(id, printed)) == sorted(map(id, report.graph.terms))
+    assert len(report.evidence.terms) == 127
+    assert sorted(map(id, printed)) == sorted(map(id, report.evidence.terms))
     printed.clear()
     build_certificate(env, t, report)
     outcomes = [row.outcome for row in report.rows]
@@ -413,7 +413,7 @@ def test_certificate_prints_each_term_object_once(monkeypatch):
     report = trust_check(env, t, spec, reg, freq_width=3)
     printed.clear()
     build_certificate(env, t, report)
-    table = report.judgments[0].witness.steps
+    table = report.evidence.steps
     assert len(table) == 2 and len(report.rows) == 2
     written = [
         t,
@@ -520,10 +520,11 @@ def test_frequency_certificate_step_is_read_as_one_oracle_step(monkeypatch):
     spec = spec_ab(Fraction(2, 3), Fraction(1, 3), Fraction(1, 100))
     report = trust_check(env, t, spec, reg, freq_width=3)
     cert = build_certificate(env, t, report)
-    assert len(report.judgments) == 2
+    assert len(report.distribution) == 2
     labels = record_readings(monkeypatch)
-    for j in report.judgments:
-        assert check_trace(env, j.witness, j, reg)
+    for rep, prob in report.distribution.items():
+        claim = MapstoJudgment(t, rep, prob, report.evidence)
+        assert check_trace(env, report.evidence, claim, reg)
     assert labels == [((0,), "oracle")] * 2
     labels.clear()
     assert replay_certificate(env, reg, cert).verdict == "trusted"
