@@ -650,8 +650,9 @@ def decompose_oracle_context(
     (None for the nullary form).  fill() with the original redexes gives t
     back when none of them has free a name bound around it.  A variable or
     binder the walk meets spelled like a hole, with hole_var's `[_` prefix,
-    raises ReductionError ReservedName; the walk enters no type annotation
-    or recorded computation, though fill substitutes there too."""
+    raises ReductionError ReservedName, and so does such a free variable of
+    a type annotation or recorded computation, which the walk passes over
+    whole but fill substitutes in."""
     args: list[Term | None] = []
 
     def enter(node: Node, _) -> object:
@@ -661,13 +662,18 @@ def decompose_oracle_context(
             if form is not None and form[0] == oracle:
                 args.append(form[1])
                 return hole_var(len(args))
-        elif cls is Var or cls is Lam:
+            return None  # walk the children
+        if cls is Var or cls is Lam:
             name = node.name if cls is Var else node.var  # type: ignore[attr-defined]
+            names, passed = (name,), None
+        elif isinstance(node, (TypeCon, TraceTerm, MergeTerm)):
+            names, passed = free_term_vars(node), node
+        else:
+            return None
+        for name in names:
             if name.startswith("[_"):
                 raise ReductionError("ReservedName", f"{name} is spelled like a hole")
-        elif isinstance(node, (TypeCon, TraceTerm, MergeTerm)):
-            return node
-        return None  # walk the children
+        return passed
 
     skeleton = rewrite(t, None, enter)
     return HoleContext(skeleton, len(args)), tuple(args)  # type: ignore[arg-type]

@@ -29,7 +29,6 @@ from .syntax import (
     TraceTerm,
     TypeCon,
     alpha_eq,
-    make_tuple,
     record,
 )
 from .traces import (
@@ -254,13 +253,16 @@ def _label_to_text(label: StepLabel) -> str:
     return " ".join((rule, *map(str, path)))
 
 
-def build_certificate(env: Environment, t: Term, report: TrustReport) -> dict:
+def build_certificate(
+    env: Environment, t: Term, report: TrustReport, printed: tuple | None = None
+) -> dict:
     """Self-contained record of a trust verdict on program t: the program,
     its derived distribution, its evidence (the step graph and each leaf's
     claim, or the frequency table's one trace), and every threshold
     comparison.  replay_certificate writes it again to compare.  Each term
     it lists is printed once; a step graph's node texts, the program's
-    among them, come printed.
+    among them, come printed, and so may a frequency table's program and
+    outcomes, in the distribution's order (printed).
 
     A step graph is written as its node texts, each distinct term once,
     and its edges as (from, label, probability, to) with the nodes by
@@ -286,8 +288,8 @@ def build_certificate(env: Environment, t: Term, report: TrustReport) -> dict:
             "claims": [[leaf_of[id(rep)], str(prob)] for rep, prob in items],
         }
     else:
-        program = show(t)
-        text_of = {id(rep): show(rep) for rep, _ in items}
+        program, texts = printed or (show(t), [show(rep) for rep, _ in items])
+        text_of = {id(rep): text for (rep, _), text in zip(items, texts)}
         written = {
             "distribution": [[text_of[id(rep)], str(prob)] for rep, prob in items],
             "table": [show(s) for s in evidence.steps],
@@ -408,14 +410,15 @@ def replay_certificate(
     _require_shape(cert, _READ, "certificate")
     t = surface.parse_term(cert["program"])
     epsilon = surface.parse_rational_text(cert["epsilon"])
-    width = None
+    width = program = None
     if cert.get("mode") == "frequency":
         table = cert.get("table")
         _require_shape(table, [str], "certificate.table")
-        # n calls print as n copies of the program inside n - 1 pairs
-        size = len(show(t))
-        pair = len(show(make_tuple([t, t]))) - 2 * size
-        width, rest = divmod(len(table[0]) + pair, size + pair) if table else (0, 0)
+        # n calls print as n copies of the program joined inside n - 1
+        # pairs, each of which adds the 4 characters "<", ", " and ">"
+        program = show(t)
+        size = len(program) + 4
+        width, rest = divmod(len(table[0]) + 4, size) if table else (0, 0)
         if rest or not width:
             raise _mismatch("table", [0])
     program_type = infer_type(env, t, registry)
@@ -441,7 +444,7 @@ def replay_certificate(
     spec = TrustSpec(tuple(entries), epsilon)
     _validate_spec(spec, keys)
     report = _judge(env, t, spec, keys, derivation, registry, program_type)
-    for field, written in build_certificate(env, t, report).items():
+    for field, written in build_certificate(env, t, report, (program, texts)).items():
         bad = _difference(cert.get(field), written)
         if bad is not None:
             raise _mismatch(field, bad)

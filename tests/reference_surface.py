@@ -10,14 +10,8 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from olam.surface import (
-    KEYWORDS,
-    Token,
-    _lex_line,
-    _probability,
-    _starts_term_atom,
-    _Stream,
-)
+from olam import surface
+from olam.surface import _NOT_TERM_ATOM, _TERM_START, KEYWORDS, _lex_line, _probability
 from olam.syntax import (
     App,
     Bottom,
@@ -36,6 +30,7 @@ from olam.syntax import (
     OracleRef,
     Pair,
     Proj,
+    Record,
     Star,
     Term,
     TypeAbs,
@@ -45,14 +40,36 @@ from olam.syntax import (
     Var,
     fresh_name,
     free_term_vars,
+    record,
 )
 
 
-def tokenize(text: str) -> list[Token]:
-    out: list[Token] = []
+@record("kind value line col")
+class Token(Record):
+    """One of olam.surface's token tuples as a record."""
+
+
+class _Stream(surface._Stream):
+    """olam.surface's token stream, whose current token this grammar reads
+    as a Token."""
+
+    __slots__ = ()
+
+    def peek(self) -> Token:
+        return Token(*self.tokens[self.pos])
+
+
+def tokenize(text: str) -> list[tuple]:
+    out: list[tuple] = []
     for k, line in enumerate(text.split("\n")):
         _lex_line(line, k + 1, out)
     return out
+
+
+def _starts_term_atom(t: Token) -> bool:
+    if t.kind == "IDENT":
+        return t.value not in _NOT_TERM_ATOM
+    return t.kind in _TERM_START
 
 
 def _binder(ts: _Stream, body: Callable[[_Stream], Node]) -> tuple:

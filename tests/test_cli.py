@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from olam import printer
+from olam import printer, surface
 from olam.cli import main
 
 ORACLE_TEXT = """\
@@ -783,13 +783,14 @@ def test_numerals_longer_than_int_accepts_are_parse_errors(project, capsys):
 
 
 def test_deep_input_is_a_coded_error(project, capsys, tmp_path):
-    """Input nested past the parser's recursion limit ends in one coded
-    error line, not a traceback."""
+    """Input nested past the checker's recursion limit ends in one coded
+    error line, not a traceback; the parser reads it."""
     deep = tmp_path / "deep.olam"
     deep.write_text(
         "atom A : *\natom a : A\natom g : A -> A\n"
-        f"main = {'g (' * 3000}a{')' * 3000}\n"
+        f"main = {'g (' * 4999}g a{')' * 4999}\n"
     )
+    surface.parse_program(deep.read_text())
     for argv in (["check", str(deep)], ["dist", str(deep)]):
         code, out, err = run(argv, capsys)
         assert code == 1

@@ -28,6 +28,7 @@ from olam.syntax import (
     OracleRef,
     Pair,
     TraceTerm,
+    TypeApp,
     TypeName,
     Var,
     children,
@@ -186,14 +187,16 @@ def test_redex_at_reads_an_oracle_redex_at_hole_1_only():
 
 def test_an_oracle_step_refuses_names_spelled_like_holes():
     """A library term's own variable or binder spelled like a hole was
-    read as that hole: <[_1], <#c!, #c!>> stepped to <a, <a, a>>, and
+    read as that hole: <[_1], <#c!, #c!>> stepped to <a, <a, a>>,
     <#c!, \\[_2]:A. #c!> to <a, \\[_2]:A. [_2]>, hole 2's answer captured by
-    the binder.  Each step is a coded error instead."""
+    the binder, and <#c!, \\x:P [_1]. x> to <a, \\x:P a. x>, the annotation's
+    [_1] rewritten as hole 1.  Each step is a coded error instead."""
     _, reg = signature()
     c = Force(OracleRef("c"))
     terms = [
         Pair(hole_var(1), Pair(c, c)),
         Pair(c, Lam(hole_var(2).name, TypeName("A"), c)),
+        Pair(c, Lam("x", TypeApp(TypeName("P"), hole_var(1)), Var("x"))),
     ]
     for t in terms:
         (redex,) = find_redexes(t)

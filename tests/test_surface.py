@@ -638,7 +638,7 @@ def test_lexer_matches_reference(line):
     def new(text):
         out = []
         surface._lex_line(text, 3, out)
-        return [(t.kind, t.value, t.line, t.col) for t in out]
+        return out
 
     expected = _lexed(lambda text: _reference_lex_line(text, 3), line)
     if isinstance(expected, list) and expected and expected[-1][:2] == ("PROJ", ""):

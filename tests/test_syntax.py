@@ -485,7 +485,6 @@ RECORDS = {
     oracles.GuardDefault: "",
     oracles.OracleRule: "guard output line?~",
     oracles.OracleDef: "name arity assoc_type rules line?~",
-    surface.Token: "kind value line col",
     surface.AtomDecl: "name classifier line",
     surface.Definition: "name ascription term line",
     surface.SourceFile: "atoms oracle_uses definitions",
@@ -507,8 +506,8 @@ def test_record_classes_are_built_from_their_fields():
     """Each record class has its fields as __slots__ and __match_args__ and
     no __dict__, takes them in order, and defaults the fields marked ? to
     None.  Two records of one class are equal, and hash alike, when their
-    fields not marked ~ are; tokens and steps, unhashable as dataclasses,
-    hash too.  repr is the dataclass form, without the fields marked ~."""
+    fields not marked ~ are; steps, unhashable as dataclasses, hash
+    too.  repr is the dataclass form, without the fields marked ~."""
     modules = (checker, oracles, reducer, surface, syntax, traces, trust)
     found = {
         cls

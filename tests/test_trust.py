@@ -463,6 +463,21 @@ def test_frequency_certificate_replays(monkeypatch):
     assert calls == {"rewrite": 1, "parse_term": 1}
 
 
+def test_frequency_replay_prints_each_term_once(monkeypatch):
+    """Replaying a width-3 table prints the program, the table's two terms
+    and each outcome once each: the texts replay prints to read the width
+    and to match the rows are the ones it writes again."""
+    env, reg, cert = frequency_certificate()
+    printed = []
+    show = trust.show
+    monkeypatch.setattr(trust, "show", lambda term: printed.append(term) or show(term))
+    assert replay_certificate(env, reg, cert).verdict == "trusted"
+    outcomes = [text for text, _ in cert["distribution"]]
+    assert sorted(map(show, printed)) == sorted(
+        [cert["program"], *cert["table"], *outcomes]
+    )
+
+
 def test_frequency_table_of_width_5000_replays():
     """A table's width is read off the length of its tuple of calls, so a
     tuple of 5000 calls, nested 5000 deep, replays at the default

@@ -1,5 +1,5 @@
-"""One traversal protocol: the walks of syntax, conversion and the printer
-run on explicit stacks.
+"""One traversal protocol: the walks of syntax, conversion and the printer,
+and the parser's term reader, run on explicit stacks.
 
 No function in those modules calls itself; every walk takes a node of
 any depth at the default recursion limit; and every walk gives what its
@@ -9,6 +9,7 @@ and repr of nodes are walks too."""
 import ast
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,9 +18,11 @@ import reference_conversion
 import reference_printer
 import reference_syntax
 from generators import gen_closed_con, gen_closed_term, gen_kind
-from olam import conversion, printer, syntax
+from olam import conversion, printer, surface, syntax
 from olam.syntax import (
     App,
+    Choice,
+    ChoiceType,
     Force,
     Lam,
     OracleRef,
@@ -45,7 +48,9 @@ A = TypeName("A")
 DEPTH = 5000
 
 
-@pytest.mark.parametrize("module", ["syntax.py", "printer.py", "conversion.py"])
+@pytest.mark.parametrize(
+    "module", ["syntax.py", "printer.py", "conversion.py", "surface.py"]
+)
 def test_no_function_calls_itself(module):
     """Nested closures included: a call of a function's own name anywhere in
     its body, or of self.name in a method, is a self-call."""
@@ -182,6 +187,45 @@ def test_walks_take_any_depth(case):
     redex = {i: Force(OracleRef("c")) for i in range(1, len(args) + 1)}
     assert printer.show(context.fill(redex)) == text("a")
     assert time.perf_counter() - start < 5
+
+
+def choose_chain(a):
+    t = Var(a)
+    for _ in range(DEPTH):
+        t = Choice(t, Fraction(1, 2), Var("b"))
+    return t
+
+
+def force_chain(a):
+    t = Var(a)
+    for _ in range(DEPTH):
+        t = Force(t)
+    return t
+
+
+def oplus_prefix(a):
+    con = TypeName("A")
+    for _ in range(DEPTH):
+        con = ChoiceType(con)
+    return Lam("y", con, Var(a))
+
+
+# build(a) and a's text, for the parser: the cases above and three more
+PARSED = {
+    **{case: (build, text) for case, (build, text, *_) in DEEP.items()},
+    "choose_chain": (choose_chain, lambda a: "choose[1/2]{" * N + a + "}{b}" * N),
+    "force_chain": (force_chain, lambda a: a + "!" * N),
+    "oplus_prefix": (oplus_prefix, lambda a: "\\y:" + "Oplus " * N + f"A. {a}"),
+}
+
+
+@pytest.mark.parametrize("case", list(PARSED))
+def test_parse_term_reads_any_depth(case):
+    """At the default recursion limit, the parser reads a term 5000 deep:
+    terms on its explicit stack, Oplus and Sigma prefixes in a loop."""
+    assert sys.getrecursionlimit() <= 1000 < DEPTH
+    build, text = PARSED[case]
+    assert surface.parse_term(text("a")) == build("a")
 
 
 def test_deep_walks_rename_and_compare_binders():
