@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from . import conversion
 from .errors import CheckError, OlamError
-from .oracles import OracleRegistry
+from .oracles import Obligation, OracleRegistry
 from .syntax import (
     App,
     Bottom,
@@ -174,19 +174,20 @@ def infer_type(
         case Var(n):
             return env.lookup_term(n)
         case OracleRef(o):
-            odef = _registry_lookup(registry, o)
-            return conversion.normalize_con(odef.assoc_type)
+            obligation = _obligation(registry, o)
+            if obligation.domain is not None:
+                raise CheckError(
+                    "ArityMismatch", f"unary oracle {o} used without its argument"
+                )
+            return obligation.type
         case OracleCall(o, arg):
-            odef = _registry_lookup(registry, o)
-            if odef.arity != 1:
+            obligation = _obligation(registry, o)
+            if obligation.domain is None:
                 raise CheckError(
                     "NotAFunction", f"nullary oracle {o} applied to an argument"
                 )
-            var, dom, result = odef.dependent_type()
-            check_type(env, arg, dom, registry)
-            return conversion.normalize_con(
-                OpaqueType(substitute(result, var, arg))  # type: ignore[arg-type]
-            )
+            check_type(env, arg, obligation.domain, registry)
+            return OpaqueType(obligation.answer_type(arg))
         case Lam(x, a, body):
             env2, x, a_norm, body = _enter_binder(env, x, a, body, registry)
             return Forall(x, a_norm, infer_type(env2, body, registry))  # type: ignore[arg-type]
@@ -256,10 +257,10 @@ def infer_type(
     raise CheckError("IllFormedTerm", f"not a term: {term!r}")
 
 
-def _registry_lookup(registry: OracleRegistry | None, name: str):
+def _obligation(registry: OracleRegistry | None, name: str) -> Obligation:
     if registry is None:
         raise CheckError("UnknownOracle", f"no oracle named {name}")
-    return registry.lookup(name)
+    return registry.obligation(name)
 
 
 def check_type(

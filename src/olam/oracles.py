@@ -6,12 +6,13 @@ answer for its hole (HoleContext.fill).  Its behaviour is a total rule
 list: each rule guards on the hole index, an index residue, the argument
 (unary oracles), or the printed fingerprint of the surrounding context; the
 mandatory final default makes the function total.  Outputs are closed over
-the program signature and oracle-free, and every output is checked against
-its type obligation: at load where the obligation is fixed, and when
-produced where it depends on the argument.
+the program signature and oracle-free.  An oracle's type obligation is
+worked out once, at load, and every output is checked against it: at load
+where it is fixed or at an arg rule's pattern, else when produced.
 """
 from __future__ import annotations
 
+from . import conversion
 from .errors import OlamError, OracleError
 from .syntax import (
     Forall,
@@ -68,24 +69,20 @@ class OracleDef(Record):
     """Oracle of arity 0 (computations of a value type) or arity 1 (value
     type depending on the argument)."""
 
-    def value_type(self) -> TypeCon:
-        if self.arity != 0:
-            raise OracleError(
-                "ArityMismatch", f"oracle {self.name} has arity 1"
-            )
-        assert isinstance(self.assoc_type, OpaqueType)
-        return self.assoc_type.body
 
-    def dependent_type(self) -> tuple[str, TypeCon, TypeCon]:
-        """(argument variable, argument type, result value type)."""
-        if self.arity != 1:
-            raise OracleError(
-                "ArityMismatch", f"oracle {self.name} has arity 0"
-            )
-        assert isinstance(self.assoc_type, Forall)
-        body = self.assoc_type.body
-        assert isinstance(body, OpaqueType)
-        return self.assoc_type.var, self.assoc_type.var_type, body.body
+@record("type var domain result")
+class Obligation(Record):
+    """An oracle's type obligation, worked out once at load from its
+    normalised type: the argument's type (None at arity 0) and the value
+    type every answer must have.  var is the argument's name where that
+    type depends on it, and None where the obligation is fixed: at arity
+    0, and at arity 1 when the name is not free in the normalised result."""
+
+    def answer_type(self, arg: Term | None) -> TypeCon:
+        """The value type an answer at the argument must have."""
+        if self.var is None:
+            return self.result
+        return conversion.normalize_con(substitute(self.result, self.var, arg))
 
 
 def guard_matches(
@@ -105,27 +102,29 @@ def guard_matches(
     raise TypeError(f"unknown guard {guard!r}")
 
 
-def _check_output_shape(odef: OracleDef, output: Term, signature: frozenset[str]) -> None:
-    if oracle_names(output):
+def _check_closed(odef: OracleDef, what: str, term: Term, signature) -> None:
+    """A rule's output or pattern (what) is oracle-free and closed."""
+    if oracle_names(term):
         raise OracleError(
             "OutputContainsOracle",
-            f"oracle {odef.name} output {output} mentions an oracle constant",
+            f"oracle {odef.name} {what} {term} mentions an oracle constant",
         )
-    stray = free_term_vars(output) - signature
+    stray = free_term_vars(term) - signature
     if stray:
         raise OracleError(
             "OutputNotClosed",
-            f"oracle {odef.name} output {output} has free names {sorted(stray)}",
+            f"oracle {odef.name} {what} {term} has free names {sorted(stray)}",
         )
 
 
 class OracleRegistry:
-    """Validated, immutable-after-load collection of oracles, bound to the
-    program signature its outputs are checked against."""
+    """Validated, immutable-after-load collection of oracles, each beside
+    the obligation load worked out for it, bound to the program signature
+    its outputs are checked against."""
 
     def __init__(self, env):
         self._env = env
-        self._defs: dict[str, OracleDef] = {}
+        self._entries: dict[str, tuple[OracleDef, Obligation]] = {}
 
     @classmethod
     def load(cls, env, defs) -> "OracleRegistry":
@@ -135,35 +134,41 @@ class OracleRegistry:
         return registry
 
     def _add(self, odef: OracleDef) -> None:
-        if odef.name in self._defs:
+        if odef.name in self._entries:
             raise OracleError(
                 "DuplicateName",
                 f"oracle {odef.name} defined twice",
                 None if odef.line is None else (odef.line, 1),
             )
-        validate_oracle(odef, self._env)
-        self._defs[odef.name] = odef
+        self._entries[odef.name] = (odef, validate_oracle(odef, self._env))
 
     def names(self) -> list[str]:
-        return sorted(self._defs)
+        return sorted(self._entries)
+
+    def _entry(self, name: str) -> tuple[OracleDef, Obligation]:
+        entry = self._entries.get(name)
+        if entry is None:
+            raise OracleError("UnknownOracle", f"no oracle named {name}")
+        return entry
 
     def lookup(self, name: str) -> OracleDef:
-        odef = self._defs.get(name)
-        if odef is None:
-            raise OracleError("UnknownOracle", f"no oracle named {name}")
-        return odef
+        return self._entry(name)[0]
+
+    def obligation(self, name: str) -> Obligation:
+        return self._entry(name)[1]
 
     def eval(
         self, name: str, ctx: HoleContext, index: int, arg: Term | None = None
     ) -> Term:
-        """The answer for one hole.  Load checked every rule output's shape
-        and, at arity 0, its type, so only an arity-1 output's type at the
-        actual argument is left to check."""
-        odef = self.lookup(name)
-        output = _select_output(odef, ctx, index, arg)
-        if odef.arity == 1:
-            _check_output_type(odef, output, arg, self._env)
-        return output
+        """The answer for one hole.  Load typed every output of a fixed
+        obligation, and an arg rule's at its pattern, which the argument is
+        alpha-equal to; any other answer is typed here, at the argument."""
+        odef, obligation = self._entry(name)
+        rule = _select_rule(odef, ctx, index, arg)
+        if obligation.var is not None and not isinstance(rule.guard, GuardArg):
+            expected = obligation.answer_type(arg)
+            _check_output_type(odef, rule.output, expected, self._env)
+        return rule.output
 
     def rewrite(self, name: str, t: Term) -> tuple[HoleContext, Term]:
         """The simultaneous rewrite of every outermost forced occurrence of
@@ -177,37 +182,29 @@ class OracleRegistry:
         return context, context.fill(contents)
 
 
-def _select_output(
+def _select_rule(
     odef: OracleDef, ctx: HoleContext, index: int, arg: Term | None
-) -> Term:
-    """Output of the first rule that matches hole `index`."""
+) -> OracleRule:
+    """The first rule that matches hole `index`."""
     if not 1 <= index <= ctx.count:
-        raise OracleError(
-            "HoleIndexOutOfRange", f"hole {index} of {ctx.count}"
-        )
+        raise OracleError("HoleIndexOutOfRange", f"hole {index} of {ctx.count}")
     if (arg is None) != (odef.arity == 0):
         raise OracleError(
-            "ArityMismatch",
-            f"oracle {odef.name} has arity {odef.arity}",
+            "ArityMismatch", f"oracle {odef.name} has arity {odef.arity}"
         )
     for rule in odef.rules:
         if guard_matches(rule.guard, ctx, index, arg):
-            return rule.output
+            return rule
     # unreachable: the default rule always matches
     raise OracleError("NoMatchingRule", f"oracle {odef.name} not total")
 
 
 def _check_output_type(
-    odef: OracleDef, output: Term, arg: Term | None, env
+    odef: OracleDef, output: Term, expected: TypeCon, env
 ) -> None:
-    """Check an output against its type obligation at the argument."""
+    """Check an output against the value type its obligation asks of it."""
     from . import checker
 
-    if odef.arity == 0:
-        expected = odef.value_type()
-    else:
-        var, _, result = odef.dependent_type()
-        expected = substitute(result, var, arg)  # type: ignore[assignment]
     try:
         checker.check_type(env, output, expected)
     except OlamError as exc:
@@ -218,54 +215,53 @@ def _check_output_type(
         ) from exc
 
 
-def validate_oracle(odef: OracleDef, env) -> None:
-    """Static validation: associated type shape and kind, then rule by rule
-    outputs closed and oracle-free, and every statically checkable output
+def validate_oracle(odef: OracleDef, env) -> Obligation:
+    """Static validation, returning the oracle's obligation: the associated
+    type's shape and kind, then rule by rule the output and any pattern
+    closed and oracle-free, and every output whose type load knows
     well-typed.  An error with no place of its own is placed at column 1
     of the failing rule's line, or of the header line if no rule failed."""
     line = odef.line
     try:
-        _check_assoc_type(odef, env)
+        obligation = _obligation(odef, env)
         signature = frozenset(env.term_names())
         for rule in odef.rules:
             line = rule.line
-            _check_rule(odef, rule, signature, env)
+            _check_rule(odef, obligation, rule, signature, env)
     except OlamError as err:
         if err.span is None and line is not None:
             err.span = (line, 1)
         raise
+    return obligation
 
 
-def _check_assoc_type(odef: OracleDef, env) -> None:
-    """The associated type's shape for the arity, its kind, and the final
-    default rule."""
+def _obligation(odef: OracleDef, env) -> Obligation:
+    """The associated type's shape for the arity and its kind, the final
+    default rule, then the obligation read off the normalised type."""
     from . import checker
 
-    if odef.arity == 0:
-        if not isinstance(odef.assoc_type, OpaqueType):
-            raise OracleError(
-                "OracleTypeInvalid",
-                f"arity-0 oracle {odef.name} needs an opaque computation type",
-            )
-    elif odef.arity == 1:
-        if not (
-            isinstance(odef.assoc_type, Forall)
-            and isinstance(odef.assoc_type.body, OpaqueType)
-        ):
-            raise OracleError(
-                "OracleTypeInvalid",
-                f"arity-1 oracle {odef.name} needs a dependent opaque type",
-            )
-    else:
+    t = odef.assoc_type
+    if odef.arity == 0 and not isinstance(t, OpaqueType):
+        raise OracleError(
+            "OracleTypeInvalid",
+            f"arity-0 oracle {odef.name} needs an opaque computation type",
+        )
+    if odef.arity == 1 and not (
+        isinstance(t, Forall) and isinstance(t.body, OpaqueType)
+    ):
+        raise OracleError(
+            "OracleTypeInvalid",
+            f"arity-1 oracle {odef.name} needs a dependent opaque type",
+        )
+    if odef.arity not in (0, 1):
         raise OracleError(
             "OracleTypeInvalid", f"oracle {odef.name} arity must be 0 or 1"
         )
     try:
-        kind = checker.infer_kind(env, odef.assoc_type)
+        kind = checker.infer_kind(env, t)
     except OlamError as exc:
         raise OracleError(
-            "OracleTypeInvalid",
-            f"oracle {odef.name} type {odef.assoc_type}: {exc}",
+            "OracleTypeInvalid", f"oracle {odef.name} type {t}: {exc}"
         ) from exc
     if not isinstance(kind, Star):
         raise OracleError(
@@ -276,29 +272,31 @@ def _check_assoc_type(odef: OracleDef, env) -> None:
         raise OracleError(
             "NoDefaultRule", f"oracle {odef.name} lacks a final default rule"
         )
+    norm = conversion.normalize_con(t)
+    if odef.arity == 0:
+        return Obligation(norm, None, None, norm.body)  # type: ignore[union-attr]
+    result = norm.body.body  # type: ignore[union-attr]
+    x = norm.var if norm.var in free_term_vars(result) else None  # type: ignore[union-attr]
+    return Obligation(norm, x, norm.var_type, result)  # type: ignore[union-attr]
 
 
 def _check_rule(
-    odef: OracleDef, rule: OracleRule, signature: frozenset[str], env
+    odef: OracleDef, obligation: Obligation, rule: OracleRule, signature, env
 ) -> None:
-    """A rule's output and argument pattern closed and oracle-free, and its
-    output well-typed where the type is known at load: always at arity 0,
-    and at arity 1 for an argument guard, whose pattern is checked too."""
+    """A rule's output and pattern closed and oracle-free, the pattern of the
+    argument's type, and the output typed if its type is known at load."""
     from . import checker
 
-    _check_output_shape(odef, rule.output, signature)
+    _check_closed(odef, "output", rule.output, signature)
     pattern = rule.guard.pattern if isinstance(rule.guard, GuardArg) else None
     if pattern is not None:
-        _check_output_shape(odef, pattern, signature)
-    if odef.arity == 0:
-        _check_output_type(odef, rule.output, None, env)
-    elif pattern is not None:
-        _, dom, _ = odef.dependent_type()
+        _check_closed(odef, "pattern", pattern, signature)
         try:
-            checker.check_type(env, pattern, dom)
+            if obligation.domain is not None:
+                checker.check_type(env, pattern, obligation.domain)
         except OlamError as exc:
             raise OracleError(
-                "OutputIllTyped",
-                f"oracle {odef.name} rule for {pattern}: {exc}",
+                "OutputIllTyped", f"oracle {odef.name} rule for {pattern}: {exc}"
             ) from exc
-        _check_output_type(odef, rule.output, pattern, env)
+    if obligation.var is None or pattern is not None:
+        _check_output_type(odef, rule.output, obligation.answer_type(pattern), env)

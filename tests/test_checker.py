@@ -267,6 +267,32 @@ def test_infer_type_oracle_argument_checked():
     assert e.value.code == "TypeMismatch"
 
 
+def test_infer_type_unary_oracle_without_argument():
+    """A unary oracle is written with its argument, as #c is without one:
+    a bare #d would type and then reduce to a stuck (#d t)!."""
+    env, reg = env_and_registry()
+    with pytest.raises(CheckError) as e:
+        infer_type(env, surface.parse_term("#d"), registry=reg)
+    assert (e.value.code, e.value.message) == (
+        "ArityMismatch", "unary oracle d used without its argument"
+    )
+
+
+@pytest.mark.parametrize(
+    "defs, main, line",
+    [
+        ("", "(\\f:A -> Sigma A. (f a)!) #d", 12),
+        ("f = #d\n", "a", 12),
+    ],
+    ids=["applied", "defined"],
+)
+def test_check_program_rejects_a_bare_unary_oracle(defs, main, line):
+    src = SIGNATURE_PREFIX + defs + f"main = {main}\n"
+    with pytest.raises(CheckError) as e:
+        check_program(surface.parse_program(src), ORACLE_DEFS)
+    assert (e.value.code, e.value.span) == ("ArityMismatch", (line, 1))
+
+
 def test_efq_rules():
     env0 = Environment().with_con("A", Star()).with_term("bot", Bottom())
     assert infer_type(env0, surface.parse_term("efq(bot : A)")) == TypeName("A")

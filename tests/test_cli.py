@@ -640,6 +640,57 @@ def test_oracle_load_errors_name_their_line(capsys, tmp_path):
         assert err.startswith(f"error: [{code}] line {line}, col 1: ")
 
 
+UNARY_ORACLE_TEXT = """\
+oracle d arity 1 type forall x:A. Sigma A
+  default -> a
+"""
+
+
+def test_fixed_obligation_fails_check(capsys, tmp_path):
+    """An ill-typed output of a unary oracle whose answer type does not
+    depend on the argument fails at load, not at its first answer."""
+    program = tmp_path / "prog.olam"
+    program.write_text(
+        "atom A : *\natom B : *\natom a : A\natom b : B\nuse d\n"
+        "main = (#d a)!\n"
+    )
+    oracles = tmp_path / "oracles.olam"
+    oracles.write_text(UNARY_ORACLE_TEXT.replace("-> a", "-> b"))
+    code, out, err = run(["check", str(program), "--oracles", str(oracles)], capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: [OutputIllTyped] line 2, col 1: oracle d output b fails its "
+        "obligation A: [TypeMismatch] expected A, found B\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "body, line",
+    [("main = (\\f:A -> Sigma A. (f a)!) #d\n", 4), ("f = #d\nmain = a\n", 4)],
+    ids=["applied", "defined"],
+)
+@pytest.mark.parametrize("command", ["check", "dist", "eval", "trust"])
+def test_bare_unary_oracle_is_a_load_error(command, body, line, capsys, tmp_path):
+    """A bare #d typed, then stuck after one step at (#d a)!, which dist,
+    eval and trust reported as an outcome."""
+    program = tmp_path / "bare.olam"
+    program.write_text("atom A : *\natom a : A\nuse d\n" + body)
+    oracles = tmp_path / "oracles.olam"
+    oracles.write_text(UNARY_ORACLE_TEXT)
+    target = tmp_path / "bare.dist"
+    target.write_text("(#d a)! = 1\n")
+    argv = [command, str(program), "--oracles", str(oracles)]
+    if command == "trust":
+        argv += ["--target", str(target), "--epsilon", "1/100"]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: [ArityMismatch] line {line}, col 1: "
+        "unary oracle d used without its argument\n"
+    )
+    assert not (tmp_path / "bare.trust.json").exists()
+
+
 def test_trust_accepts_dist_output_of_a_dependent_program(capsys, tmp_path):
     """dist prints the outcome c a, whose type P a is the program's type
     P ((\\x:A. x) a) up to a beta step inside the type; fed back as the

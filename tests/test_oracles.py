@@ -41,11 +41,6 @@ def c_def():
     return reg.lookup("c")
 
 
-def d_def():
-    _, reg = signature()
-    return reg.lookup("d")
-
-
 def ctx_for(term, oracle):
     ctx, _ = decompose_oracle_context(term, oracle)
     return ctx
@@ -331,15 +326,94 @@ def test_arg_rule_pattern_checked_against_the_domain():
     )
 
 
-def test_value_type_accessors():
-    assert c_def().value_type() == TypeName("A")
-    var, dom, result = d_def().dependent_type()
-    assert dom == TypeName("A")
-    assert result == TypeName("A")
-    with pytest.raises(OracleError):
-        c_def().dependent_type()
-    with pytest.raises(OracleError):
-        d_def().value_type()
+def test_obligations_read_off_the_normalised_type():
+    """Load works out each oracle's obligation once.  var names the
+    argument only where the normalised result depends on it, so
+    Sigma ((\\y:A. A) x) is fixed."""
+    env, reg = signature()
+    c, d = reg.obligation("c"), reg.obligation("d")
+    A = TypeName("A")
+    assert (c.type, c.var, c.domain, c.result) == (OpaqueType(A), None, None, A)
+    assert (d.var, d.domain, d.result) == (None, A, A)
+    assert d.answer_type(Var("b")) is d.result
+    reg2 = OracleRegistry.load(
+        env,
+        surface.parse_oracle_file(
+            "oracle e arity 1 type forall x:A. Sigma (P x)\n  default -> a\n"
+            "oracle k arity 1 type forall x:A. Sigma ((\\\\y:A. A) x)\n"
+            "  default -> a\n"
+        ),
+    )
+    e, k = reg2.obligation("e"), reg2.obligation("k")
+    assert (e.var, e.result) == ("x", TypeApp(TypeName("P"), Var("x")))
+    assert e.answer_type(Var("b")) == TypeApp(TypeName("P"), Var("b"))
+    assert (k.var, k.result) == (None, A)
+    with pytest.raises(OracleError) as err:
+        reg2.obligation("c")
+    assert err.value.code == "UnknownOracle"
+
+
+@pytest.mark.parametrize(
+    "result", ["Sigma A", "Sigma ((\\\\y:A. A) x)"], ids=["plain", "redex"]
+)
+def test_fixed_obligation_checked_at_load(result):
+    """A unary oracle whose answer type does not depend on the argument has
+    every output typed at load, at its rule's line, as at arity 0."""
+    program = surface.parse_program(
+        "atom A : *\natom B : *\natom a : A\natom b : B\nuse d\n"
+        "main = (#d a)!\n"
+    )
+    defs = surface.parse_oracle_file(
+        f"oracle d arity 1 type forall x:A. {result}\n  default -> b\n"
+    )
+    with pytest.raises(OracleError) as e:
+        checker.check_program(program, defs)
+    assert (e.value.code, e.value.span) == ("OutputIllTyped", (2, 1))
+    assert e.value.message == (
+        "oracle d output b fails its obligation A: "
+        "[TypeMismatch] expected A, found B"
+    )
+
+
+def test_fixed_obligation_rewrite_types_nothing(monkeypatch):
+    """Load typed every output of d, whose obligation is fixed, so reading
+    it through a width-16 table types no answer."""
+    env, reg = signature()
+    calls = []
+    check_type = checker.check_type
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return check_type(*args, **kwargs)
+
+    monkeypatch.setattr(checker, "check_type", counting)
+    dist, _ = oracle_frequency(env, "d", Var("b"), 16, reg)
+    assert dist.items() == [(Var("a"), 1)]
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "pattern, code, message",
+    [
+        ("x", "OutputNotClosed", "oracle d pattern x has free names ['x']"),
+        (
+            "#c",
+            "OutputContainsOracle",
+            "oracle d pattern #c mentions an oracle constant",
+        ),
+    ],
+    ids=["free", "oracle"],
+)
+def test_pattern_errors_name_the_pattern(pattern, code, message):
+    program = surface.parse_program("atom A : *\natom a : A\nuse d\nmain = a\n")
+    defs = surface.parse_oracle_file(
+        "oracle d arity 1 type forall x:A. Sigma A\n"
+        f"  rule arg = {pattern} -> a\n"
+        "  default -> a\n"
+    )
+    with pytest.raises(OracleError) as e:
+        checker.check_program(program, defs)
+    assert (e.value.code, e.value.span, e.value.message) == (code, (2, 1), message)
 
 
 def test_a_binder_over_many_holes_costs_one_walk(monkeypatch):

@@ -485,6 +485,7 @@ RECORDS = {
     oracles.GuardDefault: "",
     oracles.OracleRule: "guard output line?~",
     oracles.OracleDef: "name arity assoc_type rules line?~",
+    oracles.Obligation: "type var domain result",
     surface.AtomDecl: "name classifier line",
     surface.Definition: "name ascription term line",
     surface.SourceFile: "atoms oracle_uses definitions",

@@ -1,10 +1,11 @@
 """One traversal protocol: the walks of syntax, conversion and the printer,
 and the parser's term reader, run on explicit stacks.
 
-No function in those modules calls itself; every walk takes a node of
-any depth at the default recursion limit; and every walk gives what its
-recursive form, kept in tests/reference_*.py, gives.  Equality, hashing
-and repr of nodes are walks too."""
+No function in those modules, nor in the reducer, the oracles or the
+CLI, calls itself; every walk takes a node of any depth at the default
+recursion limit; and every walk gives what its recursive form, kept in
+tests/reference_*.py, gives.  Equality, hashing and repr of nodes are
+walks too."""
 
 import ast
 import sys
@@ -49,7 +50,16 @@ DEPTH = 5000
 
 
 @pytest.mark.parametrize(
-    "module", ["syntax.py", "printer.py", "conversion.py", "surface.py"]
+    "module",
+    [
+        "syntax.py",
+        "printer.py",
+        "conversion.py",
+        "surface.py",
+        "reducer.py",
+        "oracles.py",
+        "cli.py",
+    ],
 )
 def test_no_function_calls_itself(module):
     """Nested closures included: a call of a function's own name anywhere in
